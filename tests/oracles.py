@@ -92,3 +92,64 @@ def ap_bruteforce(dets, truths, threshold):
             ap += (recall - prev) * envelope
             prev = recall
     return ap
+
+
+def peaks_oracle(data, threshold, window, top_k):
+    """Per-cell brute-force windowed NMS over an (H, W, C) heatmap array.
+
+    A cell is a peak iff it is at or above the threshold and is the first
+    maximum, in (row, col) order, of its window clipped to the map. Each
+    channel keeps its `top_k` best peaks by (-score, row, col). Returns
+    (row, col, channel, score) tuples sorted by (-score, row, col, channel).
+    """
+    h, w, channels = data.shape
+    margin = (window - 1) // 2
+    found = []
+    for ch in range(channels):
+        kept = []
+        for r in range(h):
+            for c in range(w):
+                value = data[r, c, ch]
+                if value < threshold:
+                    continue
+                first_max = True
+                for rr in range(max(0, r - margin), min(h, r + margin + 1)):
+                    for cc in range(max(0, c - margin), min(w, c + margin + 1)):
+                        other = data[rr, cc, ch]
+                        if other > value or (other == value and (rr, cc) < (r, c)):
+                            first_max = False
+                if first_max:
+                    kept.append((-float(value), r, c))
+        kept.sort()
+        found.extend((neg, r, c, ch) for neg, r, c in kept[:top_k])
+    found.sort()
+    return [(r, c, ch, -neg) for neg, r, c, ch in found]
+
+
+def grouping_oracle(top_lefts, bottom_rights, theta, geometric_gate):
+    """Naive greedy pairing: repeatedly take the admissible unused pair with
+    the smallest (tag distance, tl index, br index) until none is left.
+
+    Returns (tl index, br index) pairs in the order they were taken.
+    """
+    used_tl = set()
+    used_br = set()
+    pairs = []
+    while True:
+        best = None
+        for i, tl in enumerate(top_lefts):
+            if i in used_tl:
+                continue
+            for j, br in enumerate(bottom_rights):
+                if j in used_br or tl.class_id != br.class_id:
+                    continue
+                if geometric_gate and (tl.row > br.row or tl.col > br.col):
+                    continue
+                distance = abs(tl.tag - br.tag)
+                if distance < theta and (best is None or (distance, i, j) < best):
+                    best = (distance, i, j)
+        if best is None:
+            return pairs
+        used_tl.add(best[1])
+        used_br.add(best[2])
+        pairs.append((best[1], best[2]))

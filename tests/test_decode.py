@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from det3d.core import (
     ConfigurationError,
@@ -10,6 +12,7 @@ from det3d.core import (
     Keypoint,
     KeypointKind,
     MapRole,
+    SuperCategory,
 )
 from det3d.decode import (
     GroupingConfig,
@@ -20,6 +23,15 @@ from det3d.decode import (
     group_corners,
     refine_with_offsets,
 )
+from det3d.synthgen import (
+    Category,
+    SweepSpec,
+    corrupt_maps,
+    enumerate_sweep,
+    generate_scene,
+    render_ideal_maps,
+)
+from oracles import grouping_oracle, peaks_oracle
 
 TL = KeypointKind.TOP_LEFT
 BR = KeypointKind.BOTTOM_RIGHT
@@ -254,3 +266,116 @@ class TestAttachTags:
         emb = FeatureMap(np.zeros((2, 2, 2)), role=MapRole.EMBEDDING)
         with pytest.raises(ConfigurationError, match="1 channel"):
             attach_tags([kp(TL, 0.0)], emb)
+
+
+def peak_tuples(peaks):
+    return [(p.row, p.col, p.class_id, p.score) for p in peaks]
+
+
+def quantized(rng, shape, levels):
+    """Values on a grid of `levels + 1` steps in [0, 1], so plateaus and ties abound."""
+    return (rng.integers(0, levels + 1, size=shape) / levels).astype(np.float32)
+
+
+def noisy_bundles(count, noise=0.2):
+    """Corrupted ideal bundles of small scenes from both camera sweeps."""
+    bundles = []
+    for seed, super_category in enumerate(SuperCategory):
+        points = enumerate_sweep(
+            SweepSpec(category=Category.CAMERA, super_category=super_category, seed=seed)
+        )
+        for k in range(count):
+            sample = generate_scene(points[k], rng_seed=seed, n_objects=1, image_size=(128, 96))
+            bundle = render_ideal_maps(sample, include_aux=False)
+            bundles.append(corrupt_maps(bundle, noise, rng_seed=[seed, k]))
+    return bundles
+
+
+class TestPeaksMatchOracle:
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    def test_random_plateaus(self, window):
+        rng = np.random.default_rng(window)
+        for _ in range(80):
+            h, w, c = (int(v) for v in rng.integers(1, [10, 10, 3]))
+            data = quantized(rng, (h, w, c), levels=int(rng.integers(1, 5)))
+            threshold = float(rng.choice([0.0, 0.25, 0.5]))
+            top_k = int(rng.integers(1, 8))
+            cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
+            got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+            assert got == peaks_oracle(data, threshold, window, top_k)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (2, 5), (5, 2)])
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    def test_thin_and_tiny_maps(self, shape, window):
+        rng = np.random.default_rng(list(shape) + [window])
+        for _ in range(20):
+            data = quantized(rng, shape + (2,), levels=3)
+            cfg = PeakExtractionConfig(score_threshold=0.0, nms_window=window, top_k=5)
+            got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+            assert got == peaks_oracle(data, 0.0, window, 5)
+
+    def test_noisy_planes(self):
+        cfg = PeakExtractionConfig()
+        for bundle in noisy_bundles(2):
+            for kind in KeypointKind:
+                data = bundle.heatmaps[kind].data
+                got = peak_tuples(extract_peaks(bundle.heatmaps[kind], cfg, kind))
+                assert got == peaks_oracle(data, cfg.score_threshold, cfg.nms_window, cfg.top_k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=arrays(
+            np.float32,
+            st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 2)),
+            elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        ),
+        window=st.sampled_from([1, 3, 5, 7]),
+        threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        top_k=st.integers(1, 6),
+    )
+    def test_property_matches_oracle(self, data, window, threshold, top_k):
+        cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
+        got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+        assert got == peaks_oracle(data, threshold, window, top_k)
+
+
+class TestGroupingMatchesOracle:
+    @staticmethod
+    def check(tls, brs, cfg):
+        expected = [
+            (tls[i], brs[j])
+            for i, j in grouping_oracle(tls, brs, cfg.theta, cfg.geometric_gate)
+        ]
+        assert group_corners(tls, brs, cfg) == expected
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_random_ties(self, gate):
+        rng = np.random.default_rng(int(gate))
+        for _ in range(150):
+            corners = []
+            for kind in (TL, BR):
+                n = int(rng.integers(0, 9))
+                corners.append(
+                    [
+                        kp(
+                            kind,
+                            float(rng.integers(0, 6)) / 4.0,
+                            class_id=int(rng.integers(0, 2)),
+                            row=int(rng.integers(0, 6)),
+                            col=int(rng.integers(0, 6)),
+                        )
+                        for _ in range(n)
+                    ]
+                )
+            theta = float(rng.choice([0.25, 0.3, 0.5, 2.0]))
+            self.check(*corners, GroupingConfig(theta=theta, geometric_gate=gate))
+
+    def test_noisy_planes(self):
+        peak_cfg = PeakExtractionConfig(top_k=12)
+        for bundle in noisy_bundles(2):
+            tls, brs = (
+                attach_tags(extract_peaks(bundle.heatmaps[kind], peak_cfg, kind), bundle.embeddings[kind])
+                for kind in (TL, BR)
+            )
+            for gate in (True, False):
+                self.check(tls, brs, GroupingConfig(geometric_gate=gate))
