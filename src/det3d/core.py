@@ -246,7 +246,7 @@ class FeatureMap:
         return f"FeatureMap({self.height}x{self.width}x{self.channels}, role={self._role.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keypoint:
     """A scored grid peak: kind, class, integer grid position, and the
     associative-embedding tag used for corner grouping."""
@@ -270,7 +270,7 @@ class Keypoint:
             raise DomainError(f"tag must be finite, got {self.tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box2D:
     """Axis-aligned image box; zero-area boxes are permitted, negative
     extents are not. Out-of-range scores are rejected, not clamped."""
@@ -312,7 +312,7 @@ class Box2D:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box3D:
     """3D box in the camera frame: center (m), dims (w, h, l in m), and
     orientation (azimuth, elevation, roll in degrees).
@@ -448,7 +448,7 @@ class ClassTaxonomy:
             raise DomainError(f"unknown class {name!r}; known: {list(self.names)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A grouped keypoint triplet with its assembled, offset-refined box."""
 

@@ -6,13 +6,14 @@ assembly. Every step is deterministic: all orderings use total sort keys
 (score descending, then row, then col).
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    BoundsError,
     Box2D,
     ConfigurationError,
     Detection,
@@ -60,13 +61,25 @@ class GroupingConfig:
             raise DomainError(f"theta must be finite and positive, got {self.theta}")
 
 
-def extract_peaks(heatmap, cfg, kind):
-    """All cells that are the strict maximum of their local window.
+def _max_of(views):
+    """Elementwise max of the views; -inf when there are none."""
+    return functools.reduce(np.maximum, views, -np.inf)
 
-    Equal values within one window are broken toward the smallest
-    (row, col); each channel keeps at most `top_k` peaks with score at or
-    above the threshold, and the result is sorted by descending score
-    (then row, col, channel).
+
+def extract_peaks(heatmap, cfg, kind):
+    """Windowed non-maximum suppression over every channel of a heatmap.
+
+    A cell is a peak iff all three hold, with its nms_window x nms_window
+    window clipped to the map:
+
+    - it equals the maximum of its window;
+    - it is strictly greater than every window neighbour that comes before
+      it in (row, col) order: the window rows above it, and the cells to
+      its left in its own row (so a plateau keeps only its first cell);
+    - it is at or above score_threshold.
+
+    Each channel keeps its first `top_k` peaks by (-score, row, col), and
+    the result is sorted by (-score, row, col, channel).
     """
     data = heatmap.data
     lo = float(data.min())
@@ -74,37 +87,56 @@ def extract_peaks(heatmap, cfg, kind):
     if lo < 0.0 or hi > 1.0:
         raise DomainError(f"peak extraction needs values in [0, 1], got [{lo:g}, {hi:g}]")
     margin = (cfg.nms_window - 1) // 2
-    height, width, _ = data.shape
+    span = 2 * margin + 1
+    planes = np.ascontiguousarray(np.moveaxis(data, 2, 0))
+    _, height, width = planes.shape
 
-    peaks = []
-    for ch in range(heatmap.channels):
-        plane = data[:, :, ch]
-        if margin:
-            padded = np.pad(plane, margin, constant_values=-np.inf)
-            windows = sliding_window_view(padded, (cfg.nms_window, cfg.nms_window))
-            neighborhood_max = windows.max(axis=(2, 3))
-        else:
-            neighborhood_max = plane
-        candidates = np.argwhere(
-            (plane >= neighborhood_max) & (plane >= cfg.score_threshold)
+    # Separable window max on a -inf border: along each row first, then
+    # down the columns of those row maxima.
+    padded = np.pad(planes, ((0, 0), (margin, margin), (margin, margin)), constant_values=-np.inf)
+    row_max = _max_of([padded[:, :, k : k + width] for k in range(span)])
+    left = _max_of([padded[:, margin : margin + height, k : k + width] for k in range(margin)])
+    above = _max_of([row_max[:, k : k + height] for k in range(margin)])
+    below = _max_of([row_max[:, k : k + height] for k in range(margin + 1, span)])
+    keep = (
+        (planes >= row_max[:, margin : margin + height])
+        & (planes >= below)
+        & (planes > above)
+        & (planes > left)
+        & (planes >= cfg.score_threshold)
+    )
+
+    flat = np.flatnonzero(keep)
+    channels, cells = np.divmod(flat, height * width)
+    scores = planes.reshape(-1)[flat]
+    # Flat cell indices run in (row, col) order within a channel. Rank the
+    # peaks within their channel and keep the first top_k of each.
+    order = np.lexsort((cells, -scores, channels))
+    channel_start = np.searchsorted(channels[order], channels[order])
+    order = order[np.arange(order.size) - channel_start < cfg.top_k]
+    order = order[np.lexsort((channels[order], cells[order], -scores[order]))]
+    rows, cols = np.divmod(cells[order], width)
+    return [
+        Keypoint(kind=kind, class_id=ch, row=row, col=col, score=score)
+        for ch, row, col, score in zip(
+            channels[order].tolist(), rows.tolist(), cols.tolist(), scores[order].tolist()
         )
-        kept = []
-        for row, col in candidates:
-            value = plane[row, col]
-            r0 = max(0, row - margin)
-            c0 = max(0, col - margin)
-            window = plane[r0 : row + margin + 1, c0 : col + margin + 1]
-            ties = np.argwhere(window == value)
-            first = min((r0 + dr, c0 + dc) for dr, dc in ties)
-            if first == (row, col):
-                kept.append((float(value), int(row), int(col)))
-        kept.sort(key=lambda t: (-t[0], t[1], t[2]))
-        for score, row, col in kept[: cfg.top_k]:
-            peaks.append(
-                Keypoint(kind=kind, class_id=ch, row=row, col=col, score=score)
-            )
-    peaks.sort(key=lambda k: (-k.score, k.row, k.col, k.class_id))
-    return peaks
+    ]
+
+
+def _field(keypoints, name, dtype=None):
+    """One attribute of every keypoint, as an array."""
+    return np.array([getattr(kp, name) for kp in keypoints], dtype=dtype)
+
+
+def _cells(keypoints, fmap):
+    """Row and col index arrays of the keypoints, bounds-checked against fmap."""
+    rows = _field(keypoints, "row", np.intp)
+    cols = _field(keypoints, "col", np.intp)
+    for name, idx, size in (("row", rows, fmap.height), ("col", cols, fmap.width)):
+        if idx.size and idx.max() >= size:
+            raise BoundsError(f"{name} index {int(idx.max())} out of range [0, {size})")
+    return rows, cols
 
 
 def attach_tags(keypoints, embedding):
@@ -113,33 +145,35 @@ def attach_tags(keypoints, embedding):
         raise ConfigurationError(
             f"embedding map must have 1 channel, got {embedding.channels}"
         )
-    return [replace(kp, tag=embedding.get(kp.row, kp.col, 0)) for kp in keypoints]
+    rows, cols = _cells(keypoints, embedding)
+    tags = embedding.data[rows, cols, 0].tolist()
+    return [replace(kp, tag=tag) for kp, tag in zip(keypoints, tags)]
 
 
 def group_corners(top_lefts, bottom_rights, cfg):
     """Greedy best-first corner pairing by ascending tag distance.
 
-    A pair is accepted iff the tag distance is below theta, both corners
-    have the same class and are still unused, and (when the geometric gate
-    is on) the top-left sits up-left of the bottom-right. Unmatched
-    keypoints are dropped.
+    A (top-left i, bottom-right j) candidate is admissible iff both have
+    the same class, |tag_i - tag_j| < theta, and, when the geometric gate
+    is on, tl.row <= br.row and tl.col <= br.col. Candidates are visited
+    in ascending (distance, i, j) order and a candidate is taken iff
+    neither of its corners was taken before. Unmatched keypoints are
+    dropped.
     """
-    candidates = []
-    for i, tl in enumerate(top_lefts):
-        for j, br in enumerate(bottom_rights):
-            if tl.class_id != br.class_id:
-                continue
-            if cfg.geometric_gate and not (tl.row <= br.row and tl.col <= br.col):
-                continue
-            distance = abs(tl.tag - br.tag)
-            if distance < cfg.theta:
-                candidates.append((distance, i, j))
-    candidates.sort()
+    distance = np.abs(_field(top_lefts, "tag")[:, None] - _field(bottom_rights, "tag"))
+    admissible = (
+        _field(top_lefts, "class_id")[:, None] == _field(bottom_rights, "class_id")
+    ) & (distance < cfg.theta)
+    if cfg.geometric_gate:
+        admissible &= _field(top_lefts, "row")[:, None] <= _field(bottom_rights, "row")
+        admissible &= _field(top_lefts, "col")[:, None] <= _field(bottom_rights, "col")
+    tl_idx, br_idx = np.nonzero(admissible)
+    order = np.lexsort((br_idx, tl_idx, distance[tl_idx, br_idx]))
 
     used_tl = set()
     used_br = set()
     pairs = []
-    for _, i, j in candidates:
+    for i, j in zip(tl_idx[order].tolist(), br_idx[order].tolist()):
         if i in used_tl or j in used_br:
             continue
         used_tl.add(i)
@@ -148,17 +182,23 @@ def group_corners(top_lefts, bottom_rights, cfg):
     return pairs
 
 
-def refine_with_offsets(keypoint, offsets, stride=1):
-    """Grid cell -> image pixels: (col + o_x, row + o_y) * stride."""
+def _refined(keypoints, offsets, stride):
+    """Image-pixel (x, y) arrays: ((col + o_x) * stride, (row + o_y) * stride)."""
     if offsets.channels != 2:
         raise ConfigurationError(
             f"offset map must have exactly 2 channels (o_x, o_y), got {offsets.channels}"
         )
     if int(stride) != stride or stride < 1:
         raise DomainError(f"stride must be a positive integer, got {stride!r}")
-    o_x = offsets.get(keypoint.row, keypoint.col, 0)
-    o_y = offsets.get(keypoint.row, keypoint.col, 1)
-    return ((keypoint.col + o_x) * stride, (keypoint.row + o_y) * stride)
+    rows, cols = _cells(keypoints, offsets)
+    o = offsets.data[rows, cols].astype(np.float64)
+    return (cols + o[:, 0]) * stride, (rows + o[:, 1]) * stride
+
+
+def refine_with_offsets(keypoint, offsets, stride=1):
+    """Grid cell -> image pixels: (col + o_x, row + o_y) * stride."""
+    x, y = _refined([keypoint], offsets, stride)
+    return (float(x[0]), float(y[0]))
 
 
 def assemble_boxes(pairs, centers, offsets, stride, cfg):
@@ -171,41 +211,40 @@ def assemble_boxes(pairs, centers, offsets, stride, cfg):
     mean of the three keypoint scores.
     """
     del cfg  # grouping already happened; kept for signature symmetry
-    refined_centers = [
-        (ck, refine_with_offsets(ck, offsets[KeypointKind.CENTER], stride))
-        for ck in centers
-    ]
+    if not pairs or not centers:
+        return []
+    top_lefts = [tl for tl, _ in pairs]
+    x1, y1 = _refined(top_lefts, offsets[KeypointKind.TOP_LEFT], stride)
+    x2, y2 = _refined([br for _, br in pairs], offsets[KeypointKind.BOTTOM_RIGHT], stride)
+    third_w = (x2 - x1) / 3.0
+    third_h = (y2 - y1) / 3.0
+
+    # Centers in (-score, row, col) order, so the first one inside a box is its best.
+    rank = np.lexsort((_field(centers, "col"), _field(centers, "row"), -_field(centers, "score")))
+    ranked = [centers[k] for k in rank]
+    cx, cy = _refined(ranked, offsets[KeypointKind.CENTER], stride)
+    inside = (
+        (_field(top_lefts, "class_id")[:, None] == _field(ranked, "class_id"))
+        & ((x1 + third_w)[:, None] <= cx)
+        & (cx <= (x2 - third_w)[:, None])
+        & ((y1 + third_h)[:, None] <= cy)
+        & (cy <= (y2 - third_h)[:, None])
+    )
+    kept = inside.any(axis=1) & (x1 <= x2) & (y1 <= y2)
+    best = inside.argmax(axis=1)
+
     detections = []
-    for tl, br in pairs:
-        x1, y1 = refine_with_offsets(tl, offsets[KeypointKind.TOP_LEFT], stride)
-        x2, y2 = refine_with_offsets(br, offsets[KeypointKind.BOTTOM_RIGHT], stride)
-        if x1 > x2 or y1 > y2:
-            continue
-        third_w = (x2 - x1) / 3.0
-        third_h = (y2 - y1) / 3.0
-        x_lo, x_hi = x1 + third_w, x2 - third_w
-        y_lo, y_hi = y1 + third_h, y2 - third_h
-
-        best = None
-        best_key = None
-        for ck, (cx, cy) in refined_centers:
-            if ck.class_id != tl.class_id:
-                continue
-            if x_lo <= cx <= x_hi and y_lo <= cy <= y_hi:
-                key = (-ck.score, ck.row, ck.col)
-                if best_key is None or key < best_key:
-                    best, best_key = ck, key
-        if best is None:
-            continue
-
-        score = (tl.score + br.score + best.score) / 3.0
-        box = Box2D(x1, y1, x2, y2, class_id=tl.class_id, score=score)
+    for p in np.flatnonzero(kept).tolist():
+        tl, br = pairs[p]
+        center = ranked[best[p]]
+        score = (tl.score + br.score + center.score) / 3.0
+        box = Box2D(x1[p], y1[p], x2[p], y2[p], class_id=tl.class_id, score=score)
         detections.append(
             Detection(
                 box=box,
                 top_left=tl,
                 bottom_right=br,
-                center=best,
+                center=center,
                 tag=0.5 * (tl.tag + br.tag),
             )
         )

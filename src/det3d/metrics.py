@@ -276,7 +276,7 @@ def confusion_matrix(dets, truths, policy=None, n_classes=None):
     return confusion_matrix_frames({"_": list(dets)}, {"_": list(truths)}, policy, n_classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalItem:
     """One labeled box in an evaluation file: class label, 2D box (with
     score), and optionally the 3D center depth in metres."""
