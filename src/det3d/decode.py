@@ -63,7 +63,7 @@ class GroupingConfig:
 
 def _max_of(views):
     """Elementwise max of the views; -inf when there are none."""
-    return functools.reduce(np.maximum, views, -np.inf)
+    return functools.reduce(np.maximum, views) if views else -np.inf
 
 
 def extract_peaks(heatmap, cfg, kind):
@@ -88,12 +88,15 @@ def extract_peaks(heatmap, cfg, kind):
         raise DomainError(f"peak extraction needs values in [0, 1], got [{lo:g}, {hi:g}]")
     margin = (cfg.nms_window - 1) // 2
     span = 2 * margin + 1
-    planes = np.ascontiguousarray(np.moveaxis(data, 2, 0))
-    _, height, width = planes.shape
+    height, width, _ = data.shape
 
-    # Separable window max on a -inf border: along each row first, then
-    # down the columns of those row maxima.
-    padded = np.pad(planes, ((0, 0), (margin, margin), (margin, margin)), constant_values=-np.inf)
+    # Channel-first planes on a -inf border. The window max is separable:
+    # along each row first, then down the columns of those row maxima.
+    padded = np.pad(
+        np.moveaxis(data, 2, 0), ((0, 0), (margin, margin), (margin, margin)),
+        constant_values=-np.inf,
+    )
+    planes = padded[:, margin : margin + height, margin : margin + width]
     row_max = _max_of([padded[:, :, k : k + width] for k in range(span)])
     left = _max_of([padded[:, margin : margin + height, k : k + width] for k in range(margin)])
     above = _max_of([row_max[:, k : k + height] for k in range(margin)])
@@ -108,18 +111,21 @@ def extract_peaks(heatmap, cfg, kind):
 
     flat = np.flatnonzero(keep)
     channels, cells = np.divmod(flat, height * width)
-    scores = planes.reshape(-1)[flat]
+    rows, cols = np.divmod(cells, width)
+    scores = data[rows, cols, channels]
     # Flat cell indices run in (row, col) order within a channel. Rank the
     # peaks within their channel and keep the first top_k of each.
     order = np.lexsort((cells, -scores, channels))
     channel_start = np.searchsorted(channels[order], channels[order])
     order = order[np.arange(order.size) - channel_start < cfg.top_k]
     order = order[np.lexsort((channels[order], cells[order], -scores[order]))]
-    rows, cols = np.divmod(cells[order], width)
     return [
         Keypoint(kind=kind, class_id=ch, row=row, col=col, score=score)
         for ch, row, col, score in zip(
-            channels[order].tolist(), rows.tolist(), cols.tolist(), scores[order].tolist()
+            channels[order].tolist(),
+            rows[order].tolist(),
+            cols[order].tolist(),
+            scores[order].tolist(),
         )
     ]
 
