@@ -140,8 +140,9 @@ def _cells(keypoints, fmap):
     rows = _field(keypoints, "row", np.intp)
     cols = _field(keypoints, "col", np.intp)
     for name, idx, size in (("row", rows, fmap.height), ("col", cols, fmap.width)):
-        if idx.size and idx.max() >= size:
-            raise BoundsError(f"{name} index {int(idx.max())} out of range [0, {size})")
+        over = idx[idx >= size]
+        if over.size:
+            raise BoundsError(f"{name} index {int(over[0])} out of range [0, {size})")
     return rows, cols
 
 
@@ -217,18 +218,22 @@ def assemble_boxes(pairs, centers, offsets, stride, cfg):
     mean of the three keypoint scores.
     """
     del cfg  # grouping already happened; kept for signature symmetry
-    if not pairs or not centers:
+    # Each kind's offset map is read (and checked) only when keypoints of
+    # that kind exist, so empty inputs never touch a missing or bad map.
+    # Centers go in (-score, row, col) order: the first inside a box is its best.
+    rank = np.lexsort((_field(centers, "col"), _field(centers, "row"), -_field(centers, "score")))
+    ranked = [centers[k] for k in rank]
+    if ranked:
+        cx, cy = _refined(ranked, offsets[KeypointKind.CENTER], stride)
+    if not pairs:
         return []
     top_lefts = [tl for tl, _ in pairs]
     x1, y1 = _refined(top_lefts, offsets[KeypointKind.TOP_LEFT], stride)
     x2, y2 = _refined([br for _, br in pairs], offsets[KeypointKind.BOTTOM_RIGHT], stride)
+    if not ranked:
+        return []
     third_w = (x2 - x1) / 3.0
     third_h = (y2 - y1) / 3.0
-
-    # Centers in (-score, row, col) order, so the first one inside a box is its best.
-    rank = np.lexsort((_field(centers, "col"), _field(centers, "row"), -_field(centers, "score")))
-    ranked = [centers[k] for k in rank]
-    cx, cy = _refined(ranked, offsets[KeypointKind.CENTER], stride)
     inside = (
         (_field(top_lefts, "class_id")[:, None] == _field(ranked, "class_id"))
         & ((x1 + third_w)[:, None] <= cx)

@@ -233,6 +233,16 @@ class TestAssembleBoxes:
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
         assert assemble_boxes(pairs, [], self.offsets, 1, self.cfg) == []
 
+    def test_offset_maps_checked_only_for_kinds_present(self):
+        bad = FeatureMap(np.zeros((50, 50, 3)), role=MapRole.OFFSET)
+        pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
+        centers = [kp(CENTER, 0.0, row=25, col=25)]
+        assert assemble_boxes([], [], {}, 1, self.cfg) == []
+        with pytest.raises(ConfigurationError, match="2 channels"):
+            assemble_boxes([], centers, {**self.offsets, CENTER: bad}, 1, self.cfg)
+        with pytest.raises(ConfigurationError, match="2 channels"):
+            assemble_boxes(pairs, [], {**self.offsets, TL: bad}, 1, self.cfg)
+
     def test_wrong_class_center_does_not_validate(self):
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
         centers = [kp(CENTER, 0.0, class_id=1, row=25, col=25)]
