@@ -150,13 +150,15 @@ class FeatureMap:
     Storage is row-major float32 in (row, col, channel) order, matching
     the binary dump layout exactly so serialized tensors are unambiguous.
     Heatmap-role maps must lie in [0, 1]; other roles only need finite
-    values.
+    values. The map copies `data` unless `copy=False`: then an array that
+    is already float32 and C-ordered is adopted and made read-only, so the
+    caller must not write to it through another reference.
     """
 
     __slots__ = ("_data", "_role")
 
-    def __init__(self, data, role=MapRole.GENERIC):
-        arr = np.array(data, dtype=np.float32, copy=True, order="C")
+    def __init__(self, data, role=MapRole.GENERIC, copy=True):
+        arr = (np.array if copy else np.asarray)(data, dtype=np.float32, order="C")
         if arr.ndim != 3:
             raise ShapeError(f"feature map needs a (H, W, C) array, got shape {arr.shape}")
         if min(arr.shape) < 1:

@@ -454,15 +454,18 @@ def render_ideal_maps(
                             sin_d,
                         )
 
+    # The arrays are local, so the maps adopt them instead of copying:
+    # a copy would double the bundle's memory while it is being built.
+    def adopt(arr, role):
+        return FeatureMap(arr, role=role, copy=False)
+
     return MapBundle(
-        heatmaps={kind: FeatureMap(heat[kind], role=MapRole.HEATMAP) for kind in ALL_KINDS},
-        embeddings={
-            kind: FeatureMap(embed[kind], role=MapRole.EMBEDDING) for kind in CORNER_KINDS
-        },
-        offsets={kind: FeatureMap(offset[kind], role=MapRole.OFFSET) for kind in ALL_KINDS},
-        aux_depth=FeatureMap(depth_map, role=MapRole.GENERIC) if include_aux else None,
-        aux_dims=FeatureMap(dims_map, role=MapRole.GENERIC) if include_aux else None,
-        aux_orientation=FeatureMap(orient_map, role=MapRole.GENERIC) if include_aux else None,
+        heatmaps={kind: adopt(heat[kind], MapRole.HEATMAP) for kind in ALL_KINDS},
+        embeddings={kind: adopt(embed[kind], MapRole.EMBEDDING) for kind in CORNER_KINDS},
+        offsets={kind: adopt(offset[kind], MapRole.OFFSET) for kind in ALL_KINDS},
+        aux_depth=adopt(depth_map, MapRole.GENERIC) if include_aux else None,
+        aux_dims=adopt(dims_map, MapRole.GENERIC) if include_aux else None,
+        aux_orientation=adopt(orient_map, MapRole.GENERIC) if include_aux else None,
     )
 
 
