@@ -58,8 +58,10 @@ def dump_fmap(fmap):
     header = _HEADER.pack(
         MAGIC, VERSION, fmap.height, fmap.width, fmap.channels, int(fmap.role)
     )
-    payload = np.ascontiguousarray(fmap.data, dtype="<f4").tobytes()
-    return header + payload
+    payload = np.ascontiguousarray(fmap.data, dtype="<f4")
+    # Concatenating the array's buffer copies the payload once; going
+    # through tobytes() first would hold two copies at the peak.
+    return header + payload.data
 
 
 def parse_fmap(blob):
