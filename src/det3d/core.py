@@ -150,29 +150,26 @@ class FeatureMap:
     Storage is row-major float32 in (row, col, channel) order, matching
     the binary dump layout exactly so serialized tensors are unambiguous.
     Heatmap-role maps must lie in [0, 1]; other roles only need finite
-    values. The map copies `data` unless `copy=False`: then an array that
-    is already float32 and C-ordered is adopted and made read-only, so the
-    caller must not write to it through another reference.
+    values.
     """
 
     __slots__ = ("_data", "_role")
 
-    def __init__(self, data, role=MapRole.GENERIC, copy=True):
-        arr = (np.array if copy else np.asarray)(data, dtype=np.float32, order="C")
+    def __init__(self, data, role=MapRole.GENERIC):
+        arr = np.array(data, dtype=np.float32, copy=True, order="C")
         if arr.ndim != 3:
             raise ShapeError(f"feature map needs a (H, W, C) array, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"feature map axes must all be >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # Both extremes are finite iff every value is (NaN propagates
+        # through min and max); unlike an isfinite mask this allocates nothing.
+        lo = float(arr.min())
+        hi = float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("feature map values must be finite")
         role = MapRole(role)
-        if role is MapRole.HEATMAP:
-            lo = float(arr.min())
-            hi = float(arr.max())
-            if lo < 0.0 or hi > 1.0:
-                raise DomainError(
-                    f"heatmap values must lie in [0, 1], got range [{lo:g}, {hi:g}]"
-                )
+        if role is MapRole.HEATMAP and (lo < 0.0 or hi > 1.0):
+            raise DomainError(f"heatmap values must lie in [0, 1], got range [{lo:g}, {hi:g}]")
         arr.setflags(write=False)
         self._data = arr
         self._role = role

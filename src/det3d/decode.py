@@ -174,8 +174,10 @@ def group_corners(top_lefts, bottom_rights, cfg):
     if cfg.geometric_gate:
         admissible &= _field(top_lefts, "row")[:, None] <= _field(bottom_rights, "row")
         admissible &= _field(top_lefts, "col")[:, None] <= _field(bottom_rights, "col")
+    # nonzero is row-major, so a stable sort on distance alone breaks
+    # ties by (i, j).
     tl_idx, br_idx = np.nonzero(admissible)
-    order = np.lexsort((br_idx, tl_idx, distance[tl_idx, br_idx]))
+    order = np.argsort(distance[tl_idx, br_idx], kind="stable")
 
     used_tl = set()
     used_br = set()

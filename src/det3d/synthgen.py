@@ -454,18 +454,20 @@ def render_ideal_maps(
                             sin_d,
                         )
 
-    # The arrays are local, so the maps adopt them instead of copying:
-    # a copy would double the bundle's memory while it is being built.
-    def adopt(arr, role):
-        return FeatureMap(arr, role=role, copy=False)
+    # Each local array is dropped as soon as its map holds a copy, so at
+    # most one map is held twice while the bundle is built.
+    def take(arrays, key, role):
+        return FeatureMap(arrays.pop(key), role=role)
 
+    aux = {}
+    if include_aux:
+        aux = {"aux_depth": depth_map, "aux_dims": dims_map, "aux_orientation": orient_map}
+        del depth_map, dims_map, orient_map
     return MapBundle(
-        heatmaps={kind: adopt(heat[kind], MapRole.HEATMAP) for kind in ALL_KINDS},
-        embeddings={kind: adopt(embed[kind], MapRole.EMBEDDING) for kind in CORNER_KINDS},
-        offsets={kind: adopt(offset[kind], MapRole.OFFSET) for kind in ALL_KINDS},
-        aux_depth=adopt(depth_map, MapRole.GENERIC) if include_aux else None,
-        aux_dims=adopt(dims_map, MapRole.GENERIC) if include_aux else None,
-        aux_orientation=adopt(orient_map, MapRole.GENERIC) if include_aux else None,
+        heatmaps={kind: take(heat, kind, MapRole.HEATMAP) for kind in ALL_KINDS},
+        embeddings={kind: take(embed, kind, MapRole.EMBEDDING) for kind in CORNER_KINDS},
+        offsets={kind: take(offset, kind, MapRole.OFFSET) for kind in ALL_KINDS},
+        **{name: take(aux, name, MapRole.GENERIC) for name in list(aux)},
     )
 
 

@@ -124,41 +124,12 @@ class TestDecode:
         assert "mAP" in out
 
     def test_decode_is_deterministic(self, dataset, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        assert main(["decode", "--dataset", str(dataset), "--out", str(a)]) == 0
-        assert main(["decode", "--dataset", str(dataset), "--out", str(b), "--jobs", "4"]) == 0
-        assert read(a) == read(b)
-
-    def test_jobs_1_and_2_write_identical_detections(self, tmp_path):
-        data = tmp_path / "sensor_ground"
-        code = main(
-            [
-                "synth",
-                "--category",
-                "sensor",
-                "--super",
-                "ground",
-                "--seed",
-                "3",
-                "--repeats",
-                "3",
-                "--objects",
-                "4",
-                "--out",
-                str(data),
-            ]
-        )
-        assert code == 0
         outputs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "4"):
             out = tmp_path / f"jobs{jobs}.json"
-            assert main(["decode", "--dataset", str(data), "--out", str(out), "--jobs", jobs]) == 0
+            assert main(["decode", "--dataset", str(dataset), "--out", str(out), "--jobs", jobs]) == 0
             outputs.append(read(out))
-        assert outputs[0] == outputs[1]
-        frames = json.loads(outputs[0])["frames"]
-        assert len(frames) == 6
-        assert sum(len(objs) for objs in frames.values()) == 24
+        assert outputs[1:] == outputs[:1] * 2
 
     def test_single_bundle_decode(self, dataset, tmp_path):
         out = tmp_path / "one.json"

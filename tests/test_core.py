@@ -43,16 +43,6 @@ class TestFeatureMap:
         fm = FeatureMap(data)
         assert fm.get(2, 1, 1) == 21.5
 
-    def test_copies_unless_told_to_adopt(self):
-        data = np.zeros((2, 3, 1), dtype=np.float32)
-        copied = FeatureMap(data)
-        data[0, 0, 0] = 0.5
-        assert copied.get(0, 0, 0) == 0.0
-        adopted = FeatureMap(data, copy=False)
-        assert adopted.data is data
-        assert not data.flags.writeable
-        assert FeatureMap(np.zeros((2, 3, 1)), copy=False).data.dtype == np.float32
-
     @pytest.mark.parametrize(
         "index,axis",
         [((5, 0, 0), "row"), ((0, 9, 0), "col"), ((0, 0, 3), "channel"), ((-1, 0, 0), "row")],

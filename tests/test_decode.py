@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from det3d.core import (
     ConfigurationError,
@@ -331,22 +329,6 @@ class TestPeaksMatchOracle:
                 data = bundle.heatmaps[kind].data
                 got = peak_tuples(extract_peaks(bundle.heatmaps[kind], cfg, kind))
                 assert got == peaks_oracle(data, cfg.score_threshold, cfg.nms_window, cfg.top_k)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        data=arrays(
-            np.float32,
-            st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 2)),
-            elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-        ),
-        window=st.sampled_from([1, 3, 5, 7]),
-        threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-        top_k=st.integers(1, 6),
-    )
-    def test_property_matches_oracle(self, data, window, threshold, top_k):
-        cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
-        got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
-        assert got == peaks_oracle(data, threshold, window, top_k)
 
 
 class TestGroupingMatchesOracle:
