@@ -179,6 +179,19 @@ def _load_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
+def _require(data, key, path):
+    """data[key] of a JSON object read from path, or a ParseError naming
+    the file and the field."""
+    if not isinstance(data, dict):
+        raise ParseError(
+            f"{path}: expected a JSON object with a {key!r} field, got {type(data).__name__}"
+        )
+    try:
+        return data[key]
+    except KeyError:
+        raise ParseError(f"{path}: missing field {key!r}") from None
+
+
 def _taxonomy_from(classes, super_names):
     grouping = {}
     for name in classes:
@@ -253,9 +266,11 @@ def _cmd_decode(args):
     group_cfg = GroupingConfig(theta=args.theta)
 
     if args.dataset:
-        manifest = _load_json(os.path.join(args.dataset, "manifest.json"))
+        manifest_path = os.path.join(args.dataset, "manifest.json")
+        manifest = _load_json(manifest_path)
+        classes = _require(manifest, "classes", manifest_path)
         stride = args.stride if args.stride is not None else int(manifest.get("stride", 1))
-        taxonomy = _taxonomy_from(manifest["classes"], manifest.get("super", {}))
+        taxonomy = _taxonomy_from(classes, manifest.get("super", {}))
         jobs = []
         for entry in manifest["samples"]:
             jobs.append(
@@ -274,7 +289,10 @@ def _cmd_decode(args):
                 for fid, frame_dir, scene_path in jobs
             }
             for fid in sorted(futures):
-                frames[fid] = futures[fid].result()
+                try:
+                    frames[fid] = futures[fid].result()
+                except Det3DError as exc:
+                    raise type(exc)(f"frame {fid}: {exc}") from exc
         payload = {
             "classes": list(taxonomy.names),
             "super": manifest.get("super", {}),
@@ -311,12 +329,14 @@ def _cmd_decode(args):
     return 0
 
 
-def _items_from_frames(data):
+def _items_from_frames(data, path):
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object with a 'frames' field, got {type(data).__name__}")
     frames = {}
     for fid, objects in data.get("frames", {}).items():
         items = []
-        for obj in objects:
-            b = obj["box2d"]
+        for k, obj in enumerate(objects):
+            b = _require(obj, "box2d", f"{path}: frames[{fid!r}][{k}]")
             box = Box2D(
                 b["x_min"],
                 b["y_min"],
@@ -389,8 +409,8 @@ def _cmd_eval(args):
         raise UsageError("eval needs --pred and --truth (or --per-class-ap entries)")
     pred_data = _load_json(args.pred)
     truth_data = _load_json(args.truth)
-    preds = _items_from_frames(pred_data)
-    truths = _items_from_frames(truth_data)
+    preds = _items_from_frames(pred_data, args.pred)
+    truths = _items_from_frames(truth_data, args.truth)
     policy = MatchPolicy(
         iou_threshold=args.iou, interpolation=Interpolation(args.interpolation)
     )

@@ -16,6 +16,7 @@ from .core import (
     Box3D,
     ConfigurationError,
     DegenerateProjectionError,
+    Det3DError,
     DomainError,
     RangeError,
     ShapeError,
@@ -37,6 +38,7 @@ __all__ = [
     "project_box3d",
     "fit_center_from_2d",
     "lift_detection",
+    "lift_detections",
 ]
 
 
@@ -108,21 +110,25 @@ def encode_multibin(angle_deg, bin_centers):
     return MultiBinOutput(bins=tuple(bins), bin_centers=centers)
 
 
+def _bin_angle(bins, bin_centers):
+    """The first bin of highest confidence: its center plus the atan2 of its
+    (cos, sin) residual, wrapped to [-180, 180)."""
+    conf = [b[0] for b in bins]
+    i = conf.index(max(conf))
+    _, cos_delta, sin_delta = bins[i]
+    return normalize_angle(bin_centers[i] + math.degrees(math.atan2(sin_delta, cos_delta)))
+
+
 def decode_multibin(out):
     """Recover the angle: argmax-confidence bin center plus its atan2 residual.
 
-    Ties on confidence pick the smallest bin index. Invariant to any
-    uniform positive scaling of the confidences.
+    Ties on confidence pick the smallest bin index; non-finite confidences
+    never win. Invariant to any uniform positive scaling of the confidences.
     """
-    conf = np.array([b[0] for b in out.bins], dtype=np.float64)
-    finite = np.isfinite(conf)
-    if not finite.any():
+    if not any(math.isfinite(b[0]) for b in out.bins):
         raise DomainError("all bin confidences are non-finite")
-    conf[~finite] = -np.inf
-    i = int(np.argmax(conf))
-    _, cos_delta, sin_delta = out.bins[i]
-    delta = math.degrees(math.atan2(sin_delta, cos_delta))
-    return normalize_angle(out.bin_centers[i] + delta)
+    bins = [(c if math.isfinite(c) else -math.inf, cd, sd) for c, cd, sd in out.bins]
+    return _bin_angle(bins, out.bin_centers)
 
 
 def decode_depth(out):
@@ -158,18 +164,28 @@ def dims_mse(pred, truth):
     raise ShapeError(f"expected shape (3,) or (n, 3), got {p.shape}")
 
 
+def _rotations(orientations):
+    """Stacked (n, 3, 3) camera-frame rotations Rz(roll) @ Rx(elevation) @ Ry(azimuth)."""
+    factors = []
+    for orientation in orientations:
+        azimuth, elevation, roll = (math.radians(a) for a in orientation)
+        ca, sa = math.cos(azimuth), math.sin(azimuth)
+        ce, se = math.cos(elevation), math.sin(elevation)
+        cr, sr = math.cos(roll), math.sin(roll)
+        factors.append(
+            (
+                [[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]],
+                [[1.0, 0.0, 0.0], [0.0, ce, -se], [0.0, se, ce]],
+                [[ca, 0.0, sa], [0.0, 1.0, 0.0], [-sa, 0.0, ca]],
+            )
+        )
+    rz, rx, ry = np.array(factors).transpose(1, 0, 2, 3)
+    return rz @ rx @ ry
+
+
 def rotation_matrix(orientation_deg):
     """Camera-frame rotation Rz(roll) @ Rx(elevation) @ Ry(azimuth)."""
-    azimuth, elevation, roll = (math.radians(a) for a in orientation_deg)
-
-    ca, sa = math.cos(azimuth), math.sin(azimuth)
-    ce, se = math.cos(elevation), math.sin(elevation)
-    cr, sr = math.cos(roll), math.sin(roll)
-
-    ry = np.array([[ca, 0.0, sa], [0.0, 1.0, 0.0], [-sa, 0.0, ca]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, ce, -se], [0.0, se, ce]])
-    rz = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
-    return rz @ rx @ ry
+    return _rotations([orientation_deg])[0]
 
 
 # Corner sign pattern: index bit 2 -> +w/2 when set, bit 1 -> +h/2,
@@ -182,13 +198,23 @@ _CORNER_SIGNS = np.array(
 )
 
 
+def _corners(boxes):
+    """Stacked (n, 8, 3) corners of the boxes.
+
+    numpy's matmul runs each stacked 8x3 @ 3x3 slice through the same
+    kernel as a single-box product, so a box's corners are the same bits
+    whatever batch it is in.
+    """
+    shapes = np.array([box.dims + box.center for box in boxes])
+    local = _CORNER_SIGNS * (0.5 * shapes[:, None, :3])
+    rot = _rotations([box.orientation for box in boxes])
+    return local @ rot.transpose(0, 2, 1) + shapes[:, None, 3:]
+
+
 def box3d_corners(box):
     """The 8 corners (metres, camera frame) of a 3D box, in the fixed
     bit-pattern order documented on `_CORNER_SIGNS`."""
-    w, h, l = box.dims
-    local = _CORNER_SIGNS * (0.5 * np.array([w, h, l]))
-    rot = rotation_matrix(box.orientation)
-    return local @ rot.T + np.asarray(box.center)
+    return _corners([box])[0]
 
 
 def project_point(camera, point):
@@ -230,27 +256,88 @@ def back_project_point(camera, pixel, depth):
     return (x, y, z)
 
 
+def _hulls(camera, boxes):
+    """Yield the projected hull of each box in order, as `project_box3d`
+    returns it, and raise its error at the first box that fails.
+
+    All boxes are projected in one batch before the first yield.
+    """
+    corners = _corners(boxes)
+    hom = np.ones((len(boxes), 8, 4))
+    hom[:, :, :3] = corners
+    hom = hom @ camera.p.T
+    w = hom[:, :, 2:]
+    # A box with a zero scale raises before its hull is read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = hom[:, :, :2] / w
+    checks = zip(
+        boxes,
+        corners[:, :, 2].tolist(),
+        w[:, :, 0].tolist(),
+        uv.min(axis=1).tolist(),
+        uv.max(axis=1).tolist(),
+    )
+    for i, (box, z, scale, low, high) in enumerate(checks):
+        if any(v <= 0.0 for v in z):
+            raise BehindCameraError(
+                f"box at {box.center} has corners behind the camera "
+                f"(min z = {corners[i, :, 2].min():g})"
+            )
+        if 0.0 in scale:
+            raise DegenerateProjectionError("a corner projected to zero homogeneous scale")
+        yield Box2D(*low, *high, class_id=box.class_id, score=box.score)
+
+
 def project_box3d(camera, box):
     """Tight axis-aligned 2D hull of the 8 projected box corners."""
-    corners = box3d_corners(box)
-    if np.any(corners[:, 2] <= 0.0):
-        raise BehindCameraError(
-            f"box at {box.center} has corners behind the camera (min z = {corners[:, 2].min():g})"
-        )
-    hom = np.column_stack([corners, np.ones(8)]) @ camera.p.T
-    w = hom[:, 2]
-    if np.any(w == 0.0):
-        raise DegenerateProjectionError("a corner projected to zero homogeneous scale")
-    u = hom[:, 0] / w
-    v = hom[:, 1] / w
-    return Box2D(
-        float(u.min()),
-        float(v.min()),
-        float(u.max()),
-        float(v.max()),
-        class_id=box.class_id,
-        score=box.score,
-    )
+    return next(_hulls(camera, [box]))
+
+
+def _fit_centers(camera, inputs):
+    """Fit one 3D box per (box2d, dims, orientation, depth) of `inputs`, in order.
+
+    Each box is fitted as `fit_center_from_2d` describes, with every hull
+    projected in one batch. `inputs` may itself raise a Det3DError. The
+    error raised is the one that fitting the inputs one at a time, in
+    order, would raise first.
+    """
+    staged = []
+    pending = None
+    try:
+        for box2d, dims, orientation, depth in inputs:
+            z = float(depth)
+            if z <= 0.0:
+                raise DomainError(f"depth must be positive, got {z}")
+            u_c, v_c = box2d.center
+            box = Box3D(
+                center=back_project_point(camera, (u_c, v_c), z),
+                dims=dims,
+                orientation=orientation,
+                class_id=box2d.class_id,
+                score=box2d.score,
+            )
+            staged.append((box, u_c, v_c, z))
+    except Det3DError as exc:
+        # Every staged box comes before the failed input, so a staged
+        # box's own failure below is raised first.
+        pending = exc
+    fx, fy = camera.fx, camera.fy
+    fitted = []
+    for (box, u_c, v_c, z), hull in zip(staged, _hulls(camera, [s[0] for s in staged])):
+        u_h, v_h = hull.center
+        x, y, _ = box.center
+        dx = (u_c - u_h) * z / fx
+        dy = (v_c - v_h) * z / fy
+        fitted.append(replace(box, center=(x + dx, y + dy, z)))
+    if pending is not None:
+        # Drop the local before the frame exits: the traceback keeps this
+        # frame, and a frame holding its own exception is a reference
+        # cycle that keeps the bundle alive until the next gc pass.
+        try:
+            raise pending
+        finally:
+            del pending
+    return fitted
 
 
 def fit_center_from_2d(camera, box2d, dims, orientation, depth):
@@ -262,51 +349,53 @@ def fit_center_from_2d(camera, box2d, dims, orientation, depth):
     (box extent / depth)^2; for vehicle-scale boxes at driving distances
     it stays well under a pixel.
     """
-    z = float(depth)
-    if z <= 0.0:
-        raise DomainError(f"depth must be positive, got {z}")
-    u_c, v_c = box2d.center
-    center = back_project_point(camera, (u_c, v_c), z)
-    box = Box3D(
-        center=center,
-        dims=dims,
-        orientation=orientation,
-        class_id=box2d.class_id,
-        score=box2d.score,
+    return _fit_centers(camera, [(box2d, dims, orientation, depth)])[0]
+
+
+def lift_detections(detections, bundle, camera, stride=1):
+    """Lift decoded 2D detections to 3D using the bundle's head maps.
+
+    Reads the log-depth, dims, and multibin orientation channels at each
+    detection's center cell, decodes them, and fits each 3D center under
+    its 2D box constraint. Returns one Box3D per detection, in order. The
+    error raised is the one that lifting the detections one at a time, in
+    order, would raise first.
+    """
+    if not detections:
+        return []
+    if not bundle.has_aux:
+        raise ConfigurationError("bundle carries no 3D head maps")
+    # The cells before the first one outside the map are read with one
+    # fancy index per head map; that one raises when its turn comes.
+    height, width = bundle.height, bundle.width
+    cells = []
+    for det in detections:
+        row, col = det.center.row, det.center.col
+        if not (0 <= row < height and 0 <= col < width):
+            break
+        cells.append((row, col))
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    n_bins = bundle.aux_orientation.channels // 9
+    bin_centers = uniform_bin_centers(n_bins)
+    heads = zip(
+        detections,
+        bundle.aux_depth.data[rows, cols, 0].tolist(),
+        bundle.aux_dims.data[rows, cols].tolist(),
+        bundle.aux_orientation.data[rows, cols].reshape(-1, 3, n_bins, 3).tolist(),
     )
-    u_h, v_h = project_box3d(camera, box).center
-    dx = (u_c - u_h) * z / camera.fx
-    dy = (v_c - v_h) * z / camera.fy
-    corrected = (center[0] + dx, center[1] + dy, z)
-    return replace(box, center=corrected)
+
+    def inputs():
+        for det, raw_depth, dims, angles in heads:
+            depth = decode_depth(raw_depth)
+            orientation = tuple(_bin_angle(bins, bin_centers) for bins in angles)
+            yield det.box, dims, orientation, depth
+        if len(cells) < len(detections):
+            center = detections[len(cells)].center
+            bundle.aux_depth.get(center.row, center.col, 0)  # raises its BoundsError
+
+    return _fit_centers(camera, inputs())
 
 
 def lift_detection(detection, bundle, camera, stride=1):
-    """Lift a decoded 2D detection to 3D using the bundle's head maps.
-
-    Reads the log-depth, dims, and multibin orientation channels at the
-    detection's center cell, decodes them, and fits the 3D center under
-    the 2D box constraint.
-    """
-    if not bundle.has_aux:
-        raise ConfigurationError("bundle carries no 3D head maps")
-    row, col = detection.center.row, detection.center.col
-    depth = decode_depth(bundle.aux_depth.get(row, col, 0))
-    dims = tuple(bundle.aux_dims.get(row, col, i) for i in range(3))
-
-    n_bins = bundle.aux_orientation.channels // 9
-    centers = uniform_bin_centers(n_bins)
-    angles = []
-    for angle_idx in range(3):
-        base = angle_idx * 3 * n_bins
-        bins = tuple(
-            (
-                bundle.aux_orientation.get(row, col, base + 3 * i),
-                bundle.aux_orientation.get(row, col, base + 3 * i + 1),
-                bundle.aux_orientation.get(row, col, base + 3 * i + 2),
-            )
-            for i in range(n_bins)
-        )
-        angles.append(decode_multibin(MultiBinOutput(bins=bins, bin_centers=centers)))
-
-    return fit_center_from_2d(camera, detection.box, dims, tuple(angles), depth)
+    """Lift one decoded 2D detection to 3D; see `lift_detections`."""
+    return lift_detections([detection], bundle, camera, stride)[0]

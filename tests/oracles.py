@@ -4,8 +4,20 @@ These stay deliberately naive (per-cell ray walks, O(n^2) envelope scans)
 so they share no code path with the implementations they verify.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
+from det3d.core import (
+    BehindCameraError,
+    Box2D,
+    Box3D,
+    ConfigurationError,
+    DegenerateProjectionError,
+    RangeError,
+    normalize_angle,
+)
 from det3d.pooling import Axis, PoolingDirection, Sense
 
 
@@ -153,3 +165,90 @@ def grouping_oracle(top_lefts, bottom_rights, theta, geometric_gate):
         used_tl.add(best[1])
         used_br.add(best[2])
         pairs.append((best[1], best[2]))
+
+
+def lift_oracle(detections, bundle, camera):
+    """Per-detection 3D lift, one box at a time with its own 3x3 and 8x4
+    matmuls: bounds-checked head reads, exp log-depth, the first
+    highest-confidence multibin bin plus its atan2 residual, the box-center
+    ray at that depth, and one image-plane correction of the projected hull.
+
+    Returns one Box3D per detection; raises the first detection's error.
+    """
+    return [_lift_one(det, bundle, camera) for det in detections]
+
+
+def _lift_one(det, bundle, camera):
+    if not bundle.has_aux:
+        raise ConfigurationError("bundle carries no 3D head maps")
+    row, col = det.center.row, det.center.col
+    raw = bundle.aux_depth.get(row, col, 0)
+    try:
+        z = math.exp(raw)
+    except OverflowError:
+        raise RangeError(f"depth overflows for raw value {raw}") from None
+    if not math.isfinite(z) or z <= 0.0:
+        raise RangeError(f"decoded depth {z} is not a positive finite value")
+    dims = tuple(bundle.aux_dims.get(row, col, i) for i in range(3))
+
+    n_bins = bundle.aux_orientation.channels // 9
+    step = 360.0 / n_bins
+    centers = [-180.0 + (i + 0.5) * step for i in range(n_bins)]
+    angles = []
+    for angle_idx in range(3):
+        values = [
+            [bundle.aux_orientation.get(row, col, angle_idx * 3 * n_bins + 3 * i + j) for j in range(3)]
+            for i in range(n_bins)
+        ]
+        best = int(np.argmax(np.array([v[0] for v in values])))
+        _, cos_delta, sin_delta = values[best]
+        angles.append(
+            normalize_angle(centers[best] + math.degrees(math.atan2(sin_delta, cos_delta)))
+        )
+
+    u_c, v_c = det.box.center
+    p = camera.p
+    a00 = p[0, 0] - u_c * p[2, 0]
+    a01 = p[0, 1] - u_c * p[2, 1]
+    a10 = p[1, 0] - v_c * p[2, 0]
+    a11 = p[1, 1] - v_c * p[2, 1]
+    b0 = u_c * (p[2, 2] * z + p[2, 3]) - (p[0, 2] * z + p[0, 3])
+    b1 = v_c * (p[2, 2] * z + p[2, 3]) - (p[1, 2] * z + p[1, 3])
+    det_a = a00 * a11 - a01 * a10
+    if det_a == 0.0:
+        raise DegenerateProjectionError("projection matrix is rank-deficient in (x, y)")
+    x = (b0 * a11 - b1 * a01) / det_a
+    y = (a00 * b1 - a10 * b0) / det_a
+    box = Box3D(
+        center=(x, y, z), dims=dims, orientation=tuple(angles),
+        class_id=det.box.class_id, score=det.box.score,
+    )
+
+    w, h, l = box.dims
+    signs = np.array([[1.0 if k & m else -1.0 for m in (4, 2, 1)] for k in range(8)])
+    local = signs * (0.5 * np.array([w, h, l]))
+    azimuth, elevation, roll = (math.radians(a) for a in box.orientation)
+    ca, sa = math.cos(azimuth), math.sin(azimuth)
+    ce, se = math.cos(elevation), math.sin(elevation)
+    cr, sr = math.cos(roll), math.sin(roll)
+    ry = np.array([[ca, 0.0, sa], [0.0, 1.0, 0.0], [-sa, 0.0, ca]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, ce, -se], [0.0, se, ce]])
+    rz = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
+    corners = local @ (rz @ rx @ ry).T + np.asarray(box.center)
+    if np.any(corners[:, 2] <= 0.0):
+        raise BehindCameraError(
+            f"box at {box.center} has corners behind the camera (min z = {corners[:, 2].min():g})"
+        )
+    hom = np.column_stack([corners, np.ones(8)]) @ p.T
+    if np.any(hom[:, 2] == 0.0):
+        raise DegenerateProjectionError("a corner projected to zero homogeneous scale")
+    u = hom[:, 0] / hom[:, 2]
+    v = hom[:, 1] / hom[:, 2]
+    hull = Box2D(
+        float(u.min()), float(v.min()), float(u.max()), float(v.max()),
+        class_id=box.class_id, score=box.score,
+    )
+    u_h, v_h = hull.center
+    dx = (u_c - u_h) * z / camera.fx
+    dy = (v_c - v_h) * z / camera.fy
+    return replace(box, center=(x + dx, y + dy, z))

@@ -2,10 +2,14 @@
 
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from det3d.cli import main
+from det3d.core import FeatureMap
+from det3d.fmap import load_fmap, save_fmap
 from det3d.kitti import parse_kitti_calib, parse_kitti_label_file
 
 
@@ -159,6 +163,31 @@ class TestDecode:
         code = main(["decode", "--bundle", str(broken), "--out", str(tmp_path / "x.json")])
         assert code == 3
 
+    def test_failing_frame_names_itself(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        dims_path = broken / "frames" / "000001" / "aux_dims.fmap"
+        dims = load_fmap(dims_path)
+        save_fmap(dims_path, FeatureMap(np.zeros(dims.shape), role=dims.role))
+        messages = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(["decode", "--dataset", str(broken), "--out", str(out), "--jobs", jobs]) == 3
+            messages.append(capsys.readouterr().err)
+        assert messages[0].startswith("error: frame 000001: box dims must be positive")
+        assert messages[1] == messages[0]
+
+    def test_manifest_without_classes_exits_3(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        manifest = json.loads(read(broken / "manifest.json"))
+        del manifest["classes"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["decode", "--dataset", str(broken), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "'classes'" in err
+
     def test_bad_score_threshold_exits_2(self, dataset, tmp_path):
         code = main(
             [
@@ -215,6 +244,24 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "mAP" in out and "0.000000" in out
+
+    def test_detection_without_box2d_exits_3(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred.json"
+        truth = json.loads(read(dataset / "truth.json"))
+        del truth["frames"]["000001"][0]["box2d"]
+        pred.write_text(json.dumps(truth))
+        code = main(["eval", "--pred", str(pred), "--truth", str(dataset / "truth.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "pred.json" in err and "frames['000001'][0]" in err and "'box2d'" in err
+
+    def test_top_level_list_exits_3(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred.json"
+        pred.write_text("[]")
+        code = main(["eval", "--pred", str(pred), "--truth", str(dataset / "truth.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "pred.json" in err and "'frames'" in err
 
     def test_missing_args_exit_2(self):
         assert main(["eval"]) == 2

@@ -1,21 +1,29 @@
-"""Orientation/depth decoding, projection math, and the 2D-constrained
-3D center recovery."""
+"""Orientation/depth decoding, projection math, the 2D-constrained
+3D center recovery, and the lift from head maps against its oracle."""
 
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from det3d.core import (
     BehindCameraError,
+    BoundsError,
     Box2D,
     Box3D,
     CameraIntrinsics,
+    Det3DError,
     DomainError,
+    FeatureMap,
     RangeError,
     ShapeError,
+    SuperCategory,
     normalize_angle,
 )
+from det3d.decode import decode_frame
 from det3d.geometry3d import (
     DepthOutput,
     MultiBinOutput,
@@ -26,10 +34,14 @@ from det3d.geometry3d import (
     dims_mse,
     encode_multibin,
     fit_center_from_2d,
+    lift_detection,
+    lift_detections,
     project_box3d,
     project_point,
     uniform_bin_centers,
 )
+from det3d.synthgen import Category, SweepSpec, enumerate_sweep, generate_scene, render_ideal_maps
+from oracles import lift_oracle
 
 
 def simple_camera(f=100.0, cx=320.0, cy=240.0):
@@ -308,3 +320,163 @@ class TestFitCenterFrom2D:
             du = reprojected.center[0] - box2d.center[0]
             dv = reprojected.center[1] - box2d.center[1]
             assert math.hypot(du, dv) <= 1.0
+
+
+def decoded_frames(super_category, seed, count, n_objects):
+    """(detections, bundle, camera) of ideal camera-sweep frames."""
+    points = enumerate_sweep(
+        SweepSpec(category=Category.CAMERA, super_category=super_category, seed=seed)
+    )
+    frames = []
+    for k in range(count):
+        sample = generate_scene(points[k], seed, n_objects=n_objects, sample_id=f"{k:06d}")
+        bundle = render_ideal_maps(sample)
+        frames.append((decode_frame(bundle, taxonomy=sample.taxonomy), bundle, sample.camera))
+    return frames
+
+
+def outcome(lift, detections, bundle, camera):
+    """The boxes' repr, or the type and message of the error raised."""
+    try:
+        return repr(lift(detections, bundle, camera))
+    except Det3DError as exc:
+        return type(exc), str(exc)
+
+
+def with_heads(bundle, detections, depth=None, dims=None):
+    """A copy of the bundle whose head maps hold the given raw depth and
+    dims at each detection's center cell (None keeps the stored value)."""
+    depth_map = bundle.aux_depth.data.copy()
+    dims_map = bundle.aux_dims.data.copy()
+    for det, raw, size in zip(detections, depth, dims):
+        cell = (det.center.row, det.center.col)
+        if raw is not None:
+            depth_map[cell] = raw
+        if size is not None:
+            dims_map[cell] = size
+    return replace(bundle, aux_depth=FeatureMap(depth_map), aux_dims=FeatureMap(dims_map))
+
+
+@pytest.fixture(scope="module")
+def ground_frame():
+    (frame,) = decoded_frames(SuperCategory.GROUND, 1, 1, 4)
+    assert len(frame[0]) == 4
+    return frame
+
+
+class TestLiftMatchesOracle:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_crowded_air_frames(self, seed):
+        for detections, bundle, camera in decoded_frames(SuperCategory.AIR, seed, 3, 48):
+            boxes = lift_detections(detections, bundle, camera)
+            expected = lift_oracle(detections, bundle, camera)
+            assert len(boxes) == len(detections) > 0
+            assert boxes == expected and repr(boxes) == repr(expected)
+
+    def test_ground_frames(self):
+        for detections, bundle, camera in decoded_frames(SuperCategory.GROUND, 2, 4, 8):
+            assert repr(lift_detections(detections, bundle, camera)) == repr(
+                lift_oracle(detections, bundle, camera)
+            )
+
+    def test_random_heads(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        rng = np.random.default_rng(5)
+        failures = set()
+        for _ in range(60):
+            orientation = bundle.aux_orientation.data.copy()
+            for det in detections:
+                heads = rng.normal(size=orientation.shape[2])
+                heads[::3] = rng.integers(0, 3, size=heads.size // 3)  # tied confidences
+                orientation[det.center.row, det.center.col] = heads
+            noisy = with_heads(
+                replace(bundle, aux_orientation=FeatureMap(orientation)),
+                detections,
+                depth=rng.choice([-800.0, 0.0, 1.0, 3.0, 800.0], size=4) + rng.normal(size=4),
+                dims=rng.uniform(-0.5, 5.0, size=(4, 3)),
+            )
+            got = outcome(lift_detections, detections, noisy, camera)
+            assert got == outcome(lift_oracle, detections, noisy, camera)
+            if isinstance(got, tuple):
+                failures.add(got[0])
+        assert failures >= {RangeError, DomainError, BehindCameraError}
+
+    def test_single_detection(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        for det in detections:
+            assert repr(lift_detection(det, bundle, camera)) == repr(
+                lift_oracle([det], bundle, camera)[0]
+            )
+
+    def test_no_detections(self, ground_frame):
+        _, bundle, camera = ground_frame
+        assert lift_detections([], bundle, camera) == []
+        assert lift_detections([], replace(bundle, aux_depth=None), camera) == []
+
+
+class TestLiftErrorParity:
+    """lift_detections raises what lifting one detection at a time raises first."""
+
+    @staticmethod
+    def check(detections, bundle, camera, error):
+        got = outcome(lift_detections, detections, bundle, camera)
+        assert got == outcome(lift_oracle, detections, bundle, camera)
+        assert got[0] is error
+
+    def test_depth_overflow(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        broken = with_heads(bundle, detections, depth=[None, 1000.0, None, None], dims=[None] * 4)
+        self.check(detections, broken, camera, RangeError)
+
+    def test_nonpositive_dims(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        broken = with_heads(
+            bundle, detections, depth=[None] * 4, dims=[None, None, (0.0, 1.0, 1.0), None]
+        )
+        self.check(detections, broken, camera, DomainError)
+
+    def test_near_box_behind_camera(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        broken = with_heads(
+            bundle,
+            detections,
+            depth=[None, None, math.log(0.5), None],
+            dims=[None, None, (4.0, 4.0, 4.0), None],
+        )
+        self.check(detections, broken, camera, BehindCameraError)
+
+    def test_center_outside_the_map(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        outside = replace(detections[1], center=replace(detections[1].center, row=bundle.height + 3))
+        self.check([detections[0], outside, *detections[2:]], bundle, camera, BoundsError)
+
+    @pytest.mark.parametrize(
+        "order", [(RangeError, BehindCameraError), (BehindCameraError, RangeError)]
+    )
+    def test_earlier_detection_wins(self, ground_frame, order):
+        detections, bundle, camera = ground_frame
+        near = (math.log(0.5), (4.0, 4.0, 4.0))
+        overflow = (1000.0, None)
+        heads = [{RangeError: overflow, BehindCameraError: near}[error] for error in order]
+        # The later detection fails in an earlier step of its own lift
+        # when the earlier one fails at projection, and the other way round.
+        broken = with_heads(
+            bundle,
+            detections,
+            depth=[None, heads[0][0], heads[1][0], None],
+            dims=[None, heads[0][1], heads[1][1], None],
+        )
+        self.check(detections, broken, camera, order[0])
+
+    def test_failed_lift_leaves_no_reference_cycle(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        broken = with_heads(bundle, detections, depth=[1000.0, None, None, None], dims=[None] * 4)
+        alive = weakref.ref(broken)
+        gc.disable()
+        try:
+            with pytest.raises(RangeError):
+                lift_detections(detections, broken, camera)
+            del broken
+            assert alive() is None
+        finally:
+            gc.enable()
