@@ -36,61 +36,30 @@ __all__ = ["main", "build_parser"]
 _SUPER_FLAGS = {"air": SuperCategory.AIR, "ground": SuperCategory.GROUND}
 
 
-def _unit_interval(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+def _bounded(kind, *checks):
+    """argparse type: `kind(text)`, rejected with "must <bound>, got
+    <text>" by the first (ok, bound) check whose `ok` fails."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        for ok, bound in checks:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must {bound}, got {text}")
+        return value
+
+    return parse
 
 
-def _iou_threshold(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _odd_int(text):
-    value = _positive_int(text)
-    if value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"must be odd, got {text}")
-    return value
-
-
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _nonnegative_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+_AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
+_unit_interval = _bounded(float, (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"))
+_iou_threshold = _bounded(float, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
+_positive_int = _bounded(int, _AT_LEAST_ONE)
+_odd_int = _bounded(int, _AT_LEAST_ONE, (lambda v: v % 2 == 1, "be odd"))
+_positive_float = _bounded(float, (lambda v: v > 0.0, "be > 0"))
 
 
 def build_parser():
@@ -179,17 +148,23 @@ def _load_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _require(data, key, path):
-    """data[key] of a JSON object read from path, or a ParseError naming
-    the file and the field."""
+def _require(data, key, path, convert=None):
+    """data[key] of a JSON object read from path, passed through `convert`
+    when one is given, or a ParseError naming the file and the field."""
     if not isinstance(data, dict):
         raise ParseError(
             f"{path}: expected a JSON object with a {key!r} field, got {type(data).__name__}"
         )
     try:
-        return data[key]
+        value = data[key]
     except KeyError:
         raise ParseError(f"{path}: missing field {key!r}") from None
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError, LookupError):
+        raise ParseError(f"{path}.{key}: invalid value {value!r}") from None
 
 
 def _taxonomy_from(classes, super_names):
@@ -329,28 +304,38 @@ def _cmd_decode(args):
     return 0
 
 
+_BOX2D_FIELDS = ("x_min", "y_min", "x_max", "y_max")
+
+
 def _items_from_frames(data, path):
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object with a 'frames' field, got {type(data).__name__}")
-    frames = {}
-    for fid, objects in data.get("frames", {}).items():
+    frames = data.get("frames", {})
+    if not isinstance(frames, dict):
+        raise ParseError(f"{path}: frames: expected a JSON object, got {type(frames).__name__}")
+    items_by_frame = {}
+    for fid, objects in frames.items():
+        if not isinstance(objects, list):
+            raise ParseError(
+                f"{path}: frames[{fid!r}]: expected a JSON list, got {type(objects).__name__}"
+            )
         items = []
         for k, obj in enumerate(objects):
-            b = _require(obj, "box2d", f"{path}: frames[{fid!r}][{k}]")
-            box = Box2D(
-                b["x_min"],
-                b["y_min"],
-                b["x_max"],
-                b["y_max"],
-                class_id=0,
-                score=float(obj.get("score", 1.0)),
-            )
+            where = f"{path}: frames[{fid!r}][{k}]"
+            b = _require(obj, "box2d", where)
+            coords = [_require(b, name, f"{where}.box2d", float) for name in _BOX2D_FIELDS]
+            score = _require(obj, "score", where, float) if "score" in obj else 1.0
+            try:
+                box = Box2D(*coords, class_id=0, score=score)
+            except DomainError as exc:
+                raise ParseError(f"{where}: {exc}") from None
             depth = None
             if obj.get("box3d"):
-                depth = float(obj["box3d"]["center"][2])
-            items.append(EvalItem(label=str(obj["class"]), box=box, depth=depth))
-        frames[fid] = items
-    return frames
+                box3d = _require(obj, "box3d", where)
+                depth = _require(box3d, "center", f"{where}.box3d", lambda c: float(c[2]))
+            items.append(EvalItem(label=_require(obj, "class", where, str), box=box, depth=depth))
+        items_by_frame[fid] = items
+    return items_by_frame
 
 
 def _format_report(report):

@@ -210,7 +210,7 @@ def refine_with_offsets(keypoint, offsets, stride=1):
     return (float(x[0]), float(y[0]))
 
 
-def assemble_boxes(pairs, centers, offsets, stride, cfg):
+def assemble_boxes(pairs, centers, offsets, stride):
     """Build center-validated boxes from grouped corner pairs.
 
     A pair survives iff a same-class center keypoint, refined by its
@@ -219,7 +219,6 @@ def assemble_boxes(pairs, centers, offsets, stride, cfg):
     Pairs whose refined corners cross are dropped. The box score is the
     mean of the three keypoint scores.
     """
-    del cfg  # grouping already happened; kept for signature symmetry
     # Each kind's offset map is read (and checked) only when keypoints of
     # that kind exist, so empty inputs never touch a missing or bad map.
     # Centers go in (-score, row, col) order: the first inside a box is its best.
@@ -300,7 +299,7 @@ def decode_frame(bundle, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None)
     )
 
     pairs = group_corners(top_lefts, bottom_rights, group_cfg)
-    return assemble_boxes(pairs, centers, bundle.offsets, stride, group_cfg)
+    return assemble_boxes(pairs, centers, bundle.offsets, stride)
 
 
 def decode_frame_3d(bundle, camera, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):

@@ -6,7 +6,7 @@ the highest overlap, which keeps every result deterministic and lets the
 whole report be reproduced from the raw boxes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -20,6 +20,8 @@ __all__ = [
     "EvalItem",
     "EvalReport",
     "iou",
+    "iou_matrix",
+    "match_frame",
     "loss_iou",
     "diou",
     "loss_diou",
@@ -112,35 +114,62 @@ def scale_invariant_error(truth, pred):
     return float(np.mean(centered**2))
 
 
-def _greedy_match(dets, truths, threshold):
-    """Match score-ordered detections to unmatched truths by highest IoU.
+def iou_matrix(a, b):
+    """(n, m) IoU of each row of `a` against each row of `b`, both (n, 4)
+    arrays of (x_min, y_min, x_max, y_max).
 
-    `dets` is a sequence of (box, score); returns (pairs, tp_flags) where
-    pairs holds (det_index, truth_index) in match order and tp_flags is a
-    per-detection hit list in descending-score order alongside that order.
+    The float64 steps are those of :func:`iou`, so every entry equals the
+    scalar IoU of the two boxes bit for bit (0 where the union has no area).
     """
-    order = sorted(range(len(dets)), key=lambda k: -dets[k][1])
-    matched = [False] * len(truths)
-    pairs = []
-    flags = []
-    for k in order:
-        box = dets[k][0]
-        best_iou = 0.0
-        best_j = -1
-        for j, truth in enumerate(truths):
-            if matched[j]:
-                continue
-            overlap = iou(box, truth)
-            if overlap >= threshold and overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0:
-            matched[best_j] = True
-            pairs.append((k, best_j))
-            flags.append(True)
-        else:
-            flags.append(False)
-    return order, pairs, flags
+    ax0, ay0, ax1, ay1 = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    bx0, by0, bx1, by1 = np.asarray(b, dtype=np.float64).reshape(-1, 4).T
+    inter_w = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    inter_h = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    inter = np.maximum(0.0, inter_w) * np.maximum(0.0, inter_h)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
+
+
+def match_frame(iou, scores, threshold):
+    """Greedy matching of one frame's detections (rows of `iou`, ranked by
+    `scores`) to its truths (columns).
+
+    Detections go in stable descending-score order, so tied scores go by
+    index. Each takes the unmatched truth of highest IoU, provided that IoU
+    is at least `threshold` and above 0; among tied IoUs the lowest truth
+    index wins. Returns the matched detection and truth indices as two int
+    arrays, in match order.
+    """
+    iou = np.asarray(iou, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    dets, truths = np.nonzero((iou >= threshold) & (iou > 0.0))
+    # Candidates by (-score, detection index, -IoU, truth index): the first
+    # free truth in a detection's run is the one the greedy rule gives it.
+    by_rule = np.lexsort((truths, -iou[dets, truths], dets, -scores[dets]))
+    pairs, taken = {}, set()
+    for k, j in zip(dets[by_rule].tolist(), truths[by_rule].tolist()):
+        if k not in pairs and j not in taken:
+            pairs[k] = j
+            taken.add(j)
+    return np.array(list(pairs), dtype=np.intp), np.array(list(pairs.values()), dtype=np.intp)
+
+
+def _coords(boxes):
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64)
+
+
+def _add_confusion(counts, det_classes, truth_classes, det_idx, truth_idx):
+    """Add one frame's matches to the (C+1)x(C+1) counts: a detection
+    lands at (its truth's class, its class), or in the background row when
+    unmatched; an unmatched truth lands in the background column."""
+    background = len(counts) - 1
+    truth_classes = np.asarray(truth_classes, dtype=np.intp)
+    rows = np.full(len(det_classes), background, dtype=np.intp)
+    rows[det_idx] = truth_classes[truth_idx]
+    np.add.at(counts, (rows, np.asarray(det_classes, dtype=np.intp)), 1)
+    missed = np.ones(truth_classes.size, dtype=bool)
+    missed[truth_idx] = False
+    np.add.at(counts, (truth_classes[missed], background), 1)
 
 
 def _integrate_all_point(recalls, precisions):
@@ -169,55 +198,44 @@ def _integrate_eleven_point(recalls, precisions):
     return total / 11.0
 
 
+def _pooled_ap(scores, hits, n_truth, interpolation):
+    """AP of detections pooled across frames: `hits[k]` says whether
+    detection k matched in its own frame; ranks go by (-score, pool
+    order). None when there are no detections and no truths."""
+    if not scores and n_truth == 0:
+        return None
+    if not scores or n_truth == 0:
+        return 0.0
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    tp = np.cumsum(np.asarray(hits, dtype=bool)[order])
+    recalls = (tp / n_truth).tolist()
+    precisions = (tp / np.arange(1, tp.size + 1)).tolist()
+    if interpolation is Interpolation.ELEVEN_POINT:
+        return _integrate_eleven_point(recalls, precisions)
+    return _integrate_all_point(recalls, precisions)
+
+
 def average_precision_frames(dets_by_frame, truths_by_frame, policy=None):
     """Single-class AP where matching is confined to each frame.
 
     Detections are pooled across frames and ranked by score; each one may
-    only consume a truth from its own frame. Returns None when there are
-    no detections and no truths (AP undefined).
+    only consume a truth from its own frame, so each frame is matched on
+    its own first. Returns None when there are no detections and no truths
+    (AP undefined).
     """
     policy = policy or MatchPolicy()
-    frame_ids = sorted(set(dets_by_frame) | set(truths_by_frame))
-    all_dets = []  # (score, pool order, frame, box)
-    n_truth = 0
-    matched_by_frame = {}
-    truths = {fid: list(truths_by_frame.get(fid, ())) for fid in frame_ids}
-    for fid in frame_ids:
-        n_truth += len(truths[fid])
-        matched_by_frame[fid] = [False] * len(truths[fid])
-        for box, score in dets_by_frame.get(fid, ()):
-            all_dets.append((score, len(all_dets), fid, box))
-
-    if not all_dets and n_truth == 0:
-        return None
-    if not all_dets or n_truth == 0:
-        return 0.0
-
-    all_dets.sort(key=lambda item: (-item[0], item[1]))
-    recalls = []
-    precisions = []
-    tp = 0
-    for rank, (_, _, fid, box) in enumerate(all_dets, start=1):
-        frame_truths = truths[fid]
-        matched = matched_by_frame[fid]
-        best_iou = 0.0
-        best_j = -1
-        for j, truth in enumerate(frame_truths):
-            if matched[j]:
-                continue
-            overlap = iou(box, truth)
-            if overlap >= policy.iou_threshold and overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0:
-            matched[best_j] = True
-            tp += 1
-        recalls.append(tp / n_truth)
-        precisions.append(tp / rank)
-
-    if policy.interpolation is Interpolation.ELEVEN_POINT:
-        return _integrate_eleven_point(recalls, precisions)
-    return _integrate_all_point(recalls, precisions)
+    scores, hits, n_truth = [], [], 0
+    for fid in sorted(set(dets_by_frame) | set(truths_by_frame)):
+        dets = list(dets_by_frame.get(fid, ()))
+        truths = list(truths_by_frame.get(fid, ()))
+        frame_scores = [score for _, score in dets]
+        overlaps = iou_matrix(_coords(box for box, _ in dets), _coords(truths))
+        frame_hits = np.zeros(len(dets), dtype=bool)
+        frame_hits[match_frame(overlaps, frame_scores, policy.iou_threshold)[0]] = True
+        scores += frame_scores
+        hits += frame_hits.tolist()
+        n_truth += len(truths)
+    return _pooled_ap(scores, hits, n_truth, policy.interpolation)
 
 
 def average_precision(dets, truths, policy=None):
@@ -245,29 +263,20 @@ def confusion_matrix_frames(dets_by_frame, truths_by_frame, policy=None, n_class
     """
     policy = policy or MatchPolicy()
     frame_ids = sorted(set(dets_by_frame) | set(truths_by_frame))
+    frames = [
+        (list(dets_by_frame.get(fid, ())), list(truths_by_frame.get(fid, ()))) for fid in frame_ids
+    ]
     if n_classes is None:
         n_classes = 0
-        for fid in frame_ids:
-            for box, _ in dets_by_frame.get(fid, ()):
-                n_classes = max(n_classes, box.class_id + 1)
-            for box in truths_by_frame.get(fid, ()):
+        for dets, truths in frames:
+            for box in [box for box, _ in dets] + truths:
                 n_classes = max(n_classes, box.class_id + 1)
     counts = np.zeros((n_classes + 1, n_classes + 1), dtype=np.int64)
-    background = n_classes
-    for fid in frame_ids:
-        dets = list(dets_by_frame.get(fid, ()))
-        truths = list(truths_by_frame.get(fid, ()))
-        order, pairs, _ = _greedy_match(dets, truths, policy.iou_threshold)
-        matched_dets = {k for k, _ in pairs}
-        matched_truths = {j for _, j in pairs}
-        for k, j in pairs:
-            counts[truths[j].class_id, dets[k][0].class_id] += 1
-        for j, truth in enumerate(truths):
-            if j not in matched_truths:
-                counts[truth.class_id, background] += 1
-        for k, (box, _) in enumerate(dets):
-            if k not in matched_dets:
-                counts[background, box.class_id] += 1
+    for dets, truths in frames:
+        overlaps = iou_matrix(_coords(box for box, _ in dets), _coords(truths))
+        det_idx, truth_idx = match_frame(overlaps, [s for _, s in dets], policy.iou_threshold)
+        det_classes = [box.class_id for box, _ in dets]
+        _add_confusion(counts, det_classes, [b.class_id for b in truths], det_idx, truth_idx)
     return counts
 
 
@@ -342,56 +351,46 @@ def evaluate(preds_by_frame, truths_by_frame, policy=None, super_map=None):
     )
     label_index = {label: i for i, label in enumerate(labels)}
 
-    def relabeled(item):
-        box = item.box
-        if box.class_id != label_index[item.label]:
-            box = replace(box, class_id=label_index[item.label])
-        return box
+    confusion = np.zeros((len(labels) + 1, len(labels) + 1), dtype=np.int64)
+    pooled = [([], []) for _ in labels]  # per class: scores and hits, in pool order
+    n_truths = [0] * len(labels)
+    diou_losses, truth_depths, pred_depths = [], [], []
+    for fid in frame_ids:
+        preds = list(preds_by_frame[fid])
+        truths = list(truths_by_frame[fid])
+        pred_cls = [label_index[item.label] for item in preds]
+        truth_cls = [label_index[item.label] for item in truths]
+        scores = [item.score for item in preds]
+        overlaps = iou_matrix(_coords(p.box for p in preds), _coords(t.box for t in truths))
+
+        # Class-agnostic pass: cross-class matches are confusions.
+        det_idx, truth_idx = match_frame(overlaps, scores, policy.iou_threshold)
+        _add_confusion(confusion, pred_cls, truth_cls, det_idx, truth_idx)
+        for k, j in zip(det_idx.tolist(), truth_idx.tolist()):
+            diou_losses.append(loss_diou(preds[k].box, truths[j].box))
+            if truths[j].depth is not None and preds[k].depth is not None:
+                truth_depths.append(truths[j].depth)
+                pred_depths.append(preds[k].depth)
+
+        # Per-class pass: with cross-class overlaps zeroed no detection can
+        # take another class's truth, so one pass matches every class.
+        same_class = np.equal.outer(pred_cls, truth_cls)
+        class_idx, _ = match_frame(np.where(same_class, overlaps, 0.0), scores, policy.iou_threshold)
+        hits = np.zeros(len(preds), dtype=bool)
+        hits[class_idx] = True
+        for c, score, hit in zip(pred_cls, scores, hits.tolist()):
+            pooled[c][0].append(score)
+            pooled[c][1].append(hit)
+        for c in truth_cls:
+            n_truths[c] += 1
 
     per_class_ap = {}
-    for label in labels:
-        dets = {
-            fid: [(item.box, item.score) for item in preds_by_frame[fid] if item.label == label]
-            for fid in frame_ids
-        }
-        truths = {
-            fid: [item.box for item in truths_by_frame[fid] if item.label == label]
-            for fid in frame_ids
-        }
-        ap = average_precision_frames(dets, truths, policy)
+    for label, (scores, hits), n_truth in zip(labels, pooled, n_truths):
+        ap = _pooled_ap(scores, hits, n_truth, policy.interpolation)
         if ap is not None:
             per_class_ap[label] = ap
 
     map_value = mean_average_precision(per_class_ap) if per_class_ap else 0.0
-
-    dets_frames = {}
-    truth_frames = {}
-    pred_items = {}
-    truth_items = {}
-    for fid in frame_ids:
-        pred_items[fid] = list(preds_by_frame[fid])
-        truth_items[fid] = list(truths_by_frame[fid])
-        dets_frames[fid] = [(relabeled(item), item.score) for item in pred_items[fid]]
-        truth_frames[fid] = [relabeled(item) for item in truth_items[fid]]
-    confusion = confusion_matrix_frames(
-        dets_frames, truth_frames, policy, n_classes=len(labels)
-    )
-
-    diou_losses = []
-    truth_depths = []
-    pred_depths = []
-    for fid in frame_ids:
-        dets = dets_frames[fid]
-        truths = truth_frames[fid]
-        _, pairs, _ = _greedy_match(dets, truths, policy.iou_threshold)
-        for k, j in pairs:
-            diou_losses.append(loss_diou(dets[k][0], truths[j]))
-            t_depth = truth_items[fid][j].depth
-            p_depth = pred_items[fid][k].depth
-            if t_depth is not None and p_depth is not None:
-                truth_depths.append(t_depth)
-                pred_depths.append(p_depth)
-
     mean_diou = sum(diou_losses) / len(diou_losses) if diou_losses else None
     sie_value = (
         scale_invariant_error(truth_depths, pred_depths) if truth_depths else None

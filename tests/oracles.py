@@ -252,3 +252,138 @@ def _lift_one(det, bundle, camera):
     dx = (u_c - u_h) * z / camera.fx
     dy = (v_c - v_h) * z / camera.fy
     return replace(box, center=(x + dx, y + dy, z))
+
+
+def _greedy_pairs_oracle(dets, truths, threshold):
+    """Seed greedy matcher: detections in stable descending-score order,
+    each taking the first unmatched truth of highest IoU >= threshold.
+    `dets` holds (box, score); returns (det, truth) pairs in match order."""
+    order = sorted(range(len(dets)), key=lambda k: -dets[k][1])
+    matched = [False] * len(truths)
+    pairs = []
+    for k in order:
+        best_iou, best_j = 0.0, -1
+        for j, truth in enumerate(truths):
+            if matched[j]:
+                continue
+            overlap = iou_bruteforce(dets[k][0], truth)
+            if overlap >= threshold and overlap > best_iou:
+                best_iou, best_j = overlap, j
+        if best_j >= 0:
+            matched[best_j] = True
+            pairs.append((k, best_j))
+    return pairs
+
+
+def _diou_loss_oracle(a, b):
+    acx, acy = 0.5 * (a.x_min + a.x_max), 0.5 * (a.y_min + a.y_max)
+    bcx, bcy = 0.5 * (b.x_min + b.x_max), 0.5 * (b.y_min + b.y_max)
+    rho_sq = (acx - bcx) ** 2 + (acy - bcy) ** 2
+    enclose_w = max(a.x_max, b.x_max) - min(a.x_min, b.x_min)
+    enclose_h = max(a.y_max, b.y_max) - min(a.y_min, b.y_min)
+    diag_sq = enclose_w**2 + enclose_h**2
+    base = iou_bruteforce(a, b)
+    return 1.0 - (base if diag_sq == 0.0 else base - rho_sq / diag_sq)
+
+
+def _integrate_oracle(recalls, precisions, eleven_point):
+    if eleven_point:
+        total = 0.0
+        for step in range(11):
+            level = step / 10.0
+            total += max([p for r, p in zip(recalls, precisions) if r >= level], default=0.0)
+        return total / 11.0
+    ap = 0.0
+    prev = 0.0
+    for i, recall in enumerate(recalls):
+        if recall > prev:
+            ap += (recall - prev) * max(precisions[i:])
+            prev = recall
+    return ap
+
+
+def evaluate_oracle(preds_by_frame, truths_by_frame, threshold, eleven_point=False, super_map=None):
+    """The seed's report assembly over its scalar greedy matcher, as the
+    dict `EvalReport.to_dict()` gives: per-class AP from detections pooled
+    across frames in (-score, pool order) rank, each matching only in its
+    own frame; a class-agnostic confusion matrix; the mean DIoU loss and
+    the scale-invariant depth error over the class-agnostic pairs."""
+    frame_ids = sorted(truths_by_frame)
+    labels = sorted(
+        {item.label for frame in truths_by_frame.values() for item in frame}
+        | {item.label for frame in preds_by_frame.values() for item in frame}
+    )
+
+    per_class_ap = {}
+    for label in labels:
+        pool = []  # (score, pool order, frame, box)
+        truths = {}
+        for fid in frame_ids:
+            truths[fid] = [item.box for item in truths_by_frame[fid] if item.label == label]
+            for item in preds_by_frame[fid]:
+                if item.label == label:
+                    pool.append((item.box.score, len(pool), fid, item.box))
+        n_truth = sum(len(boxes) for boxes in truths.values())
+        if not pool and n_truth == 0:
+            continue
+        if not pool or n_truth == 0:
+            per_class_ap[label] = 0.0
+            continue
+        pool.sort(key=lambda entry: (-entry[0], entry[1]))
+        matched = {fid: [False] * len(truths[fid]) for fid in frame_ids}
+        recalls, precisions, tp = [], [], 0
+        for rank, (_, _, fid, det_box) in enumerate(pool, start=1):
+            best_iou, best_j = 0.0, -1
+            for j, truth in enumerate(truths[fid]):
+                if not matched[fid][j]:
+                    overlap = iou_bruteforce(det_box, truth)
+                    if overlap >= threshold and overlap > best_iou:
+                        best_iou, best_j = overlap, j
+            if best_j >= 0:
+                matched[fid][best_j] = True
+                tp += 1
+            recalls.append(tp / n_truth)
+            precisions.append(tp / rank)
+        per_class_ap[label] = _integrate_oracle(recalls, precisions, eleven_point)
+
+    index = {label: i for i, label in enumerate(labels)}
+    background = len(labels)
+    counts = [[0] * (background + 1) for _ in range(background + 1)]
+    losses, truth_depths, pred_depths = [], [], []
+    for fid in frame_ids:
+        preds = list(preds_by_frame[fid])
+        truths = list(truths_by_frame[fid])
+        pairs = _greedy_pairs_oracle(
+            [(item.box, item.box.score) for item in preds], [item.box for item in truths], threshold
+        )
+        for k, j in pairs:
+            counts[index[truths[j].label]][index[preds[k].label]] += 1
+            losses.append(_diou_loss_oracle(preds[k].box, truths[j].box))
+            if truths[j].depth is not None and preds[k].depth is not None:
+                truth_depths.append(truths[j].depth)
+                pred_depths.append(preds[k].depth)
+        for j in set(range(len(truths))) - {j for _, j in pairs}:
+            counts[index[truths[j].label]][background] += 1
+        for k in set(range(len(preds))) - {k for k, _ in pairs}:
+            counts[background][index[preds[k].label]] += 1
+
+    sie = None
+    if truth_depths:
+        residual = np.log(np.array(truth_depths)) - np.log(np.array(pred_depths))
+        sie = float(np.mean((residual - residual.mean()) ** 2))
+    values = list(per_class_ap.values())
+    out = {
+        "per_class_ap": per_class_ap,
+        "map": sum(values) / len(values) if values else 0.0,
+        "confusion": {"labels": labels + ["background"], "counts": counts},
+        "sie": sie,
+        "mean_diou_loss": sum(losses) / len(losses) if losses else None,
+    }
+    if super_map is not None:
+        groups = {}
+        for label, ap in per_class_ap.items():
+            if super_map.get(label) is not None:
+                groups.setdefault(str(super_map[label]), []).append(ap)
+        if groups:
+            out["per_super_map"] = {name: sum(v) / len(v) for name, v in sorted(groups.items())}
+    return out

@@ -203,6 +203,36 @@ class TestDecode:
         assert code == 2
 
 
+_SYNTH = ["synth", "--category", "sensor", "--super", "air", "--out", "unused"]
+_DECODE = ["decode", "--bundle", "unused", "--out", "unused.json"]
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize(
+        "argv, flag, value, message",
+        [
+            (_SYNTH, "--repeats", "0", "must be >= 1, got 0"),
+            (_SYNTH, "--objects", "x", "not an integer: 'x'"),
+            (_SYNTH, "--stride", "0", "must be >= 1, got 0"),
+            (_SYNTH, "--sigma", "0", "must be > 0, got 0"),
+            (_SYNTH, "--sigma", "nan", "must be > 0, got nan"),
+            (_DECODE, "--stride", "1.5", "not an integer: '1.5'"),
+            (_DECODE, "--score-threshold", "1.1", "must lie in [0, 1], got 1.1"),
+            (_DECODE, "--score-threshold", "abc", "not a number: 'abc'"),
+            (_DECODE, "--nms-window", "4", "must be odd, got 4"),
+            (_DECODE, "--nms-window", "0", "must be >= 1, got 0"),
+            (_DECODE, "--top-k", "0", "must be >= 1, got 0"),
+            (_DECODE, "--theta", "0", "must be > 0, got 0"),
+            (_DECODE, "--jobs", "0", "must be >= 1, got 0"),
+            (["eval"], "--iou", "0", "must lie in (0, 1], got 0"),
+            (["eval"], "--iou", "1.5", "must lie in (0, 1], got 1.5"),
+        ],
+    )
+    def test_bound_message(self, capsys, argv, flag, value, message):
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
 class TestEval:
     def test_precomputed_per_class_aps(self, capsys, tmp_path):
         out = tmp_path / "ap.json"
@@ -265,6 +295,36 @@ class TestEval:
 
     def test_missing_args_exit_2(self):
         assert main(["eval"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda d: d["box2d"].pop("x_min"), "frames['0'][0].box2d: missing field 'x_min'"),
+            (lambda d: d.pop("class"), "frames['0'][0]: missing field 'class'"),
+            (lambda d: d["box2d"].update(x_min="a"), "frames['0'][0].box2d.x_min: invalid value 'a'"),
+            (lambda d: d.update(score="hi"), "frames['0'][0].score: invalid value 'hi'"),
+            (lambda d: d.update(box3d={"center": [1]}), "frames['0'][0].box3d.center: invalid value [1]"),
+            (lambda d: d.update(score=2.0), "frames['0'][0]: score must lie in [0, 1]"),
+            (None, "frames: expected a JSON object, got list"),
+        ],
+    )
+    def test_malformed_prediction_exits_3(self, tmp_path, capsys, edit, fragment):
+        detection = {
+            "class": "car",
+            "score": 0.9,
+            "box2d": {"x_min": 1.0, "y_min": 2.0, "x_max": 5.0, "y_max": 6.0},
+            "box3d": {"center": [0.0, 0.0, 9.0]},
+        }
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"frames": {"0": [detection]}}))
+        bad = json.loads(json.dumps(detection))
+        if edit is not None:
+            edit(bad)
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"frames": {"0": [bad]} if edit else []}))
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred}: {fragment}") and err.count("\n") == 1, err
 
 
 class TestConvert:

@@ -211,12 +211,11 @@ class TestRefineWithOffsets:
 class TestAssembleBoxes:
     def setup_method(self):
         self.offsets = {kind: offsets_map(50, 50) for kind in KeypointKind}
-        self.cfg = GroupingConfig(theta=0.5)
 
     def test_center_inside_middle_third_keeps_box(self):
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
         centers = [kp(CENTER, 0.0, row=25, col=25, score=0.8)]
-        dets = assemble_boxes(pairs, centers, self.offsets, 1, self.cfg)
+        dets = assemble_boxes(pairs, centers, self.offsets, 1)
         assert len(dets) == 1
         det = dets[0]
         assert (det.box.x_min, det.box.y_min, det.box.x_max, det.box.y_max) == (10, 10, 40, 40)
@@ -225,26 +224,26 @@ class TestAssembleBoxes:
     def test_center_outside_middle_third_drops_box(self):
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
         centers = [kp(CENTER, 0.0, row=12, col=12)]
-        assert assemble_boxes(pairs, centers, self.offsets, 1, self.cfg) == []
+        assert assemble_boxes(pairs, centers, self.offsets, 1) == []
 
     def test_no_centers_no_boxes(self):
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
-        assert assemble_boxes(pairs, [], self.offsets, 1, self.cfg) == []
+        assert assemble_boxes(pairs, [], self.offsets, 1) == []
 
     def test_offset_maps_checked_only_for_kinds_present(self):
         bad = FeatureMap(np.zeros((50, 50, 3)), role=MapRole.OFFSET)
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
         centers = [kp(CENTER, 0.0, row=25, col=25)]
-        assert assemble_boxes([], [], {}, 1, self.cfg) == []
+        assert assemble_boxes([], [], {}, 1) == []
         with pytest.raises(ConfigurationError, match="2 channels"):
-            assemble_boxes([], centers, {**self.offsets, CENTER: bad}, 1, self.cfg)
+            assemble_boxes([], centers, {**self.offsets, CENTER: bad}, 1)
         with pytest.raises(ConfigurationError, match="2 channels"):
-            assemble_boxes(pairs, [], {**self.offsets, TL: bad}, 1, self.cfg)
+            assemble_boxes(pairs, [], {**self.offsets, TL: bad}, 1)
 
     def test_wrong_class_center_does_not_validate(self):
         pairs = [(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))]
         centers = [kp(CENTER, 0.0, class_id=1, row=25, col=25)]
-        assert assemble_boxes(pairs, centers, self.offsets, 1, self.cfg) == []
+        assert assemble_boxes(pairs, centers, self.offsets, 1) == []
 
     def test_deterministic_ordering(self):
         pairs = [
@@ -255,8 +254,8 @@ class TestAssembleBoxes:
             kp(CENTER, 0.0, row=15, col=15),
             kp(CENTER, 0.0, row=35, col=35),
         ]
-        first = assemble_boxes(pairs, centers, self.offsets, 1, self.cfg)
-        second = assemble_boxes(list(reversed(pairs)), centers, self.offsets, 1, self.cfg)
+        first = assemble_boxes(pairs, centers, self.offsets, 1)
+        second = assemble_boxes(list(reversed(pairs)), centers, self.offsets, 1)
         assert [
             (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in first
         ] == [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in second]

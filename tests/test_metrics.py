@@ -1,12 +1,13 @@
 """Overlap metrics, depth error, AP/mAP against a brute-force oracle,
-and the aggregate report."""
+and the aggregate report against its scalar oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from det3d.core import Box2D, DomainError, ShapeError, ValidationError
+from det3d.core import Box2D, DomainError, ShapeError, SuperCategory, ValidationError
+from det3d.decode import decode_frame_3d
 from det3d.metrics import (
     EvalItem,
     Interpolation,
@@ -17,12 +18,14 @@ from det3d.metrics import (
     diou,
     evaluate,
     iou,
+    iou_matrix,
     loss_diou,
     loss_iou,
     mean_average_precision,
     scale_invariant_error,
 )
-from oracles import ap_bruteforce
+from det3d.synthgen import Category, SweepSpec, enumerate_sweep, generate_scene, render_ideal_maps
+from oracles import ap_bruteforce, evaluate_oracle
 
 
 def box(x1, y1, x2, y2, class_id=0, score=1.0):
@@ -286,3 +289,122 @@ class TestEvaluate:
         data = evaluate(truths, truths).to_dict()
         assert set(data) == {"per_class_ap", "map", "confusion", "sie", "mean_diou_loss"}
         assert data["confusion"]["labels"][-1] == "background"
+
+
+def _grid_box(rng, class_id=0, score=1.0):
+    """A box on a 0..12 integer grid: tied IoUs and zero-area boxes are common."""
+    x = sorted(int(v) for v in rng.integers(0, 13, size=2))
+    y = sorted(int(v) for v in rng.integers(0, 13, size=2))
+    return box(x[0], y[0], x[1], y[1], class_id=class_id, score=score)
+
+
+def _float_box(rng):
+    x = sorted(rng.uniform(0.0, 20.0, size=2).tolist())
+    y = sorted(rng.uniform(0.0, 20.0, size=2).tolist())
+    return box(x[0], y[0], x[1], y[1])
+
+
+def _random_frames(rng, n_frames, labels):
+    """Per-frame EvalItem lists with tied (quartered) scores, jittered copies
+    of truths, depth None mixes, one-class frames and empty sides."""
+    preds, truths = {}, {}
+    for f in range(n_frames):
+        frame_labels = labels[:1] if rng.random() < 0.2 else labels
+        truth_items = []
+        for _ in range(int(rng.integers(0, 7)) if rng.random() > 0.1 else 0):
+            depth = float(rng.uniform(1.0, 50.0)) if rng.random() < 0.7 else None
+            label = frame_labels[int(rng.integers(len(frame_labels)))]
+            truth_items.append(EvalItem(label=label, box=_grid_box(rng), depth=depth))
+        pred_items = []
+        for _ in range(int(rng.integers(0, 8)) if rng.random() > 0.1 else 0):
+            score = float(rng.integers(0, 5)) / 4.0 if rng.random() < 0.5 else float(rng.random())
+            if truth_items and rng.random() < 0.6:
+                source = truth_items[int(rng.integers(len(truth_items)))].box
+                shift = float(rng.integers(-1, 2))
+                b = box(source.x_min + shift, source.y_min, source.x_max + shift, source.y_max,
+                        score=score)
+            else:
+                b = _grid_box(rng, score=score)
+            depth = float(rng.uniform(1.0, 50.0)) if rng.random() < 0.7 else None
+            label = frame_labels[int(rng.integers(len(frame_labels)))]
+            pred_items.append(EvalItem(label=label, box=b, depth=depth))
+        if rng.random() < 0.4:
+            # Two truths mirrored about a detection: exactly tied IoUs.
+            x, y, shift = (int(v) for v in rng.integers(0, 8, size=3))
+            for dx in (-shift, shift):
+                label = frame_labels[int(rng.integers(len(frame_labels)))]
+                truth_items.append(EvalItem(label, box(x + dx, y, x + dx + 6, y + 4), float(f + 2)))
+            pred_items.append(EvalItem(label, box(x, y, x + 6, y + 4, score=0.5), 1.0))
+        preds[f"{f:06d}"] = pred_items
+        truths[f"{f:06d}"] = truth_items
+    return preds, truths
+
+
+def _assert_matches_oracle(preds, truths, threshold, interpolation, super_map=None):
+    policy = MatchPolicy(iou_threshold=threshold, interpolation=interpolation)
+    report = evaluate(preds, truths, policy, super_map=super_map)
+    expected = evaluate_oracle(
+        preds, truths, threshold, interpolation is Interpolation.ELEVEN_POINT, super_map
+    )
+    assert repr(report.to_dict()) == repr(expected)
+
+
+class TestEvaluateMatchesOracle:
+    @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("interpolation", list(Interpolation))
+    def test_random_frames(self, threshold, interpolation):
+        rng = np.random.default_rng(int(threshold * 100) + len(interpolation.value))
+        super_map = {"car": "Ground", "person": "Ground", "drone": "Air"}
+        for trial in range(40):
+            labels = ["car", "person", "drone"][: 1 + trial % 3]
+            preds, truths = _random_frames(rng, int(rng.integers(1, 6)), labels)
+            _assert_matches_oracle(
+                preds, truths, threshold, interpolation, super_map if trial % 2 else None
+            )
+
+    def test_empty_sides(self):
+        items = [EvalItem("car", box(0, 0, 4, 4, score=0.5), 3.0)]
+        for preds, truths in [({"a": items}, {"a": []}), ({"a": []}, {"a": items}),
+                              ({"a": [], "b": items}, {"a": items, "b": []}),
+                              ({}, {})]:
+            _assert_matches_oracle(preds, truths, 0.5, Interpolation.ALL_POINT)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_crowded_frames(self, seed):
+        points = enumerate_sweep(
+            SweepSpec(category=Category.CAMERA, super_category=SuperCategory.AIR, seed=seed)
+        )
+        preds, truths = {}, {}
+        for k in range(4):
+            fid = f"{k:06d}"
+            sample = generate_scene(points[k], seed, n_objects=48, sample_id=fid)
+            results = decode_frame_3d(
+                render_ideal_maps(sample), sample.camera, taxonomy=sample.taxonomy
+            )
+            names = sample.taxonomy.names
+            preds[fid] = [
+                EvalItem(names[det.class_id], det.box, b3.center[2] if b3 is not None else None)
+                for det, b3 in results
+            ]
+            truths[fid] = [
+                EvalItem(label, b2, b3.center[2])
+                for label, b2, b3 in zip(sample.labels, sample.boxes2d, sample.objects)
+            ]
+        super_map = {n: c.value for n, c in sample.taxonomy.grouping.items()}
+        assert sum(map(len, preds.values())) > 100
+        for threshold in (0.5, 0.75):
+            for interpolation in Interpolation:
+                _assert_matches_oracle(preds, truths, threshold, interpolation, super_map)
+
+
+def test_iou_matrix_equals_scalar_iou():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a = [_grid_box(rng) for _ in range(int(rng.integers(0, 9)))] + [_float_box(rng)]
+        b = [_grid_box(rng) for _ in range(int(rng.integers(0, 9)))] + [_float_box(rng)]
+        coords = lambda boxes: [(q.x_min, q.y_min, q.x_max, q.y_max) for q in boxes]
+        matrix = iou_matrix(coords(a), coords(b))
+        assert matrix.shape == (len(a), len(b)) and matrix.dtype == np.float64
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                assert matrix[i, j] == iou(p, q)
