@@ -8,9 +8,13 @@ file write is atomic.
 """
 
 import argparse
+import contextlib
+import functools
 import json
+import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
@@ -59,7 +63,7 @@ _unit_interval = _bounded(float, (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"))
 _iou_threshold = _bounded(float, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
 _positive_int = _bounded(int, _AT_LEAST_ONE)
 _odd_int = _bounded(int, _AT_LEAST_ONE, (lambda v: v % 2 == 1, "be odd"))
-_positive_float = _bounded(float, (lambda v: v > 0.0, "be > 0"))
+_positive_float = _bounded(float, (lambda v: v > 0.0, "be > 0"), (math.isfinite, "be finite"))
 
 
 def build_parser():
@@ -167,10 +171,29 @@ def _require(data, key, path, convert=None):
         raise ParseError(f"{path}.{key}: invalid value {value!r}") from None
 
 
-def _taxonomy_from(classes, super_names):
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _super_map(data, path):
+    """The optional `super` object (class name -> super-category) of a JSON
+    object read from path; {} when absent."""
+    value = data.get("super", {})
+    if value is not None and not isinstance(value, dict):
+        raise ParseError(f"{path}: super: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _taxonomy_from(classes, super_names, path):
     grouping = {}
     for name in classes:
-        grouping[name] = SuperCategory(super_names.get(name, "Ground")) if super_names else SuperCategory.GROUND
+        value = super_names.get(name, "Ground") if super_names else "Ground"
+        try:
+            grouping[name] = SuperCategory(value)
+        except ValueError:
+            raise ParseError(f"{path}: super[{name!r}]: invalid value {value!r}") from None
     return ClassTaxonomy(names=tuple(classes), grouping=grouping)
 
 
@@ -218,11 +241,16 @@ def _detection_obj(label, detection, box3d):
     return obj
 
 
-def _decode_one(frame_dir, scene_path, taxonomy, peak_cfg, group_cfg, stride):
+def _load_frame(frame_dir, scene_path):
+    """A frame's bundle, and the camera of its scene file when there is one."""
     bundle = load_bundle(frame_dir)
     camera = None
     if scene_path is not None and os.path.exists(scene_path):
         camera = scene_from_dict(_load_json(scene_path)).camera
+    return bundle, camera
+
+
+def _decode_loaded(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
     results = decode_frame_3d(
         bundle, camera, peak_cfg, group_cfg, stride=stride, taxonomy=taxonomy
     )
@@ -230,6 +258,56 @@ def _decode_one(frame_dir, scene_path, taxonomy, peak_cfg, group_cfg, stride):
         _detection_obj(taxonomy.names[det.class_id], det, box3d)
         for det, box3d in results
     ]
+
+
+def _in_frame(fid, exc):
+    """`exc` re-raised with its type and the failing frame's id."""
+    return type(exc)(f"frame {fid}: {exc}")
+
+
+def _decode_frames(jobs, decode, workers):
+    """Detections of each (frame id, frame dir, scene path) job, in job order.
+
+    Every frame is loaded here, in the calling thread, so its large arrays
+    come from this thread's heap, where the next frame (or command) reuses
+    them. With one worker each frame is then decoded here too; with more,
+    it goes to a pool of that many threads, with at most `workers` frames
+    in flight. The error raised is the first failing frame's, in job order,
+    whether it failed to load or to decode.
+    """
+    frames = {}
+    pending = deque()  # (frame id, callable returning its detections)
+
+    def collect():
+        fid, result = pending.popleft()
+        try:
+            frames[fid] = result()
+        except Det3DError as exc:
+            raise _in_frame(fid, exc) from exc
+
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(workers))
+
+            def submit(fn, *args):
+                return pool.submit(fn, *args).result
+
+        else:
+            submit = functools.partial  # decoded here, when collected
+        for fid, frame_dir, scene_path in jobs:
+            if len(pending) == workers:
+                collect()
+            try:
+                # No local keeps the bundle: once its decode is collected,
+                # nothing holds it while the next frame loads.
+                pending.append((fid, submit(decode, *_load_frame(frame_dir, scene_path))))
+            except Det3DError as exc:
+                while pending:
+                    collect()
+                raise _in_frame(fid, exc) from exc
+        while pending:
+            collect()
+    return frames
 
 
 def _cmd_decode(args):
@@ -245,32 +323,25 @@ def _cmd_decode(args):
         manifest = _load_json(manifest_path)
         classes = _require(manifest, "classes", manifest_path)
         stride = args.stride if args.stride is not None else int(manifest.get("stride", 1))
-        taxonomy = _taxonomy_from(classes, manifest.get("super", {}))
+        super_names = _super_map(manifest, manifest_path)
+        taxonomy = _taxonomy_from(classes, super_names, manifest_path)
         jobs = []
-        for entry in manifest["samples"]:
-            jobs.append(
-                (
-                    entry["id"],
-                    os.path.join(args.dataset, entry["frames"]),
-                    os.path.join(args.dataset, entry["scene"]),
-                )
+        for k, entry in enumerate(_require(manifest, "samples", manifest_path, list)):
+            where = f"{manifest_path}: samples[{k}]"
+            fid, frames_dir, scene = (
+                _require(entry, key, where, _string) for key in ("id", "frames", "scene")
             )
-        frames = {}
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                fid: pool.submit(
-                    _decode_one, frame_dir, scene_path, taxonomy, peak_cfg, group_cfg, stride
-                )
-                for fid, frame_dir, scene_path in jobs
-            }
-            for fid in sorted(futures):
-                try:
-                    frames[fid] = futures[fid].result()
-                except Det3DError as exc:
-                    raise type(exc)(f"frame {fid}: {exc}") from exc
+            jobs.append(
+                (fid, os.path.join(args.dataset, frames_dir), os.path.join(args.dataset, scene))
+            )
+        jobs.sort(key=lambda job: job[0])
+        decode = functools.partial(
+            _decode_loaded, taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride
+        )
+        frames = _decode_frames(jobs, decode, args.jobs)
         payload = {
             "classes": list(taxonomy.names),
-            "super": manifest.get("super", {}),
+            "super": super_names,
             "frames": {fid: frames[fid] for fid in sorted(frames)},
         }
     else:
@@ -283,13 +354,13 @@ def _cmd_decode(args):
         if scene_path is not None:
             scene_data = _load_json(scene_path)
             classes = list(scene_data.get("classes", classes))
-            super_names = scene_data.get("super", {})
-        taxonomy = _taxonomy_from(classes, super_names)
+            super_names = _super_map(scene_data, scene_path)
+        taxonomy = _taxonomy_from(classes, super_names, scene_path)
         stride = args.stride if args.stride is not None else 1
         frame_id = os.path.basename(os.path.normpath(args.bundle))
         frames = {
-            frame_id: _decode_one(
-                args.bundle, scene_path, taxonomy, peak_cfg, group_cfg, stride
+            frame_id: _decode_loaded(
+                *_load_frame(args.bundle, scene_path), taxonomy, peak_cfg, group_cfg, stride
             )
         }
         payload = {
@@ -399,7 +470,7 @@ def _cmd_eval(args):
     policy = MatchPolicy(
         iou_threshold=args.iou, interpolation=Interpolation(args.interpolation)
     )
-    report = evaluate(preds, truths, policy, super_map=truth_data.get("super"))
+    report = evaluate(preds, truths, policy, super_map=_super_map(truth_data, args.truth))
     print(_format_report(report))
     if args.out:
         atomic_write_text(args.out, stable_json_dumps(report.to_dict()))

@@ -10,6 +10,7 @@ Layout (little-endian):
   payload H*W*C float32, row-major (row, col, channel)
 """
 
+import mmap
 import os
 import struct
 
@@ -107,77 +108,77 @@ def save_fmap(path, fmap):
 
 
 def load_fmap(path):
+    """Load a tensor dump from disk; a malformed one raises ParseError
+    naming the file.
+
+    The file is mapped read-only and parsed in place, so the payload's one
+    copy is the one FeatureMap makes. This relies on no page of the mapping
+    vanishing (SIGBUS) while it is read: the mapping lives only while the
+    payload is checked and copied, and det3d never shrinks a dump in place
+    (atomic_write_bytes writes a temp file and renames it over the old one).
+    """
+    name = os.fspath(path)
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
-        raise ParseError(f"missing tensor dump {os.fspath(path)!r}") from None
+        raise ParseError(f"missing tensor dump {name!r}") from None
+    with fh:
+        # An empty file cannot be mapped; parse_fmap rejects b"" as a
+        # truncated header.
+        size = os.fstat(fh.fileno()).st_size
+        blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     try:
         return parse_fmap(blob)
     except ParseError as exc:
-        raise ParseError(
-            f"{os.fspath(path)}: {exc.args[0]}",
-            offset=exc.offset,
-        ) from None
+        # Only the message leaves this handler: the traceback holds numpy
+        # views of the mapping, which would make closing it raise BufferError.
+        error = ParseError(f"{name}: {exc}")
+        error.offset = exc.offset
+    finally:
+        if size:
+            blob.close()
+    raise error
 
 
-def bundle_filenames(include_aux=True):
-    """Canonical file names for a per-frame bundle directory."""
+_AUX_HEADS = ("depth", "dims", "orientation")
+# MapBundle field of each required group of bundle_filenames.
+_GROUP_FIELDS = {"heatmap": "heatmaps", "offset": "offsets", "embedding": "embeddings"}
+
+
+def bundle_filenames():
+    """Canonical file names for a per-frame bundle directory, keyed by
+    (group, kind) for the required maps and ("aux", head) for the
+    optional 3D head maps."""
     names = {}
     for kind in ALL_KINDS:
         names[("heatmap", kind)] = f"heatmap_{kind.value}.fmap"
         names[("offset", kind)] = f"offset_{kind.value}.fmap"
     for kind in CORNER_KINDS:
         names[("embedding", kind)] = f"embedding_{kind.value}.fmap"
-    if include_aux:
-        names[("aux", "depth")] = "aux_depth.fmap"
-        names[("aux", "dims")] = "aux_dims.fmap"
-        names[("aux", "orientation")] = "aux_orientation.fmap"
+    for head in _AUX_HEADS:
+        names[("aux", head)] = f"aux_{head}.fmap"
     return names
 
 
 def save_bundle(directory, bundle):
     """Write every map of a bundle into a directory with canonical names."""
     os.makedirs(directory, exist_ok=True)
-    names = bundle_filenames(include_aux=False)
-    for kind in ALL_KINDS:
-        save_fmap(os.path.join(directory, names[("heatmap", kind)]), bundle.heatmaps[kind])
-        save_fmap(os.path.join(directory, names[("offset", kind)]), bundle.offsets[kind])
-    for kind in CORNER_KINDS:
-        save_fmap(
-            os.path.join(directory, names[("embedding", kind)]), bundle.embeddings[kind]
-        )
-    aux = (
-        ("aux_depth.fmap", bundle.aux_depth),
-        ("aux_dims.fmap", bundle.aux_dims),
-        ("aux_orientation.fmap", bundle.aux_orientation),
-    )
-    for name, fmap in aux:
+    for (group, key), name in bundle_filenames().items():
+        if group == "aux":
+            fmap = getattr(bundle, f"aux_{key}")
+        else:
+            fmap = getattr(bundle, _GROUP_FIELDS[group])[key]
         if fmap is not None:
             save_fmap(os.path.join(directory, name), fmap)
 
 
 def load_bundle(directory):
     """Load a bundle saved by :func:`save_bundle`; aux maps are optional."""
-    names = bundle_filenames(include_aux=False)
-    heatmaps = {}
-    offsets = {}
-    embeddings = {}
-    for kind in ALL_KINDS:
-        heatmaps[kind] = load_fmap(os.path.join(directory, names[("heatmap", kind)]))
-        offsets[kind] = load_fmap(os.path.join(directory, names[("offset", kind)]))
-    for kind in CORNER_KINDS:
-        embeddings[kind] = load_fmap(os.path.join(directory, names[("embedding", kind)]))
-
-    def load_optional(name):
+    fields = {field: {} for field in _GROUP_FIELDS.values()}
+    for (group, key), name in bundle_filenames().items():
         path = os.path.join(directory, name)
-        return load_fmap(path) if os.path.exists(path) else None
-
-    return MapBundle(
-        heatmaps=heatmaps,
-        embeddings=embeddings,
-        offsets=offsets,
-        aux_depth=load_optional("aux_depth.fmap"),
-        aux_dims=load_optional("aux_dims.fmap"),
-        aux_orientation=load_optional("aux_orientation.fmap"),
-    )
+        if group == "aux":
+            fields[f"aux_{key}"] = load_fmap(path) if os.path.exists(path) else None
+        else:
+            fields[_GROUP_FIELDS[group]][key] = load_fmap(path)
+    return MapBundle(**fields)

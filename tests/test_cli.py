@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from det3d.cli import main
-from det3d.core import FeatureMap
-from det3d.fmap import load_fmap, save_fmap
+from det3d.core import FeatureMap, ParseError
+from det3d.fmap import load_fmap, parse_fmap, save_fmap
 from det3d.kitti import parse_kitti_calib, parse_kitti_label_file
 
 
@@ -164,18 +164,79 @@ class TestDecode:
         assert code == 3
 
     def test_failing_frame_names_itself(self, dataset, tmp_path, capsys):
+        def zero_dims(root, fid):
+            dims_path = root / "frames" / fid / "aux_dims.fmap"
+            dims = load_fmap(dims_path)
+            save_fmap(dims_path, FeatureMap(np.zeros(dims.shape), role=dims.role))
+
+        def truncate_heatmap(root, fid):
+            path = root / "frames" / fid / "heatmap_tl.fmap"
+            path.write_bytes(read(path)[:-7])
+
+        def messages(root):
+            found = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"jobs{jobs}.json"
+                assert main(["decode", "--dataset", str(root), "--out", str(out), "--jobs", jobs]) == 3
+                found.append(capsys.readouterr().err)
+            assert found[1] == found[0]
+            return found[0]
+
         broken = tmp_path / "broken"
         shutil.copytree(dataset, broken)
-        dims_path = broken / "frames" / "000001" / "aux_dims.fmap"
-        dims = load_fmap(dims_path)
-        save_fmap(dims_path, FeatureMap(np.zeros(dims.shape), role=dims.role))
-        messages = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.json"
-            assert main(["decode", "--dataset", str(broken), "--out", str(out), "--jobs", jobs]) == 3
-            messages.append(capsys.readouterr().err)
-        assert messages[0].startswith("error: frame 000001: box dims must be positive")
-        assert messages[1] == messages[0]
+        zero_dims(broken, "000001")
+        assert messages(broken).startswith("error: frame 000001: box dims must be positive")
+
+        # The first failing frame in id order names itself, whether the
+        # earlier failure is a decode and the later one a load, or the
+        # other way round.
+        four = tmp_path / "four"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
+                     "--repeats", "2", "--out", str(four)]) == 0
+        decode_first = tmp_path / "decode_first"
+        shutil.copytree(four, decode_first)
+        zero_dims(decode_first, "000001")
+        truncate_heatmap(decode_first, "000002")
+        assert messages(decode_first).startswith("error: frame 000001: box dims must be positive")
+        load_first = tmp_path / "load_first"
+        shutil.copytree(four, load_first)
+        truncate_heatmap(load_first, "000001")
+        zero_dims(load_first, "000002")
+        message = messages(load_first)
+        assert message.startswith("error: frame 000001: ") and "heatmap_tl.fmap: payload holds" in message
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda m: m["samples"][0].pop("id"), "samples[0]: missing field 'id'"),
+            (lambda m: m["samples"][0].pop("frames"), "samples[0]: missing field 'frames'"),
+            (lambda m: m["samples"][0].pop("scene"), "samples[0]: missing field 'scene'"),
+            (lambda m: m["samples"][0].update(id=5), "samples[0].id: invalid value 5"),
+            (lambda m: m.update(super=["x"]), "super: expected a JSON object, got list"),
+            (lambda m: m["super"].update(air_vehicle="Sky"), "super['air_vehicle']: invalid value 'Sky'"),
+        ],
+    )
+    def test_malformed_manifest_exits_3(self, dataset, tmp_path, capsys, edit, fragment):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        manifest = json.loads(read(broken / "manifest.json"))
+        edit(manifest)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["decode", "--dataset", str(broken), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {broken / 'manifest.json'}: {fragment}\n"
+
+    def test_scene_super_list_exits_3(self, dataset, tmp_path, capsys):
+        scene = json.loads(read(dataset / "scenes" / "000000.json"))
+        scene["super"] = ["x"]
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        code = main(["decode", "--bundle", str(dataset / "frames" / "000000"),
+                     "--scene", str(scene_path), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {scene_path}: super: expected a JSON object, got list\n"
+        )
 
     def test_manifest_without_classes_exits_3(self, dataset, tmp_path, capsys):
         broken = tmp_path / "broken"
@@ -226,6 +287,8 @@ class TestFlagBounds:
             (_DECODE, "--jobs", "0", "must be >= 1, got 0"),
             (["eval"], "--iou", "0", "must lie in (0, 1], got 0"),
             (["eval"], "--iou", "1.5", "must lie in (0, 1], got 1.5"),
+            (_SYNTH, "--sigma", "inf", "must be finite, got inf"),
+            (_DECODE, "--theta", "inf", "must be finite, got inf"),
         ],
     )
     def test_bound_message(self, capsys, argv, flag, value, message):
@@ -293,6 +356,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert "pred.json" in err and "'frames'" in err
 
+    def test_truth_super_list_exits_3(self, dataset, tmp_path, capsys):
+        truth = json.loads(read(dataset / "truth.json"))
+        truth["super"] = ["x"]
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(truth))
+        code = main(["eval", "--pred", str(dataset / "truth.json"), "--truth", str(truth_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {truth_path}: super: expected a JSON object, got list\n"
+        )
+
     def test_missing_args_exit_2(self):
         assert main(["eval"]) == 2
 
@@ -325,6 +399,43 @@ class TestEval:
         assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pred}: {fragment}") and err.count("\n") == 1, err
+
+
+class TestMappedLoad:
+    def test_equals_parse_of_file_bytes(self, dataset):
+        paths = sorted((dataset / "frames").glob("*/*.fmap"))
+        assert len(paths) == 2 * 11
+        for path in paths:
+            assert load_fmap(path) == parse_fmap(read(path))
+
+    def test_out_of_range_heatmap_is_a_parse_error(self, dataset, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(dataset / "frames" / "000000", bundle)
+        path = bundle / "heatmap_tl.fmap"
+        blob = bytearray(read(path))
+        blob[21:25] = np.array([2.0], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        # The parse fails after the payload view exists; the view must not
+        # keep the mapping open (BufferError, exit 4).
+        with pytest.raises(ParseError) as info:
+            load_fmap(path)
+        assert str(info.value) == (
+            f"{path}: invalid payload: heatmap values must lie in [0, 1], "
+            "got range [0, 2] (at byte offset 21)"
+        )
+        assert info.value.offset == 21
+        code = main(["decode", "--bundle", str(bundle), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_empty_file_is_a_truncated_header(self, tmp_path):
+        path = tmp_path / "empty.fmap"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError) as info:
+            load_fmap(path)
+        assert str(info.value) == (
+            f"{path}: truncated header: need 21 bytes, got 0 (at byte offset 0)"
+        )
 
 
 class TestConvert:
