@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
     Box2D,
+    CameraIntrinsics,
     ClassTaxonomy,
     ConfigurationError,
     Det3DError,
@@ -177,6 +178,18 @@ def _string(value):
     return value
 
 
+def _stride(value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _camera(scene, path):
+    """The camera of a scene JSON object read from path."""
+    camera = _require(scene, "camera", path)
+    return _require(camera, "p", f"{path}: camera", CameraIntrinsics)
+
+
 def _super_map(data, path):
     """The optional `super` object (class name -> super-category) of a JSON
     object read from path; {} when absent."""
@@ -245,8 +258,8 @@ def _load_frame(frame_dir, scene_path):
     """A frame's bundle, and the camera of its scene file when there is one."""
     bundle = load_bundle(frame_dir)
     camera = None
-    if scene_path is not None and os.path.exists(scene_path):
-        camera = scene_from_dict(_load_json(scene_path)).camera
+    if os.path.exists(scene_path):
+        camera = _camera(_load_json(scene_path), scene_path)
     return bundle, camera
 
 
@@ -322,7 +335,9 @@ def _cmd_decode(args):
         manifest_path = os.path.join(args.dataset, "manifest.json")
         manifest = _load_json(manifest_path)
         classes = _require(manifest, "classes", manifest_path)
-        stride = args.stride if args.stride is not None else int(manifest.get("stride", 1))
+        stride = args.stride or (
+            _require(manifest, "stride", manifest_path, _stride) if "stride" in manifest else 1
+        )
         super_names = _super_map(manifest, manifest_path)
         taxonomy = _taxonomy_from(classes, super_names, manifest_path)
         jobs = []
@@ -350,9 +365,11 @@ def _cmd_decode(args):
         else:
             classes = list(ClassTaxonomy.default().names)
         super_names = {}
+        camera = None
         scene_path = args.scene
         if scene_path is not None:
             scene_data = _load_json(scene_path)
+            camera = _camera(scene_data, scene_path)
             classes = list(scene_data.get("classes", classes))
             super_names = _super_map(scene_data, scene_path)
         taxonomy = _taxonomy_from(classes, super_names, scene_path)
@@ -360,7 +377,7 @@ def _cmd_decode(args):
         frame_id = os.path.basename(os.path.normpath(args.bundle))
         frames = {
             frame_id: _decode_loaded(
-                *_load_frame(args.bundle, scene_path), taxonomy, peak_cfg, group_cfg, stride
+                load_bundle(args.bundle), camera, taxonomy, peak_cfg, group_cfg, stride
             )
         }
         payload = {

@@ -145,15 +145,20 @@ def _check_score(score):
 
 
 class FeatureMap:
-    """Immutable dense (height, width, channels) grid of real values.
+    """Immutable (height, width, channels) grid of real values.
 
-    Storage is row-major float32 in (row, col, channel) order, matching
-    the binary dump layout exactly so serialized tensors are unambiguous.
+    A map is stored in one of two ways, fixed by what built it. Dense
+    storage holds every value, row-major float32 in (row, col, channel)
+    order, matching the binary dump layout. Cell storage (`from_cells`)
+    holds a strictly increasing array of flat cell indices
+    (row * width + col) and an (n, channels) float32 value table, and reads
+    exactly 0.0 at every other cell; it suits maps defined only at a few
+    keypoint cells. Both read alike through `take`, `get` and `data`.
     Heatmap-role maps must lie in [0, 1]; other roles only need finite
     values.
     """
 
-    __slots__ = ("_data", "_role")
+    __slots__ = ("_data", "_role", "_shape", "_cells", "_values")
 
     def __init__(self, data, role=MapRole.GENERIC):
         arr = np.array(data, dtype=np.float32, copy=True, order="C")
@@ -161,18 +166,26 @@ class FeatureMap:
             raise ShapeError(f"feature map needs a (H, W, C) array, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"feature map axes must all be >= 1, got shape {arr.shape}")
+        self._init(arr, arr.shape, None, role)
+
+    def _init(self, data, shape, cells, role):
+        """Check the stored values against the role, then freeze them."""
         # Both extremes are finite iff every value is (NaN propagates
         # through min and max); unlike an isfinite mask this allocates nothing.
-        lo = float(arr.min())
-        hi = float(arr.max())
+        lo, hi = (float(data.min()), float(data.max())) if data.size else (0.0, 0.0)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("feature map values must be finite")
         role = MapRole(role)
         if role is MapRole.HEATMAP and (lo < 0.0 or hi > 1.0):
             raise DomainError(f"heatmap values must lie in [0, 1], got range [{lo:g}, {hi:g}]")
-        arr.setflags(write=False)
-        self._data = arr
+        data.setflags(write=False)
         self._role = role
+        self._shape = tuple(shape)
+        if cells is None:
+            self._data, self._cells, self._values = data, None, None
+        else:
+            cells.setflags(write=False)
+            self._data, self._cells, self._values = None, cells, data
 
     @classmethod
     def from_flat(cls, values, height, width, channels, role=MapRole.GENERIC):
@@ -185,10 +198,50 @@ class FeatureMap:
             )
         return cls(arr.reshape(height, width, channels), role=role)
 
+    @classmethod
+    def from_cells(cls, cells, values, height, width, role=MapRole.GENERIC):
+        """Build a cell-stored map: `values[k]` at flat cell `cells[k]`
+        (row * width + col), exactly 0.0 everywhere else.
+
+        `cells` must be strictly increasing; `values` is an (n, channels)
+        table. Both are copied.
+        """
+        cells = np.array(cells, dtype=np.intp, copy=True).reshape(-1)
+        table = np.array(values, dtype=np.float32, copy=True, order="C")
+        if table.ndim != 2 or table.shape[0] != cells.size:
+            raise ShapeError(
+                f"need an ({cells.size}, C) value table for {cells.size} cells, "
+                f"got shape {table.shape}"
+            )
+        if min(height, width, table.shape[1]) < 1:
+            raise ShapeError(
+                f"feature map axes must all be >= 1, got shape {(height, width, table.shape[1])}"
+            )
+        if np.any(cells[1:] <= cells[:-1]):
+            raise DomainError("cell indices must be strictly increasing")
+        if cells.size and (cells[0] < 0 or cells[-1] >= height * width):
+            bad = cells[0] if cells[0] < 0 else cells[-1]
+            raise BoundsError(f"cell index {int(bad)} out of range [0, {height * width})")
+        fmap = cls.__new__(cls)
+        fmap._init(table, (height, width, table.shape[1]), cells, role)
+        return fmap
+
     @property
     def data(self):
-        """Read-only (H, W, C) float32 array."""
-        return self._data
+        """Read-only (H, W, C) float32 array; a cell-stored map builds it
+        on every call."""
+        if self._cells is None:
+            return self._data
+        dense = np.zeros(self._shape, dtype=np.float32)
+        dense.reshape(-1, self.channels)[self._cells] = self._values
+        dense.setflags(write=False)
+        return dense
+
+    @property
+    def cell_table(self):
+        """(cells, values) of a cell-stored map, both read-only; None for a
+        dense one."""
+        return None if self._cells is None else (self._cells, self._values)
 
     @property
     def role(self):
@@ -196,19 +249,38 @@ class FeatureMap:
 
     @property
     def height(self):
-        return self._data.shape[0]
+        return self._shape[0]
 
     @property
     def width(self):
-        return self._data.shape[1]
+        return self._shape[1]
 
     @property
     def channels(self):
-        return self._data.shape[2]
+        return self._shape[2]
 
     @property
     def shape(self):
-        return self._data.shape
+        return self._shape
+
+    def take(self, rows, cols):
+        """(n, C) float32 values at the cells (rows[k], cols[k]), the same
+        as `data[rows, cols]`; every index must lie inside the map."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        for name, idx, size in (("row", rows, self.height), ("col", cols, self.width)):
+            outside = idx[(idx < 0) | (idx >= size)]
+            if outside.size:
+                raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
+        if self._cells is None:
+            return self._data[rows, cols]
+        out = np.zeros(rows.shape + (self.channels,), dtype=np.float32)
+        if self._cells.size:
+            flat = rows * self.width + cols
+            pos = np.minimum(np.searchsorted(self._cells, flat), self._cells.size - 1)
+            stored = self._cells[pos] == flat
+            out[stored] = self._values[pos[stored]]
+        return out
 
     def get(self, row, col, channel):
         """Return the stored value at (row, col, channel)."""
@@ -219,7 +291,7 @@ class FeatureMap:
         ):
             if not 0 <= idx < size:
                 raise BoundsError(f"{name} index {idx} out of range [0, {size})")
-        return float(self._data[row, col, channel])
+        return float(self.take([row], [col])[0, channel])
 
     def channel_plane(self, channel):
         """Read-only (H, W) view of a single channel."""
@@ -227,7 +299,7 @@ class FeatureMap:
             raise BoundsError(
                 f"channel index {channel} out of range [0, {self.channels})"
             )
-        return self._data[:, :, channel]
+        return self.data[:, :, channel]
 
     def __eq__(self, other):
         if not isinstance(other, FeatureMap):
@@ -235,11 +307,11 @@ class FeatureMap:
         return (
             self._role is other._role
             and self.shape == other.shape
-            and self._data.tobytes() == other._data.tobytes()
+            and self.data.tobytes() == other.data.tobytes()
         )
 
     def __hash__(self):
-        return hash((self._role, self.shape, self._data.tobytes()))
+        return hash((self._role, self.shape, self.data.tobytes()))
 
     def __repr__(self):
         return f"FeatureMap({self.height}x{self.width}x{self.channels}, role={self._role.name})"

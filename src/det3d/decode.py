@@ -6,14 +6,12 @@ assembly. Every step is deterministic: all orderings use total sort keys
 (score descending, then row, then col).
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
-    BoundsError,
     Box2D,
     ConfigurationError,
     Detection,
@@ -61,11 +59,6 @@ class GroupingConfig:
             raise DomainError(f"theta must be finite and positive, got {self.theta}")
 
 
-def _max_of(views):
-    """Elementwise max of the views; -inf when there are none."""
-    return functools.reduce(np.maximum, views) if views else -np.inf
-
-
 def extract_peaks(heatmap, cfg, kind):
     """Windowed non-maximum suppression over every channel of a heatmap.
 
@@ -87,30 +80,27 @@ def extract_peaks(heatmap, cfg, kind):
     if lo < 0.0 or hi > 1.0:
         raise DomainError(f"peak extraction needs values in [0, 1], got [{lo:g}, {hi:g}]")
     margin = (cfg.nms_window - 1) // 2
-    span = 2 * margin + 1
-    height, width, _ = data.shape
+    _, width, n_channels = data.shape
 
-    # Channel-first planes on a -inf border. The window max is separable:
-    # along each row first, then down the columns of those row maxima.
-    padded = np.pad(
-        np.moveaxis(data, 2, 0), ((0, 0), (margin, margin), (margin, margin)),
-        constant_values=-np.inf,
-    )
-    planes = padded[:, margin : margin + height, margin : margin + width]
-    row_max = _max_of([padded[:, :, k : k + width] for k in range(span)])
-    left = _max_of([padded[:, margin : margin + height, k : k + width] for k in range(margin)])
-    above = _max_of([row_max[:, k : k + height] for k in range(margin)])
-    below = _max_of([row_max[:, k : k + height] for k in range(margin + 1, span)])
-    keep = (
-        (planes >= row_max[:, margin : margin + height])
-        & (planes >= below)
-        & (planes > above)
-        & (planes > left)
-        & (planes >= cfg.score_threshold)
-    )
+    # The window max is separable: each cell's row max over its window
+    # columns, then those row maxima compared down the window rows. Each
+    # comparison narrows one mask in place, so the row max is the only
+    # full-size float temporary. More of them outgrow glibc's heap trim
+    # threshold, and every call then page-faults them back in.
+    row_max = data.copy()
+    for k in range(1, margin + 1):
+        np.maximum(row_max[:, k:], data[:, :-k], out=row_max[:, k:])
+        np.maximum(row_max[:, :-k], data[:, k:], out=row_max[:, :-k])
+    keep = data >= cfg.score_threshold
+    keep &= data >= row_max
+    for k in range(1, margin + 1):
+        keep[:, k:] &= data[:, k:] > data[:, :-k]
+        keep[k:] &= data[k:] > row_max[:-k]
+        keep[:-k] &= data[:-k] >= row_max[k:]
+    del row_max
 
     flat = np.flatnonzero(keep)
-    channels, cells = np.divmod(flat, height * width)
+    cells, channels = np.divmod(flat, n_channels)
     rows, cols = np.divmod(cells, width)
     scores = data[rows, cols, channels]
     # Flat cell indices run in (row, col) order within a channel. Rank the
@@ -135,15 +125,9 @@ def _field(keypoints, name, dtype=None):
     return np.array([getattr(kp, name) for kp in keypoints], dtype=dtype)
 
 
-def _cells(keypoints, fmap):
-    """Row and col index arrays of the keypoints, bounds-checked against fmap."""
-    rows = _field(keypoints, "row", np.intp)
-    cols = _field(keypoints, "col", np.intp)
-    for name, idx, size in (("row", rows, fmap.height), ("col", cols, fmap.width)):
-        over = idx[idx >= size]
-        if over.size:
-            raise BoundsError(f"{name} index {int(over[0])} out of range [0, {size})")
-    return rows, cols
+def _cells(keypoints):
+    """Row and col index arrays of the keypoints."""
+    return _field(keypoints, "row", np.intp), _field(keypoints, "col", np.intp)
 
 
 def attach_tags(keypoints, embedding):
@@ -152,8 +136,7 @@ def attach_tags(keypoints, embedding):
         raise ConfigurationError(
             f"embedding map must have 1 channel, got {embedding.channels}"
         )
-    rows, cols = _cells(keypoints, embedding)
-    tags = embedding.data[rows, cols, 0].tolist()
+    tags = embedding.take(*_cells(keypoints))[:, 0].tolist()
     return [replace(kp, tag=tag) for kp, tag in zip(keypoints, tags)]
 
 
@@ -199,8 +182,8 @@ def _refined(keypoints, offsets, stride):
         )
     if int(stride) != stride or stride < 1:
         raise DomainError(f"stride must be a positive integer, got {stride!r}")
-    rows, cols = _cells(keypoints, offsets)
-    o = offsets.data[rows, cols].astype(np.float64)
+    rows, cols = _cells(keypoints)
+    o = offsets.take(rows, cols).astype(np.float64)
     return (cols + o[:, 0]) * stride, (rows + o[:, 1]) * stride
 
 

@@ -1,13 +1,25 @@
 """Binary tensor dump format for feature maps, and on-disk map bundles.
 
-Layout (little-endian):
+Layout (little-endian), a 21-byte header:
   magic   4 bytes  b"FMAP"
-  version u32      1
+  version u32      1 (dense) or 2 (cells)
   height  u32
   width   u32
   channels u32
   role    u8       0=heatmap 1=embedding 2=offset 3=generic
+
+then, for version 1 (a dense map):
   payload H*W*C float32, row-major (row, col, channel)
+
+or, for version 2 (a cell-stored map, see FeatureMap.from_cells):
+  count   u32      n <= H*W
+  cells   n u32    strictly increasing flat cell indices (row * W + col)
+  values  n*C float32, the channels of each cell in turn
+
+A version-2 map reads 0.0 at every cell it does not list. `dump_fmap`
+writes a map in the storage it has, so a bundle from `render_ideal_maps`
+has dense heatmaps (version 1) and cell-stored offsets, embeddings and 3D
+heads (version 2). Both versions load.
 """
 
 import mmap
@@ -30,6 +42,7 @@ from .ioutil import atomic_write_bytes
 __all__ = [
     "MAGIC",
     "VERSION",
+    "VERSION_CELLS",
     "dump_fmap",
     "parse_fmap",
     "save_fmap",
@@ -41,9 +54,12 @@ __all__ = [
 
 MAGIC = b"FMAP"
 VERSION = 1
+VERSION_CELLS = 2
 
 _HEADER = struct.Struct("<4sIIIIB")
 _PAYLOAD_OFFSET = _HEADER.size  # 21 bytes
+_COUNT = struct.Struct("<I")
+_CELLS_OFFSET = _PAYLOAD_OFFSET + _COUNT.size  # 25 bytes
 
 # Header field offsets, used in parse errors.
 _OFF_MAGIC = 0
@@ -55,18 +71,88 @@ _OFF_ROLE = 20
 
 
 def dump_fmap(fmap):
-    """Serialize a feature map to bytes."""
+    """Serialize a feature map to bytes: version 1 when it is dense,
+    version 2 when it is cell-stored."""
+    table = fmap.cell_table
     header = _HEADER.pack(
-        MAGIC, VERSION, fmap.height, fmap.width, fmap.channels, int(fmap.role)
+        MAGIC,
+        VERSION if table is None else VERSION_CELLS,
+        fmap.height,
+        fmap.width,
+        fmap.channels,
+        int(fmap.role),
     )
+    if table is not None:
+        cells, values = table
+        return b"".join(
+            (header, _COUNT.pack(cells.size), cells.astype("<u4").data, values.astype("<f4").data)
+        )
     payload = np.ascontiguousarray(fmap.data, dtype="<f4")
     # Concatenating the array's buffer copies the payload once; going
     # through tobytes() first would hold two copies at the peak.
     return header + payload.data
 
 
+def _first(mask):
+    """Index of the first True of a 1-D mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _parse_cells(blob, height, width, channels, role):
+    """The version-2 body after the header; every malformed field raises
+    ParseError at its own byte offset."""
+    if len(blob) < _CELLS_OFFSET:
+        raise ParseError(
+            f"truncated cell count: need 4 bytes, got {len(blob) - _PAYLOAD_OFFSET}",
+            offset=_PAYLOAD_OFFSET,
+        )
+    (count,) = _COUNT.unpack_from(blob, _PAYLOAD_OFFSET)
+    n_cells = height * width
+    if count > n_cells:
+        raise ParseError(
+            f"cell count {count} exceeds the {n_cells} cells of a {height}x{width} map",
+            offset=_PAYLOAD_OFFSET,
+        )
+    expected = count * 4 * (1 + channels)
+    actual = len(blob) - _CELLS_OFFSET
+    if actual != expected:
+        raise ParseError(
+            f"cell table holds {actual} bytes, expected {expected} "
+            f"for {count} cells of {channels} channels",
+            offset=_CELLS_OFFSET,
+        )
+    cells = np.frombuffer(blob, dtype="<u4", count=count, offset=_CELLS_OFFSET)
+    values_offset = _CELLS_OFFSET + 4 * count
+    values = np.frombuffer(blob, dtype="<f4", offset=values_offset)
+    k = _first(cells >= n_cells)
+    if k is not None:
+        raise ParseError(
+            f"cell index {cells[k]} out of range [0, {n_cells})", offset=_CELLS_OFFSET + 4 * k
+        )
+    k = _first(cells[1:] <= cells[:-1])
+    if k is not None:
+        raise ParseError(
+            f"cell indices must be strictly increasing, got {cells[k]} then {cells[k + 1]}",
+            offset=_CELLS_OFFSET + 4 * (k + 1),
+        )
+    k = _first(~np.isfinite(values))
+    if k is not None:
+        raise ParseError(f"non-finite value {values[k]}", offset=values_offset + 4 * k)
+    if role is MapRole.HEATMAP:
+        k = _first((values < 0.0) | (values > 1.0))
+        if k is not None:
+            raise ParseError(
+                f"heatmap value {values[k]:g} outside [0, 1]", offset=values_offset + 4 * k
+            )
+    return FeatureMap.from_cells(
+        cells, values.reshape(count, channels), height, width, role=role
+    )
+
+
 def parse_fmap(blob):
-    """Parse bytes produced by :func:`dump_fmap` back into a feature map."""
+    """Parse bytes produced by :func:`dump_fmap` back into a feature map
+    stored as the bytes were: dense from version 1, as cells from 2."""
     if len(blob) < _PAYLOAD_OFFSET:
         raise ParseError(
             f"truncated header: need {_PAYLOAD_OFFSET} bytes, got {len(blob)}",
@@ -75,7 +161,7 @@ def parse_fmap(blob):
     magic, version, height, width, channels, role = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=_OFF_MAGIC)
-    if version != VERSION:
+    if version not in (VERSION, VERSION_CELLS):
         raise ParseError(f"unsupported version {version}", offset=_OFF_VERSION)
     if height < 1:
         raise ParseError(f"height must be >= 1, got {height}", offset=_OFF_HEIGHT)
@@ -87,6 +173,8 @@ def parse_fmap(blob):
         role = MapRole(role)
     except ValueError:
         raise ParseError(f"unknown role tag {role}", offset=_OFF_ROLE) from None
+    if version == VERSION_CELLS:
+        return _parse_cells(blob, height, width, channels, role)
 
     expected = height * width * channels * 4
     actual = len(blob) - _PAYLOAD_OFFSET

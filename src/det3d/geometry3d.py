@@ -366,7 +366,7 @@ def lift_detections(detections, bundle, camera, stride=1):
     if not bundle.has_aux:
         raise ConfigurationError("bundle carries no 3D head maps")
     # The cells before the first one outside the map are read with one
-    # fancy index per head map; that one raises when its turn comes.
+    # gather per head map; that one raises when its turn comes.
     height, width = bundle.height, bundle.width
     cells = []
     for det in detections:
@@ -379,9 +379,9 @@ def lift_detections(detections, bundle, camera, stride=1):
     bin_centers = uniform_bin_centers(n_bins)
     heads = zip(
         detections,
-        bundle.aux_depth.data[rows, cols, 0].tolist(),
-        bundle.aux_dims.data[rows, cols].tolist(),
-        bundle.aux_orientation.data[rows, cols].reshape(-1, 3, n_bins, 3).tolist(),
+        bundle.aux_depth.take(rows, cols)[:, 0].tolist(),
+        bundle.aux_dims.take(rows, cols).tolist(),
+        bundle.aux_orientation.take(rows, cols).reshape(-1, 3, n_bins, 3).tolist(),
     )
 
     def inputs():

@@ -401,7 +401,9 @@ def render_ideal_maps(
     per-object tag (object index + 1) into both corner embeddings. The
     center keypoint is the midpoint of the projected 2D box. With
     `include_aux`, the center cell additionally stores log-depth, dims,
-    and the multibin encoding of each orientation angle.
+    and the multibin encoding of each orientation angle. Heatmaps are
+    dense; every other map is cell-stored (`FeatureMap.from_cells`) and
+    never allocated at full size.
     """
     img_w, img_h = sample.image_size
     if height is None:
@@ -411,12 +413,13 @@ def render_ideal_maps(
     n_classes = len(sample.taxonomy)
 
     heat = {kind: np.zeros((height, width, n_classes), dtype=np.float32) for kind in ALL_KINDS}
-    offset = {kind: np.zeros((height, width, 2), dtype=np.float32) for kind in ALL_KINDS}
-    embed = {kind: np.zeros((height, width, 1), dtype=np.float32) for kind in CORNER_KINDS}
+    # The other maps are defined only at keypoint cells, so each is built
+    # as a table of flat cell -> that cell's channel values. A later object
+    # overwrites an earlier one's cell, as a dense write would.
+    offset = {kind: {} for kind in ALL_KINDS}
+    embed = {kind: {} for kind in CORNER_KINDS}
+    aux = {"aux_depth": {}, "aux_dims": {}, "aux_orientation": {}} if include_aux else {}
     if include_aux:
-        depth_map = np.zeros((height, width, 1), dtype=np.float32)
-        dims_map = np.zeros((height, width, 3), dtype=np.float32)
-        orient_map = np.zeros((height, width, 9 * orientation_bins), dtype=np.float32)
         bin_centers = uniform_bin_centers(orientation_bins)
 
     for obj_index, (box3d, box2d) in enumerate(zip(sample.objects, sample.boxes2d)):
@@ -437,37 +440,33 @@ def render_ideal_maps(
                     f"feature map (stride {stride})"
                 )
             _stamp_gaussian(heat[kind][:, :, class_ch], row, col, sigma)
-            offset[kind][row, col, 0] = px / stride - col
-            offset[kind][row, col, 1] = py / stride - row
+            cell = row * width + col
+            offset[kind][cell] = (px / stride - col, py / stride - row)
             if kind in CORNER_KINDS:
-                embed[kind][row, col, 0] = tag
+                embed[kind][cell] = (tag,)
             elif include_aux:
-                depth_map[row, col, 0] = math.log(box3d.center[2])
-                dims_map[row, col, :] = box3d.dims
-                for angle_idx, angle in enumerate(box3d.orientation):
-                    encoded = encode_multibin(angle, bin_centers)
-                    base = angle_idx * 3 * orientation_bins
-                    for i, (conf, cos_d, sin_d) in enumerate(encoded.bins):
-                        orient_map[row, col, base + 3 * i : base + 3 * i + 3] = (
-                            conf,
-                            cos_d,
-                            sin_d,
-                        )
+                aux["aux_depth"][cell] = (math.log(box3d.center[2]),)
+                aux["aux_dims"][cell] = box3d.dims
+                aux["aux_orientation"][cell] = [
+                    value
+                    for angle in box3d.orientation
+                    for bin_values in encode_multibin(angle, bin_centers).bins
+                    for value in bin_values
+                ]
 
-    # Each local array is dropped as soon as its map holds a copy, so at
-    # most one map is held twice while the bundle is built.
-    def take(arrays, key, role):
-        return FeatureMap(arrays.pop(key), role=role)
+    def cell_map(table, channels, role):
+        cells = sorted(table)
+        values = np.array([table[cell] for cell in cells], dtype=np.float32)
+        return FeatureMap.from_cells(
+            cells, values.reshape(len(cells), channels), height, width, role=role
+        )
 
-    aux = {}
-    if include_aux:
-        aux = {"aux_depth": depth_map, "aux_dims": dims_map, "aux_orientation": orient_map}
-        del depth_map, dims_map, orient_map
+    aux_channels = {"aux_depth": 1, "aux_dims": 3, "aux_orientation": 9 * orientation_bins}
     return MapBundle(
-        heatmaps={kind: take(heat, kind, MapRole.HEATMAP) for kind in ALL_KINDS},
-        embeddings={kind: take(embed, kind, MapRole.EMBEDDING) for kind in CORNER_KINDS},
-        offsets={kind: take(offset, kind, MapRole.OFFSET) for kind in ALL_KINDS},
-        **{name: take(aux, name, MapRole.GENERIC) for name in list(aux)},
+        heatmaps={kind: FeatureMap(heat.pop(kind), role=MapRole.HEATMAP) for kind in ALL_KINDS},
+        embeddings={kind: cell_map(embed[kind], 1, MapRole.EMBEDDING) for kind in CORNER_KINDS},
+        offsets={kind: cell_map(offset[kind], 2, MapRole.OFFSET) for kind in ALL_KINDS},
+        **{name: cell_map(table, aux_channels[name], MapRole.GENERIC) for name, table in aux.items()},
     )
 
 

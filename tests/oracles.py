@@ -15,6 +15,7 @@ from det3d.core import (
     Box3D,
     ConfigurationError,
     DegenerateProjectionError,
+    KeypointKind,
     RangeError,
     normalize_angle,
 )
@@ -252,6 +253,76 @@ def _lift_one(det, bundle, camera):
     dx = (u_c - u_h) * z / camera.fx
     dy = (v_c - v_h) * z / camera.fy
     return replace(box, center=(x + dx, y + dy, z))
+
+
+def _multibin_oracle(angle, n_bins):
+    """(confidence, cos, sin) per bin, flattened: confidence 1 at the first
+    circularly nearest of n evenly spaced bin centers, 0 elsewhere; every
+    bin stores the cos and sin of its own residual."""
+    step = 360.0 / n_bins
+    centers = [-180.0 + (i + 0.5) * step for i in range(n_bins)]
+    best, best_gap = 0, math.inf
+    for i, center in enumerate(centers):
+        gap = abs(normalize_angle(angle - center))
+        if gap < best_gap:
+            best, best_gap = i, gap
+    out = []
+    for i, center in enumerate(centers):
+        delta = math.radians(angle - center)
+        out += [1.0 if i == best else 0.0, math.cos(delta), math.sin(delta)]
+    return out
+
+
+def render_oracle(sample, stride=1, orientation_bins=4):
+    """The seed's dense offset, embedding and 3D head maps of a scene,
+    filled cell by cell in object order (a later object overwrites an
+    earlier one's cell). Returns {"offsets": {kind: array}, "embeddings":
+    {kind: array}, "aux_depth": array, "aux_dims": array,
+    "aux_orientation": array}, every array (H, W, C) float32."""
+    img_w, img_h = sample.image_size
+    height = math.ceil(img_h / stride)
+    width = math.ceil(img_w / stride)
+    offsets = {kind: np.zeros((height, width, 2), np.float32) for kind in KeypointKind}
+    embeddings = {
+        kind: np.zeros((height, width, 1), np.float32)
+        for kind in (KeypointKind.TOP_LEFT, KeypointKind.BOTTOM_RIGHT)
+    }
+    depth = np.zeros((height, width, 1), np.float32)
+    dims = np.zeros((height, width, 3), np.float32)
+    orientation = np.zeros((height, width, 9 * orientation_bins), np.float32)
+    for index, (box3d, box2d) in enumerate(zip(sample.objects, sample.boxes2d)):
+        anchors = (
+            (KeypointKind.TOP_LEFT, box2d.x_min, box2d.y_min),
+            (KeypointKind.BOTTOM_RIGHT, box2d.x_max, box2d.y_max),
+            (
+                KeypointKind.CENTER,
+                0.5 * (box2d.x_min + box2d.x_max),
+                0.5 * (box2d.y_min + box2d.y_max),
+            ),
+        )
+        for kind, px, py in anchors:
+            col = math.floor(px / stride)
+            row = math.floor(py / stride)
+            offsets[kind][row, col, 0] = px / stride - col
+            offsets[kind][row, col, 1] = py / stride - row
+            if kind in embeddings:
+                embeddings[kind][row, col, 0] = index + 1
+                continue
+            depth[row, col, 0] = math.log(box3d.center[2])
+            for channel, value in enumerate(box3d.dims):
+                dims[row, col, channel] = value
+            values = [
+                v for angle in box3d.orientation for v in _multibin_oracle(angle, orientation_bins)
+            ]
+            for channel, value in enumerate(values):
+                orientation[row, col, channel] = value
+    return {
+        "offsets": offsets,
+        "embeddings": embeddings,
+        "aux_depth": depth,
+        "aux_dims": dims,
+        "aux_orientation": orientation,
+    }
 
 
 def _greedy_pairs_oracle(dets, truths, threshold):

@@ -452,3 +452,88 @@ class TestConvert:
     def test_missing_dataset_exits_3(self, tmp_path):
         code = main(["convert", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+class TestMalformedScene:
+    """Malformed scene and manifest fields exit 3 naming the file and field."""
+
+    def decode_dataset(self, root, tmp_path):
+        return main(["decode", "--dataset", str(root), "--out", str(tmp_path / "x.json")])
+
+    def test_dataset_scene_without_camera(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        path = broken / "scenes" / "000001.json"
+        scene = json.loads(read(path))
+        del scene["camera"]
+        path.write_text(json.dumps(scene))
+        assert self.decode_dataset(broken, tmp_path) == 3
+        assert capsys.readouterr().err == (
+            f"error: frame 000001: {path}: missing field 'camera'\n"
+        )
+
+    def test_bundle_scene_camera_without_p(self, dataset, tmp_path, capsys):
+        scene = json.loads(read(dataset / "scenes" / "000000.json"))
+        scene["camera"] = {"q": 1}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        code = main(["decode", "--bundle", str(dataset / "frames" / "000000"),
+                     "--scene", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: camera: missing field 'p'\n"
+
+    def test_bundle_scene_top_level_list(self, dataset, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps([1, 2]))
+        code = main(["decode", "--bundle", str(dataset / "frames" / "000000"),
+                     "--scene", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected a JSON object with a 'camera' field, got list\n"
+        )
+
+    @pytest.mark.parametrize("stride", ["two", 1.5, 0])
+    def test_manifest_stride_not_an_integer(self, dataset, tmp_path, capsys, stride):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        manifest = json.loads(read(broken / "manifest.json"))
+        manifest["stride"] = stride
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        assert self.decode_dataset(broken, tmp_path) == 3
+        assert capsys.readouterr().err == (
+            f"error: {broken / 'manifest.json'}.stride: invalid value {stride!r}\n"
+        )
+
+
+class TestCellBundles:
+    """Bundles whose offsets, embeddings and 3D heads are `.fmap` version 2."""
+
+    def test_versions_on_disk(self, dataset):
+        for path in sorted((dataset / "frames").glob("*/*.fmap")):
+            version = int.from_bytes(read(path)[4:8], "little")
+            assert version == (1 if path.name.startswith("heatmap_") else 2), path.name
+
+    def test_truncated_v2_exits_3(self, dataset, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(dataset / "frames" / "000000", bundle)
+        path = bundle / "aux_orientation.fmap"
+        path.write_bytes(read(path)[:-3])
+        code = main(["decode", "--bundle", str(bundle), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cell table holds ") and "(at byte offset 25)" in err
+
+    def test_v1_rewrite_decodes_identically(self, dataset, tmp_path):
+        dense = tmp_path / "dense"
+        shutil.copytree(dataset, dense)
+        for path in sorted((dense / "frames").glob("*/*.fmap")):
+            m = load_fmap(path)
+            save_fmap(path, FeatureMap(m.data, role=m.role))
+            assert int.from_bytes(read(path)[4:8], "little") == 1
+        outputs = []
+        for root in (dataset, dense):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{root.name}_{jobs}.json"
+                assert main(["decode", "--dataset", str(root), "--out", str(out), "--jobs", jobs]) == 0
+                outputs.append(read(out))
+        assert outputs[1:] == outputs[:1] * 3
