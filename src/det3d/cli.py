@@ -184,6 +184,15 @@ def _stride(value):
     return value
 
 
+def _samples(manifest, path, keys):
+    """The string fields `keys` of each manifest sample, one tuple per
+    sample, or a ParseError naming the file, the sample and the field."""
+    return [
+        tuple(_require(entry, key, f"{path}: samples[{k}]", _string) for key in keys)
+        for k, entry in enumerate(_require(manifest, "samples", path, list))
+    ]
+
+
 def _camera(scene, path):
     """The camera of a scene JSON object read from path."""
     camera = _require(scene, "camera", path)
@@ -340,15 +349,10 @@ def _cmd_decode(args):
         )
         super_names = _super_map(manifest, manifest_path)
         taxonomy = _taxonomy_from(classes, super_names, manifest_path)
-        jobs = []
-        for k, entry in enumerate(_require(manifest, "samples", manifest_path, list)):
-            where = f"{manifest_path}: samples[{k}]"
-            fid, frames_dir, scene = (
-                _require(entry, key, where, _string) for key in ("id", "frames", "scene")
-            )
-            jobs.append(
-                (fid, os.path.join(args.dataset, frames_dir), os.path.join(args.dataset, scene))
-            )
+        jobs = [
+            (fid, os.path.join(args.dataset, frames_dir), os.path.join(args.dataset, scene))
+            for fid, frames_dir, scene in _samples(manifest, manifest_path, ("id", "frames", "scene"))
+        ]
         jobs.sort(key=lambda job: job[0])
         decode = functools.partial(
             _decode_loaded, taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride
@@ -494,8 +498,21 @@ def _cmd_eval(args):
     return 0
 
 
+def _scene(path):
+    """The SceneSample of a scene JSON file, or a ParseError naming the
+    file and the first missing field."""
+    data = _load_json(path)
+    _camera(data, path)
+    try:
+        return scene_from_dict(data)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from None
+
+
 def _cmd_convert(args):
-    manifest = _load_json(os.path.join(args.dataset, "manifest.json"))
+    manifest_path = os.path.join(args.dataset, "manifest.json")
+    manifest = _load_json(manifest_path)
+    samples = _samples(manifest, manifest_path, ("id", "scene"))
     labels_dir = os.path.join(args.out, "label_2")
     calib_dir = os.path.join(args.out, "calib")
     try:
@@ -505,11 +522,10 @@ def _cmd_convert(args):
         print(f"error: cannot create output under {args.out!r}: {exc}", file=sys.stderr)
         return 2
     count = 0
-    for entry in manifest["samples"]:
-        sample = scene_from_dict(_load_json(os.path.join(args.dataset, entry["scene"])))
-        label_text, calib_text = scene_to_kitti(sample)
-        atomic_write_text(os.path.join(labels_dir, f"{entry['id']}.txt"), label_text)
-        atomic_write_text(os.path.join(calib_dir, f"{entry['id']}.txt"), calib_text)
+    for fid, scene in samples:
+        label_text, calib_text = scene_to_kitti(_scene(os.path.join(args.dataset, scene)))
+        atomic_write_text(os.path.join(labels_dir, f"{fid}.txt"), label_text)
+        atomic_write_text(os.path.join(calib_dir, f"{fid}.txt"), calib_text)
         count += 1
     print(f"converted {count} frames -> {args.out}")
     return 0

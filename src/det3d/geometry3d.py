@@ -99,15 +99,21 @@ def encode_multibin(angle_deg, bin_centers):
     the rest 0; every bin stores the cos/sin of its own residual.
     """
     centers = tuple(float(a) for a in bin_centers)
+    return MultiBinOutput(bins=_multibin_bins(angle_deg, centers), bin_centers=centers)
+
+
+def _multibin_bins(angle_deg, bin_centers):
+    """The (confidence, cos delta, sin delta) float tuple of each bin of
+    :func:`encode_multibin`, without building or checking the output."""
     best = min(
-        range(len(centers)),
-        key=lambda i: (abs(normalize_angle(angle_deg - centers[i])), i),
+        range(len(bin_centers)),
+        key=lambda i: (abs(normalize_angle(angle_deg - bin_centers[i])), i),
     )
     bins = []
-    for i, center in enumerate(centers):
+    for i, center in enumerate(bin_centers):
         delta = math.radians(angle_deg - center)
         bins.append((1.0 if i == best else 0.0, math.cos(delta), math.sin(delta)))
-    return MultiBinOutput(bins=tuple(bins), bin_centers=centers)
+    return tuple(bins)
 
 
 def _bin_angle(bins, bin_centers):

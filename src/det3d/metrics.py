@@ -6,6 +6,7 @@ the highest overlap, which keeps every result deterministic and lets the
 whole report be reproduced from the raw boxes.
 """
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -173,17 +174,15 @@ def _add_confusion(counts, det_classes, truth_classes, det_idx, truth_idx):
 
 
 def _integrate_all_point(recalls, precisions):
-    n = len(recalls)
-    envelope = list(precisions)
-    for k in range(n - 2, -1, -1):
-        envelope[k] = max(envelope[k], envelope[k + 1])
-    ap = 0.0
-    prev_recall = 0.0
-    for k in range(n):
-        if recalls[k] > prev_recall:
-            ap += (recalls[k] - prev_recall) * envelope[k]
-            prev_recall = recalls[k]
-    return ap
+    """Sum over the ranks where recall rises of the rise times the
+    precision envelope there, from arrays. Recall never falls, so each
+    rise is from the previous rank's recall; `add.accumulate` adds the
+    terms one by one in rank order, as a loop would."""
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    rises = np.diff(recalls, prepend=0.0)
+    rising = rises > 0.0
+    terms = rises[rising] * envelope[rising]
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
 def _integrate_eleven_point(recalls, precisions):
@@ -208,10 +207,10 @@ def _pooled_ap(scores, hits, n_truth, interpolation):
         return 0.0
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     tp = np.cumsum(np.asarray(hits, dtype=bool)[order])
-    recalls = (tp / n_truth).tolist()
-    precisions = (tp / np.arange(1, tp.size + 1)).tolist()
+    recalls = tp / n_truth
+    precisions = tp / np.arange(1, tp.size + 1)
     if interpolation is Interpolation.ELEVEN_POINT:
-        return _integrate_eleven_point(recalls, precisions)
+        return _integrate_eleven_point(recalls.tolist(), precisions.tolist())
     return _integrate_all_point(recalls, precisions)
 
 
@@ -354,7 +353,9 @@ def evaluate(preds_by_frame, truths_by_frame, policy=None, super_map=None):
     confusion = np.zeros((len(labels) + 1, len(labels) + 1), dtype=np.int64)
     pooled = [([], []) for _ in labels]  # per class: scores and hits, in pool order
     n_truths = [0] * len(labels)
-    diou_losses, truth_depths, pred_depths = [], [], []
+    # Losses are new floats, so they are held unboxed; the depths are the
+    # items' own.
+    diou_losses, truth_depths, pred_depths = array("d"), [], []
     for fid in frame_ids:
         preds = list(preds_by_frame[fid])
         truths = list(truths_by_frame[fid])

@@ -35,8 +35,8 @@ from .core import (
     RenderError,
     SuperCategory,
 )
-from .geometry3d import encode_multibin, project_box3d, uniform_bin_centers
-from .metrics import iou
+from .geometry3d import _hulls, _multibin_bins, uniform_bin_centers
+from .metrics import iou_matrix
 
 __all__ = [
     "Category",
@@ -287,6 +287,16 @@ def generate_scene(
     overlap pairwise at IoU >= 0.1; dimensions jitter around the class
     prior. Deterministic given (point, rng_seed, variant); `variant`
     selects independent object layouts for the same sweep point.
+
+    The candidates form one stream, drawn from a generator local to the
+    call, that does not depend on which of them are accepted: each attempt
+    draws z, the three dims and the three angles, then x and y unless its
+    near face or its x/y reach already rules it out. Each object takes the
+    first candidate after the previous object's that stays inside the
+    image and clear of every placed hull, after at most `max_attempts`
+    tries. So the stream is drawn, projected and overlap-tested in chunks,
+    one per object still to place; drawing past the last accepted
+    candidate changes nothing.
     """
     if n_objects < 1:
         raise DomainError(f"n_objects must be >= 1, got {n_objects}")
@@ -299,51 +309,77 @@ def generate_scene(
     prior = np.asarray(DIMENSION_PRIORS[point.super_category])
 
     margin = 2.0  # pixels kept clear of the image border
+
+    def candidate():
+        """The next Box3D of the stream, or None when it is ruled out early."""
+        z = point.camera_distance * float(rng.uniform(0.9, 1.1))
+        dims = prior * rng.uniform(0.85, 1.15, size=3)
+        orientation = (
+            float(rng.uniform(-180.0, 180.0)),
+            float(rng.uniform(-15.0, 15.0)),
+            float(rng.uniform(-10.0, 10.0)),
+        )
+        half_diag = 0.5 * float(np.linalg.norm(dims))
+        near = z - half_diag
+        if near <= 0.1:
+            return None
+        x_reach = (width / 2.0 - margin) * near / focal - half_diag
+        y_reach = (height / 2.0 - margin) * near / focal - half_diag
+        if x_reach <= 0.0 or y_reach <= 0.0:
+            return None
+        x = float(rng.uniform(-x_reach, x_reach))
+        y = float(rng.uniform(-y_reach, y_reach))
+        return Box3D(
+            center=(x, y, z),
+            dims=tuple(float(d) for d in dims),
+            orientation=orientation,
+            class_id=class_id,
+            score=1.0,
+        )
+
     objects = []
     boxes2d = []
-    for _ in range(n_objects):
-        placed = False
-        for _ in range(max_attempts):
-            z = point.camera_distance * float(rng.uniform(0.9, 1.1))
-            dims = prior * rng.uniform(0.85, 1.15, size=3)
-            orientation = (
-                float(rng.uniform(-180.0, 180.0)),
-                float(rng.uniform(-15.0, 15.0)),
-                float(rng.uniform(-10.0, 10.0)),
-            )
-            half_diag = 0.5 * float(np.linalg.norm(dims))
-            near = z - half_diag
-            if near <= 0.1:
+    placed = np.empty((0, 4))  # (x_min, y_min, x_max, y_max) of each placed hull
+    attempts = 0  # failed tries of the object being placed
+    while len(objects) < n_objects:
+        chunk = [candidate() for _ in range(n_objects - len(objects))]
+        boxes = [box for box in chunk if box is not None]
+        # The near-face test keeps every corner of a drawn box in front of
+        # the camera, so no hull of the chunk raises.
+        hulls = list(_hulls(camera, boxes)) if boxes else []
+        coords = np.array([(h.x_min, h.y_min, h.x_max, h.y_max) for h in hulls]).reshape(-1, 4)
+        inside = ~(
+            (coords[:, 0] < 0) | (coords[:, 1] < 0)
+            | (coords[:, 2] > width - 1) | (coords[:, 3] > height - 1)
+        )
+        # Column j < len(placed) is a placed hull; column len(placed) + k is
+        # the chunk's hull k, taken once that hull is accepted.
+        overlaps = iou_matrix(coords, np.concatenate([placed, coords])) >= 0.1
+        taken = np.zeros(overlaps.shape[1], dtype=bool)
+        taken[: len(placed)] = True
+        k = 0  # the chunk's next hull
+        for box in chunk:
+            if len(objects) == n_objects:
+                break
+            if attempts >= max_attempts:
+                raise GenerationError(
+                    f"could not place object {len(objects)} after {max_attempts} attempts "
+                    f"at sweep point {point.index} "
+                    f"({point.category.value}/{point.super_category.value}, "
+                    f"distance {point.camera_distance:g} m)"
+                )
+            if box is None:
+                attempts += 1
                 continue
-            x_reach = (width / 2.0 - margin) * near / focal - half_diag
-            y_reach = (height / 2.0 - margin) * near / focal - half_diag
-            if x_reach <= 0.0 or y_reach <= 0.0:
-                continue
-            x = float(rng.uniform(-x_reach, x_reach))
-            y = float(rng.uniform(-y_reach, y_reach))
-            box = Box3D(
-                center=(x, y, z),
-                dims=tuple(float(d) for d in dims),
-                orientation=orientation,
-                class_id=class_id,
-                score=1.0,
-            )
-            hull = project_box3d(camera, box)
-            if hull.x_min < 0 or hull.y_min < 0 or hull.x_max > width - 1 or hull.y_max > height - 1:
-                continue
-            if any(iou(hull, other) >= 0.1 for other in boxes2d):
-                continue
-            objects.append(box)
-            boxes2d.append(hull)
-            placed = True
-            break
-        if not placed:
-            raise GenerationError(
-                f"could not place object {len(objects)} after {max_attempts} attempts "
-                f"at sweep point {point.index} "
-                f"({point.category.value}/{point.super_category.value}, "
-                f"distance {point.camera_distance:g} m)"
-            )
+            if inside[k] and not (overlaps[k] & taken).any():
+                objects.append(box)
+                boxes2d.append(hulls[k])
+                taken[len(placed) + k] = True
+                attempts = 0
+            else:
+                attempts += 1
+            k += 1
+        placed = np.concatenate([placed, coords[taken[len(placed):]]])
 
     return SceneSample(
         sample_id=sample_id if sample_id is not None else f"{point.index:06d}",
@@ -369,19 +405,6 @@ def generate_scene(
             },
         },
     )
-
-
-def _stamp_gaussian(plane, row, col, sigma):
-    """Max-combine a unit-peak gaussian bump centered on one cell."""
-    radius = max(1, int(math.ceil(3.0 * sigma)))
-    r0 = max(0, row - radius)
-    r1 = min(plane.shape[0], row + radius + 1)
-    c0 = max(0, col - radius)
-    c1 = min(plane.shape[1], col + radius + 1)
-    rows = np.arange(r0, r1) - row
-    cols = np.arange(c0, c1) - col
-    bump = np.exp(-(rows[:, None] ** 2 + cols[None, :] ** 2) / (2.0 * sigma * sigma))
-    np.maximum(plane[r0:r1, c0:c1], bump, out=plane[r0:r1, c0:c1])
 
 
 def render_ideal_maps(
@@ -421,6 +444,13 @@ def render_ideal_maps(
     aux = {"aux_depth": {}, "aux_dims": {}, "aux_orientation": {}} if include_aux else {}
     if include_aux:
         bin_centers = uniform_bin_centers(orientation_bins)
+    # Every bump is a crop of one unit-peak gaussian kernel. Rounding to
+    # float32 is monotone, so max-combining the float32 kernel gives the
+    # float32 of the float64 maximum.
+    radius = max(1, int(math.ceil(3.0 * sigma)))
+    steps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-(steps[:, None] ** 2 + steps[None, :] ** 2) / (2.0 * sigma * sigma))
+    kernel = kernel.astype(np.float32)
 
     for obj_index, (box3d, box2d) in enumerate(zip(sample.objects, sample.boxes2d)):
         class_ch = box3d.class_id
@@ -439,7 +469,11 @@ def render_ideal_maps(
                     f"({px:.2f}, {py:.2f}) falls outside the {height}x{width} "
                     f"feature map (stride {stride})"
                 )
-            _stamp_gaussian(heat[kind][:, :, class_ch], row, col, sigma)
+            r0, r1 = max(0, row - radius), min(height, row + radius + 1)
+            c0, c1 = max(0, col - radius), min(width, col + radius + 1)
+            window = heat[kind][r0:r1, c0:c1, class_ch]
+            bump = kernel[r0 - row + radius : r1 - row + radius, c0 - col + radius : c1 - col + radius]
+            np.maximum(window, bump, out=window)
             cell = row * width + col
             offset[kind][cell] = (px / stride - col, py / stride - row)
             if kind in CORNER_KINDS:
@@ -450,7 +484,7 @@ def render_ideal_maps(
                 aux["aux_orientation"][cell] = [
                     value
                     for angle in box3d.orientation
-                    for bin_values in encode_multibin(angle, bin_centers).bins
+                    for bin_values in _multibin_bins(angle, bin_centers)
                     for value in bin_values
                 ]
 

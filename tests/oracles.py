@@ -5,6 +5,7 @@ so they share no code path with the implementations they verify.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +14,17 @@ from det3d.core import (
     BehindCameraError,
     Box2D,
     Box3D,
+    CameraIntrinsics,
+    ClassTaxonomy,
     ConfigurationError,
     DegenerateProjectionError,
+    GenerationError,
     KeypointKind,
     RangeError,
     normalize_angle,
 )
 from det3d.pooling import Axis, PoolingDirection, Sense
+from det3d.synthgen import DIMENSION_PRIORS
 
 
 def ray_max_oracle(plane, direction):
@@ -224,7 +229,16 @@ def _lift_one(det, bundle, camera):
         center=(x, y, z), dims=dims, orientation=tuple(angles),
         class_id=det.box.class_id, score=det.box.score,
     )
+    u_h, v_h = hull_oracle(camera, box).center
+    dx = (u_c - u_h) * z / camera.fx
+    dy = (v_c - v_h) * z / camera.fy
+    return replace(box, center=(x + dx, y + dy, z))
 
+
+def hull_oracle(camera, box):
+    """The 2D hull of one box's 8 corners, from its own 3x3 rotation and
+    8x4 projection matmuls; raises on a corner behind the camera or at
+    zero homogeneous scale."""
     w, h, l = box.dims
     signs = np.array([[1.0 if k & m else -1.0 for m in (4, 2, 1)] for k in range(8)])
     local = signs * (0.5 * np.array([w, h, l]))
@@ -240,19 +254,106 @@ def _lift_one(det, bundle, camera):
         raise BehindCameraError(
             f"box at {box.center} has corners behind the camera (min z = {corners[:, 2].min():g})"
         )
-    hom = np.column_stack([corners, np.ones(8)]) @ p.T
+    hom = np.column_stack([corners, np.ones(8)]) @ camera.p.T
     if np.any(hom[:, 2] == 0.0):
         raise DegenerateProjectionError("a corner projected to zero homogeneous scale")
     u = hom[:, 0] / hom[:, 2]
     v = hom[:, 1] / hom[:, 2]
-    hull = Box2D(
+    return Box2D(
         float(u.min()), float(v.min()), float(u.max()), float(v.max()),
         class_id=box.class_id, score=box.score,
     )
-    u_h, v_h = hull.center
-    dx = (u_c - u_h) * z / camera.fx
-    dy = (v_c - v_h) * z / camera.fy
-    return replace(box, center=(x + dx, y + dy, z))
+
+
+def scene_oracle(point, rng_seed, n_objects=1, image_size=(320, 240), focal=260.0,
+                 max_attempts=200, variant=0):
+    """The seed's sequential placement with the default taxonomy: per
+    attempt, scalar draws of z, dims and the three angles, then x and y
+    unless the near face or the x/y reach rules the attempt out; the
+    candidate's hull from `hull_oracle`; and `iou_bruteforce` against every
+    placed hull.
+
+    Returns (objects, boxes2d, rejections), where `rejections` counts the
+    attempts ruled out for each reason ("near", "reach", "image",
+    "overlap"). Raises the GenerationError `generate_scene` gives.
+    """
+    taxonomy = ClassTaxonomy.default()
+    width, height = image_size
+    camera = CameraIntrinsics.simple(focal, width / 2.0, height / 2.0)
+    rng = np.random.default_rng([int(rng_seed), point.index, int(variant)])
+    class_id = next(
+        i for i, name in enumerate(taxonomy.names)
+        if taxonomy.supercategory(name) is point.super_category
+    )
+    prior = np.asarray(DIMENSION_PRIORS[point.super_category])
+    objects, boxes2d = [], []
+    rejections = Counter()
+    for index in range(n_objects):
+        for _ in range(max_attempts):
+            z = point.camera_distance * float(rng.uniform(0.9, 1.1))
+            dims = prior * rng.uniform(0.85, 1.15, size=3)
+            angles = tuple(float(rng.uniform(-a, a)) for a in (180.0, 15.0, 10.0))
+            half_diag = 0.5 * float(np.linalg.norm(dims))
+            near = z - half_diag
+            if near <= 0.1:
+                rejections["near"] += 1
+                continue
+            x_reach = (width / 2.0 - 2.0) * near / focal - half_diag
+            y_reach = (height / 2.0 - 2.0) * near / focal - half_diag
+            if x_reach <= 0.0 or y_reach <= 0.0:
+                rejections["reach"] += 1
+                continue
+            x = float(rng.uniform(-x_reach, x_reach))
+            y = float(rng.uniform(-y_reach, y_reach))
+            box = Box3D(center=(x, y, z), dims=tuple(float(d) for d in dims),
+                        orientation=angles, class_id=class_id, score=1.0)
+            hull = hull_oracle(camera, box)
+            if hull.x_min < 0 or hull.y_min < 0 or hull.x_max > width - 1 or hull.y_max > height - 1:
+                rejections["image"] += 1
+            elif any(iou_bruteforce(hull, other) >= 0.1 for other in boxes2d):
+                rejections["overlap"] += 1
+            else:
+                objects.append(box)
+                boxes2d.append(hull)
+                break
+        else:
+            raise GenerationError(
+                f"could not place object {index} after {max_attempts} attempts "
+                f"at sweep point {point.index} "
+                f"({point.category.value}/{point.super_category.value}, "
+                f"distance {point.camera_distance:g} m)"
+            )
+    return tuple(objects), tuple(boxes2d), rejections
+
+
+def heatmap_oracle(sample, stride=1, sigma=1.5):
+    """The seed's heatmaps of a scene: for each object's TL, BR and center
+    keypoint, a float64 gaussian bump of `sigma` cells at every cell within
+    max(1, ceil(3 sigma)) of the keypoint's cell, one np.exp per cell,
+    max-combined into a float32 (H, W, classes) plane per kind."""
+    img_w, img_h = sample.image_size
+    height = math.ceil(img_h / stride)
+    width = math.ceil(img_w / stride)
+    radius = max(1, math.ceil(3.0 * sigma))
+    heat = {kind: np.zeros((height, width, len(sample.taxonomy)), np.float32) for kind in KeypointKind}
+    for box3d, box2d in zip(sample.objects, sample.boxes2d):
+        anchors = (
+            (KeypointKind.TOP_LEFT, box2d.x_min, box2d.y_min),
+            (KeypointKind.BOTTOM_RIGHT, box2d.x_max, box2d.y_max),
+            (
+                KeypointKind.CENTER,
+                0.5 * (box2d.x_min + box2d.x_max),
+                0.5 * (box2d.y_min + box2d.y_max),
+            ),
+        )
+        for kind, px, py in anchors:
+            row, col = math.floor(py / stride), math.floor(px / stride)
+            plane = heat[kind]
+            for r in range(max(0, row - radius), min(height, row + radius + 1)):
+                for c in range(max(0, col - radius), min(width, col + radius + 1)):
+                    bump = np.exp(-((r - row) ** 2 + (c - col) ** 2) / (2.0 * sigma * sigma))
+                    plane[r, c, box3d.class_id] = max(float(plane[r, c, box3d.class_id]), bump)
+    return heat
 
 
 def _multibin_oracle(angle, n_bins):

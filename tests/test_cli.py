@@ -504,6 +504,30 @@ class TestMalformedScene:
             f"error: {broken / 'manifest.json'}.stride: invalid value {stride!r}\n"
         )
 
+    @pytest.mark.parametrize("field", ["camera", "objects", "point"])
+    def test_convert_scene_without_field(self, dataset, tmp_path, capsys, field):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        path = broken / "scenes" / "000001.json"
+        scene = json.loads(read(path))
+        del scene[field]
+        path.write_text(json.dumps(scene))
+        code = main(["convert", "--dataset", str(broken), "--out", str(tmp_path / "kitti")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: missing field {field!r}\n"
+
+    def test_convert_sample_without_scene(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        manifest = json.loads(read(broken / "manifest.json"))
+        del manifest["samples"][1]["scene"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["convert", "--dataset", str(broken), "--out", str(tmp_path / "kitti")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {broken / 'manifest.json'}: samples[1]: missing field 'scene'\n"
+        )
+
 
 class TestCellBundles:
     """Bundles whose offsets, embeddings and 3D heads are `.fmap` version 2."""
