@@ -10,7 +10,6 @@ file write is atomic.
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -18,8 +17,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
-    Box2D,
-    CameraIntrinsics,
     ClassTaxonomy,
     ConfigurationError,
     Det3DError,
@@ -29,12 +26,13 @@ from .core import (
     SuperCategory,
     ValidationError,
 )
+from . import jsondoc
 from .decode import GroupingConfig, PeakExtractionConfig, decode_frame_3d
 from .fmap import load_bundle
 from .ioutil import atomic_write_text, stable_json_dumps
 from .kitti import scene_to_kitti
 from .metrics import EvalItem, Interpolation, MatchPolicy, evaluate, mean_average_precision
-from .synthgen import Category, SceneKind, SweepSpec, scene_from_dict, write_dataset
+from .synthgen import Category, SceneKind, SweepSpec, _read_scene, write_dataset
 
 __all__ = ["main", "build_parser"]
 
@@ -143,82 +141,6 @@ class UsageError(Exception):
     """Flag-level problem detected after argparse (exit code 2)."""
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"missing file {path!r}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-
-
-def _require(data, key, path, convert=None):
-    """data[key] of a JSON object read from path, passed through `convert`
-    when one is given, or a ParseError naming the file and the field."""
-    if not isinstance(data, dict):
-        raise ParseError(
-            f"{path}: expected a JSON object with a {key!r} field, got {type(data).__name__}"
-        )
-    try:
-        value = data[key]
-    except KeyError:
-        raise ParseError(f"{path}: missing field {key!r}") from None
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (TypeError, ValueError, LookupError):
-        raise ParseError(f"{path}.{key}: invalid value {value!r}") from None
-
-
-def _string(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _stride(value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
-    return value
-
-
-def _samples(manifest, path, keys):
-    """The string fields `keys` of each manifest sample, one tuple per
-    sample, or a ParseError naming the file, the sample and the field."""
-    return [
-        tuple(_require(entry, key, f"{path}: samples[{k}]", _string) for key in keys)
-        for k, entry in enumerate(_require(manifest, "samples", path, list))
-    ]
-
-
-def _camera(scene, path):
-    """The camera of a scene JSON object read from path."""
-    camera = _require(scene, "camera", path)
-    return _require(camera, "p", f"{path}: camera", CameraIntrinsics)
-
-
-def _super_map(data, path):
-    """The optional `super` object (class name -> super-category) of a JSON
-    object read from path; {} when absent."""
-    value = data.get("super", {})
-    if value is not None and not isinstance(value, dict):
-        raise ParseError(f"{path}: super: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _taxonomy_from(classes, super_names, path):
-    grouping = {}
-    for name in classes:
-        value = super_names.get(name, "Ground") if super_names else "Ground"
-        try:
-            grouping[name] = SuperCategory(value)
-        except ValueError:
-            raise ParseError(f"{path}: super[{name!r}]: invalid value {value!r}") from None
-    return ClassTaxonomy(names=tuple(classes), grouping=grouping)
-
-
 def _cmd_synth(args):
     spec = SweepSpec(
         category=Category(args.category),
@@ -242,33 +164,12 @@ def _cmd_synth(args):
     return 0
 
 
-def _detection_obj(label, detection, box3d):
-    obj = {
-        "class": label,
-        "score": detection.score,
-        "box2d": {
-            "x_min": detection.box.x_min,
-            "y_min": detection.box.y_min,
-            "x_max": detection.box.x_max,
-            "y_max": detection.box.y_max,
-        },
-        "box3d": None,
-    }
-    if box3d is not None:
-        obj["box3d"] = {
-            "center": list(box3d.center),
-            "dims": list(box3d.dims),
-            "orientation": list(box3d.orientation),
-        }
-    return obj
-
-
 def _load_frame(frame_dir, scene_path):
     """A frame's bundle, and the camera of its scene file when there is one."""
     bundle = load_bundle(frame_dir)
     camera = None
     if os.path.exists(scene_path):
-        camera = _camera(_load_json(scene_path), scene_path)
+        camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
     return bundle, camera
 
 
@@ -277,7 +178,7 @@ def _decode_loaded(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
         bundle, camera, peak_cfg, group_cfg, stride=stride, taxonomy=taxonomy
     )
     return [
-        _detection_obj(taxonomy.names[det.class_id], det, box3d)
+        jsondoc.write_object(taxonomy.names[det.class_id], det.box, box3d, det.score)
         for det, box3d in results
     ]
 
@@ -342,53 +243,37 @@ def _cmd_decode(args):
 
     if args.dataset:
         manifest_path = os.path.join(args.dataset, "manifest.json")
-        manifest = _load_json(manifest_path)
-        classes = _require(manifest, "classes", manifest_path)
-        stride = args.stride or (
-            _require(manifest, "stride", manifest_path, _stride) if "stride" in manifest else 1
-        )
-        super_names = _super_map(manifest, manifest_path)
-        taxonomy = _taxonomy_from(classes, super_names, manifest_path)
+        manifest = jsondoc.load(manifest_path)
+        taxonomy, super_names = jsondoc.read_taxonomy(manifest, manifest_path)
+        stride = args.stride or jsondoc.field(manifest, "stride", manifest_path, jsondoc.count, 1)
+        samples = jsondoc.read_samples(manifest, manifest_path, ("id", "frames", "scene"))
         jobs = [
             (fid, os.path.join(args.dataset, frames_dir), os.path.join(args.dataset, scene))
-            for fid, frames_dir, scene in _samples(manifest, manifest_path, ("id", "frames", "scene"))
+            for fid, frames_dir, scene in samples
         ]
         jobs.sort(key=lambda job: job[0])
         decode = functools.partial(
             _decode_loaded, taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride
         )
         frames = _decode_frames(jobs, decode, args.jobs)
-        payload = {
-            "classes": list(taxonomy.names),
-            "super": super_names,
-            "frames": {fid: frames[fid] for fid in sorted(frames)},
-        }
     else:
+        classes = ClassTaxonomy.default().names
         if args.classes:
             classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-        else:
-            classes = list(ClassTaxonomy.default().names)
-        super_names = {}
-        camera = None
-        scene_path = args.scene
-        if scene_path is not None:
-            scene_data = _load_json(scene_path)
-            camera = _camera(scene_data, scene_path)
-            classes = list(scene_data.get("classes", classes))
-            super_names = _super_map(scene_data, scene_path)
-        taxonomy = _taxonomy_from(classes, super_names, scene_path)
-        stride = args.stride if args.stride is not None else 1
+        scene, camera = {}, None
+        if args.scene is not None:
+            scene = jsondoc.load(args.scene)
+            camera = jsondoc.read_camera(scene, args.scene)
+        taxonomy, super_names = jsondoc.read_taxonomy(scene, args.scene or "--classes", classes)
+        bundle = load_bundle(args.bundle)
         frame_id = os.path.basename(os.path.normpath(args.bundle))
-        frames = {
-            frame_id: _decode_loaded(
-                load_bundle(args.bundle), camera, taxonomy, peak_cfg, group_cfg, stride
-            )
-        }
-        payload = {
-            "classes": list(taxonomy.names),
-            "super": super_names,
-            "frames": frames,
-        }
+        stride = args.stride or 1
+        frames = {frame_id: _decode_loaded(bundle, camera, taxonomy, peak_cfg, group_cfg, stride)}
+    payload = {
+        "classes": list(taxonomy.names),
+        "super": super_names,
+        "frames": {fid: frames[fid] for fid in sorted(frames)},
+    }
 
     atomic_write_text(args.out, stable_json_dumps(payload))
     total = sum(len(v) for v in payload["frames"].values())
@@ -396,38 +281,11 @@ def _cmd_decode(args):
     return 0
 
 
-_BOX2D_FIELDS = ("x_min", "y_min", "x_max", "y_max")
-
-
-def _items_from_frames(data, path):
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object with a 'frames' field, got {type(data).__name__}")
-    frames = data.get("frames", {})
-    if not isinstance(frames, dict):
-        raise ParseError(f"{path}: frames: expected a JSON object, got {type(frames).__name__}")
-    items_by_frame = {}
-    for fid, objects in frames.items():
-        if not isinstance(objects, list):
-            raise ParseError(
-                f"{path}: frames[{fid!r}]: expected a JSON list, got {type(objects).__name__}"
-            )
-        items = []
-        for k, obj in enumerate(objects):
-            where = f"{path}: frames[{fid!r}][{k}]"
-            b = _require(obj, "box2d", where)
-            coords = [_require(b, name, f"{where}.box2d", float) for name in _BOX2D_FIELDS]
-            score = _require(obj, "score", where, float) if "score" in obj else 1.0
-            try:
-                box = Box2D(*coords, class_id=0, score=score)
-            except DomainError as exc:
-                raise ParseError(f"{where}: {exc}") from None
-            depth = None
-            if obj.get("box3d"):
-                box3d = _require(obj, "box3d", where)
-                depth = _require(box3d, "center", f"{where}.box3d", lambda c: float(c[2]))
-            items.append(EvalItem(label=_require(obj, "class", where, str), box=box, depth=depth))
-        items_by_frame[fid] = items
-    return items_by_frame
+def _eval_items(path):
+    """The JSON document at path, and its frames as EvalItems."""
+    data = jsondoc.load(path)
+    frames = jsondoc.read_frames(data, path)
+    return data, {fid: [EvalItem(*obj) for obj in objects] for fid, objects in frames.items()}
 
 
 def _format_report(report):
@@ -484,35 +342,22 @@ def _cmd_eval(args):
 
     if not args.pred or not args.truth:
         raise UsageError("eval needs --pred and --truth (or --per-class-ap entries)")
-    pred_data = _load_json(args.pred)
-    truth_data = _load_json(args.truth)
-    preds = _items_from_frames(pred_data, args.pred)
-    truths = _items_from_frames(truth_data, args.truth)
+    _, preds = _eval_items(args.pred)
+    truth_data, truths = _eval_items(args.truth)
+    super_map = jsondoc.field(truth_data, "super", args.truth, dict, {})
     policy = MatchPolicy(
         iou_threshold=args.iou, interpolation=Interpolation(args.interpolation)
     )
-    report = evaluate(preds, truths, policy, super_map=_super_map(truth_data, args.truth))
+    report = evaluate(preds, truths, policy, super_map=super_map)
     print(_format_report(report))
     if args.out:
         atomic_write_text(args.out, stable_json_dumps(report.to_dict()))
     return 0
 
 
-def _scene(path):
-    """The SceneSample of a scene JSON file, or a ParseError naming the
-    file and the first missing field."""
-    data = _load_json(path)
-    _camera(data, path)
-    try:
-        return scene_from_dict(data)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from None
-
-
 def _cmd_convert(args):
     manifest_path = os.path.join(args.dataset, "manifest.json")
-    manifest = _load_json(manifest_path)
-    samples = _samples(manifest, manifest_path, ("id", "scene"))
+    samples = jsondoc.read_samples(jsondoc.load(manifest_path), manifest_path, ("id", "scene"))
     labels_dir = os.path.join(args.out, "label_2")
     calib_dir = os.path.join(args.out, "calib")
     try:
@@ -521,13 +366,12 @@ def _cmd_convert(args):
     except OSError as exc:
         print(f"error: cannot create output under {args.out!r}: {exc}", file=sys.stderr)
         return 2
-    count = 0
     for fid, scene in samples:
-        label_text, calib_text = scene_to_kitti(_scene(os.path.join(args.dataset, scene)))
+        scene_path = os.path.join(args.dataset, scene)
+        label_text, calib_text = scene_to_kitti(_read_scene(jsondoc.load(scene_path), scene_path))
         atomic_write_text(os.path.join(labels_dir, f"{fid}.txt"), label_text)
         atomic_write_text(os.path.join(calib_dir, f"{fid}.txt"), calib_text)
-        count += 1
-    print(f"converted {count} frames -> {args.out}")
+    print(f"converted {len(samples)} frames -> {args.out}")
     return 0
 
 
@@ -542,10 +386,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValidationError, ConfigurationError, DomainError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ParseError, ValidationError, ConfigurationError, DomainError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Det3DError as exc:

@@ -177,9 +177,10 @@ def parse_kitti_calib(text):
                 f"P2 needs 12 values, got {len(tokens)}", line=line_number, field_name="P2"
             )
         values = [_parse_float(tok, "P2", line_number) for tok in tokens]
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError("P2 values must be finite", line=line_number, field_name="P2")
-        return CameraIntrinsics([values[0:4], values[4:8], values[8:12]])
+        try:
+            return CameraIntrinsics([values[0:4], values[4:8], values[8:12]])
+        except DomainError as exc:
+            raise ParseError(f"invalid P2: {exc}", line=line_number, field_name="P2") from None
     raise ParseError("no P2 entry found in calibration file")
 
 

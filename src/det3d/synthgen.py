@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     ALL_KINDS,
     CORNER_KINDS,
-    Box2D,
     Box3D,
     CameraIntrinsics,
     ClassTaxonomy,
@@ -36,6 +35,19 @@ from .core import (
     SuperCategory,
 )
 from .geometry3d import _hulls, _multibin_bins, uniform_bin_centers
+from .jsondoc import (
+    count,
+    field,
+    items,
+    read_camera,
+    read_object,
+    read_record,
+    read_taxonomy,
+    string,
+    write_object,
+    write_record,
+    write_taxonomy,
+)
 from .metrics import iou_matrix
 
 __all__ = [
@@ -150,41 +162,6 @@ class SweepPoint:
     rain: bool
     wind: float
     sensor_style: str
-
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "category": self.category.value,
-            "super_category": self.super_category.value,
-            "scene": self.scene.value,
-            "camera_distance": self.camera_distance,
-            "camera_elevation": self.camera_elevation,
-            "camera_azimuth": self.camera_azimuth,
-            "light_intensity": self.light_intensity,
-            "light_elevation": self.light_elevation,
-            "light_azimuth": self.light_azimuth,
-            "rain": self.rain,
-            "wind": self.wind,
-            "sensor_style": self.sensor_style,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            index=int(data["index"]),
-            category=Category(data["category"]),
-            super_category=SuperCategory(data["super_category"]),
-            scene=SceneKind(data["scene"]),
-            camera_distance=float(data["camera_distance"]),
-            camera_elevation=float(data["camera_elevation"]),
-            camera_azimuth=float(data["camera_azimuth"]),
-            light_intensity=float(data["light_intensity"]),
-            light_elevation=float(data["light_elevation"]),
-            light_azimuth=float(data["light_azimuth"]),
-            rain=bool(data["rain"]),
-            wind=float(data["wind"]),
-            sensor_style=str(data["sensor_style"]),
-        )
 
 
 def _pick(rng, values):
@@ -539,32 +516,22 @@ def corrupt_maps(bundle, noise_level, rng_seed):
     )
 
 
+def _objects(sample, score=None):
+    return [
+        write_object(label, box2d, box3d, score)
+        for label, box3d, box2d in zip(sample.labels, sample.objects, sample.boxes2d)
+    ]
+
+
 def scene_to_dict(sample):
     """JSON-ready scene annotation (camera, truth boxes, sweep metadata)."""
     return {
         "id": sample.sample_id,
-        "image_size": [sample.image_size[0], sample.image_size[1]],
-        "camera": {"p": [[float(v) for v in row] for row in sample.camera.p]},
-        "point": sample.point.to_dict(),
-        "classes": list(sample.taxonomy.names),
-        "super": {name: cat.value for name, cat in sample.taxonomy.grouping.items()},
-        "objects": [
-            {
-                "class": label,
-                "box3d": {
-                    "center": list(box3d.center),
-                    "dims": list(box3d.dims),
-                    "orientation": list(box3d.orientation),
-                },
-                "box2d": {
-                    "x_min": box2d.x_min,
-                    "y_min": box2d.y_min,
-                    "x_max": box2d.x_max,
-                    "y_max": box2d.y_max,
-                },
-            }
-            for label, box3d, box2d in zip(sample.labels, sample.objects, sample.boxes2d)
-        ],
+        "image_size": list(sample.image_size),
+        "camera": {"p": sample.camera.p.tolist()},
+        "point": write_record(sample.point),
+        **write_taxonomy(sample.taxonomy),
+        "objects": _objects(sample),
         "metadata": dict(sample.metadata),
     }
 
@@ -573,31 +540,8 @@ def truth_dict(samples):
     """Ground-truth annotations for a set of samples, in the same frame
     layout the decode command emits, so `eval` can consume either side."""
     taxonomy = samples[0].taxonomy if samples else ClassTaxonomy.default()
-    frames = {}
-    for sample in samples:
-        frames[sample.sample_id] = [
-            {
-                "class": label,
-                "score": 1.0,
-                "box2d": {
-                    "x_min": box2d.x_min,
-                    "y_min": box2d.y_min,
-                    "x_max": box2d.x_max,
-                    "y_max": box2d.y_max,
-                },
-                "box3d": {
-                    "center": list(box3d.center),
-                    "dims": list(box3d.dims),
-                    "orientation": list(box3d.orientation),
-                },
-            }
-            for label, box3d, box2d in zip(sample.labels, sample.objects, sample.boxes2d)
-        ]
-    return {
-        "classes": list(taxonomy.names),
-        "super": {name: cat.value for name, cat in taxonomy.grouping.items()},
-        "frames": frames,
-    }
+    frames = {sample.sample_id: _objects(sample, score=1.0) for sample in samples}
+    return {**write_taxonomy(taxonomy), "frames": frames}
 
 
 def write_dataset(
@@ -661,7 +605,7 @@ def write_dataset(
             entries.append(
                 {
                     "id": sample_id,
-                    "point": point.to_dict(),
+                    "point": write_record(point),
                     "repeat": repeat,
                     "scene": scene_rel.replace(os.sep, "/"),
                     "frames": frames_rel.replace(os.sep, "/"),
@@ -682,8 +626,7 @@ def write_dataset(
         "stride": stride,
         "sigma": sigma,
         "orientation_bins": orientation_bins,
-        "classes": list(taxonomy.names),
-        "super": {name: cat.value for name, cat in taxonomy.grouping.items()},
+        **write_taxonomy(taxonomy),
         "samples": entries,
     }
     atomic_write_text(os.path.join(out_dir, "truth.json"), stable_json_dumps(truth_dict(samples)))
@@ -692,40 +635,27 @@ def write_dataset(
 
 
 def scene_from_dict(data):
-    """Inverse of :func:`scene_to_dict`."""
-    taxonomy = ClassTaxonomy(
-        names=tuple(data["classes"]),
-        grouping={k: SuperCategory(v) for k, v in data["super"].items()},
-    )
-    point = SweepPoint.from_dict(data["point"])
-    labels = []
-    objects = []
-    boxes2d = []
-    for obj in data["objects"]:
-        label = obj["class"]
-        class_id = taxonomy.index(label)
-        labels.append(label)
-        objects.append(
-            Box3D(
-                center=tuple(obj["box3d"]["center"]),
-                dims=tuple(obj["box3d"]["dims"]),
-                orientation=tuple(obj["box3d"]["orientation"]),
-                class_id=class_id,
-                score=1.0,
-            )
-        )
-        b = obj["box2d"]
-        boxes2d.append(
-            Box2D(b["x_min"], b["y_min"], b["x_max"], b["y_max"], class_id=class_id, score=1.0)
-        )
+    """Inverse of :func:`scene_to_dict`; a malformed field raises ParseError
+    naming its JSON path under `scene`."""
+    return _read_scene(data, "scene")
+
+
+def _read_scene(data, where):
+    """The SceneSample of the scene document at `where`, a file name or
+    another root for the JSON paths of its errors."""
+    taxonomy, _ = read_taxonomy(data, where, complete=True)
+    objects = [
+        read_object(obj, f"{where}: objects[{k}]", taxonomy.names)
+        for k, obj in enumerate(field(data, "objects", where, list))
+    ]
     return SceneSample(
-        sample_id=str(data["id"]),
-        point=point,
-        camera=CameraIntrinsics(data["camera"]["p"]),
-        image_size=(int(data["image_size"][0]), int(data["image_size"][1])),
+        sample_id=field(data, "id", where, string),
+        point=read_record(SweepPoint, field(data, "point", where), f"{where}: point"),
+        camera=read_camera(data, where),
+        image_size=field(data, "image_size", where, items(count, 2)),
         taxonomy=taxonomy,
-        labels=tuple(labels),
-        objects=tuple(objects),
-        boxes2d=tuple(boxes2d),
-        metadata=dict(data["metadata"]),
+        labels=tuple(label for label, _, _ in objects),
+        objects=tuple(box3d for _, _, box3d in objects),
+        boxes2d=tuple(box2d for _, box2d, _ in objects),
+        metadata=dict(field(data, "metadata", where, dict)),
     )

@@ -529,6 +529,102 @@ class TestMalformedScene:
         )
 
 
+class TestMalformedFields:
+    """A present but malformed field of a scene, manifest, --scene or eval
+    file exits 3, naming the file and the JSON path of the field."""
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda s: s["point"].update(category="bogus"), ": point.category: invalid value 'bogus'"),
+            (lambda s: s["point"].update(index="a"), ": point.index: invalid value 'a'"),
+            (lambda s: s.update(image_size=["a", 1]), ".image_size: invalid value ['a', 1]"),
+            (lambda s: s.update(metadata="x"), ": metadata: expected a JSON object, got str"),
+            (lambda s: s.update(objects=3), ": objects: expected a JSON list, got int"),
+            (lambda s: s.update(super=["x"]), ": super: expected a JSON object, got list"),
+            (lambda s: s["objects"][0]["box2d"].update(x_min="a"),
+             ": objects[0].box2d.x_min: invalid value 'a'"),
+            (lambda s: s.update(objects={}), ": objects: expected a JSON list, got dict"),
+            (lambda s: s["objects"][0].update({"class": "nope"}), ": objects[0].class: invalid value 'nope'"),
+            (lambda s: s.update(classes=3), ".classes: invalid value 3"),
+            (lambda s: s.update(classes="air_vehicle"), ".classes: invalid value 'air_vehicle'"),
+            (lambda s: s["super"].pop("air_vehicle"), ": super: missing field 'air_vehicle'"),
+            (lambda s: s["objects"][0].update(box3d=None),
+             ": objects[0]: box3d: expected a JSON object, got NoneType"),
+            (lambda s: s["objects"][0]["box3d"].update(dims=[0, 1, 1]),
+             ": objects[0]: box dims must be positive"),
+        ],
+    )
+    def test_convert_scene_field(self, dataset, tmp_path, capsys, edit, fragment):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        path = broken / "scenes" / "000001.json"
+        scene = json.loads(read(path))
+        edit(scene)
+        path.write_text(json.dumps(scene))
+        code = main(["convert", "--dataset", str(broken), "--out", str(tmp_path / "kitti")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{fragment}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("classes", [3, "air_vehicle", [1, 2]])
+    def test_manifest_classes_not_a_list_of_strings(self, dataset, tmp_path, capsys, classes):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        manifest = json.loads(read(broken / "manifest.json"))
+        manifest["classes"] = classes
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["decode", "--dataset", str(broken), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {broken / 'manifest.json'}.classes: invalid value {classes!r}\n"
+        )
+
+    @pytest.mark.parametrize("classes", [3, "air_vehicle"])
+    def test_bundle_scene_classes_not_a_list_of_strings(self, dataset, tmp_path, capsys, classes):
+        scene = json.loads(read(dataset / "scenes" / "000000.json"))
+        scene["classes"] = classes
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        code = main(["decode", "--bundle", str(dataset / "frames" / "000000"),
+                     "--scene", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}.classes: invalid value {classes!r}\n"
+
+    @pytest.mark.parametrize("label", [5, None, ["car"]])
+    def test_eval_class_not_a_string(self, dataset, tmp_path, capsys, label):
+        truth = json.loads(read(dataset / "truth.json"))
+        truth["frames"]["000001"][0]["class"] = label
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(truth))
+        code = main(["eval", "--pred", str(pred), "--truth", str(dataset / "truth.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {pred}: frames['000001'][0].class: invalid value {label!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["not_utf8", "too_deep"]
+    )
+    @pytest.mark.parametrize("target", ["manifest.json", "scenes/000000.json", "pred", "truth"])
+    def test_undecodable_json_exits_3(self, dataset, tmp_path, capsys, target, content):
+        """A file that is not UTF-8, or nests past the parser's depth."""
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        if target in ("pred", "truth"):
+            bad = tmp_path / f"{target}.json"
+            bad.write_bytes(content)
+            files = {"pred": broken / "truth.json", "truth": broken / "truth.json", target: bad}
+            argv = ["eval", "--pred", str(files["pred"]), "--truth", str(files["truth"])]
+        else:
+            bad = broken / target
+            bad.write_bytes(content)
+            argv = ["decode", "--dataset", str(broken), "--out", str(tmp_path / "x.json")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: invalid JSON: " in err and err.count("\n") == 1, err
+
+
 class TestCellBundles:
     """Bundles whose offsets, embeddings and 3D heads are `.fmap` version 2."""
 

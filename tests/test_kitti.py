@@ -145,6 +145,15 @@ class TestCalib:
         with pytest.raises(ParseError, match="12 values"):
             parse_kitti_calib("P2: 1.0 2.0\n")
 
+    @pytest.mark.parametrize("zero", [0, 5])
+    def test_zero_focal_is_a_parse_error(self, zero):
+        values = ["100.0", "0.0", "320.0", "0.0", "0.0", "100.0", "240.0", "0.0", "0.0", "0.0", "1.0", "0.0"]
+        values[zero] = "0.0"
+        with pytest.raises(ParseError) as info:
+            parse_kitti_calib("\nP2: " + " ".join(values) + "\n")
+        assert info.value.line == 2 and info.value.field_name == "P2"
+        assert str(info.value).startswith("invalid P2: focal entries")
+
 
 class TestConversion:
     def test_quarter_turn_azimuth(self):
