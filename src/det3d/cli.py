@@ -345,6 +345,8 @@ def _cmd_eval(args):
     _, preds = _eval_items(args.pred)
     truth_data, truths = _eval_items(args.truth)
     super_map = jsondoc.field(truth_data, "super", args.truth, dict, {})
+    for name in super_map:
+        jsondoc.super_category(super_map, name, args.truth)
     policy = MatchPolicy(
         iou_threshold=args.iou, interpolation=Interpolation(args.interpolation)
     )

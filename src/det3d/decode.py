@@ -7,7 +7,8 @@ assembly. Every step is deterministic: all orderings use total sort keys
 """
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,10 @@ class PeakExtractionConfig:
     top_k: int = 100
 
     def __post_init__(self):
+        for name in ("nms_window", "top_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise DomainError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
         if self.nms_window < 1 or self.nms_window % 2 == 0:
@@ -100,9 +105,19 @@ def extract_peaks(heatmap, cfg, kind):
     del row_max
 
     flat = np.flatnonzero(keep)
-    cells, channels = np.divmod(flat, n_channels)
+    channels = flat % n_channels
+    scores = data.reshape(-1)[flat]
+    # A peak below its channel's top_k-th best score can never be kept, so
+    # it is dropped before any ranking; ties at that score all stay.
+    cutoff = np.zeros(n_channels, dtype=scores.dtype)
+    for ch in range(n_channels):
+        ranked = scores[channels == ch]
+        if ranked.size > cfg.top_k:
+            cutoff[ch] = np.partition(ranked, -cfg.top_k)[-cfg.top_k]
+    survive = scores >= cutoff[channels]
+    flat, channels, scores = flat[survive], channels[survive], scores[survive]
+    cells = flat // n_channels
     rows, cols = np.divmod(cells, width)
-    scores = data[rows, cols, channels]
     # Flat cell indices run in (row, col) order within a channel. Rank the
     # peaks within their channel and keep the first top_k of each.
     order = np.lexsort((cells, -scores, channels))
@@ -110,7 +125,7 @@ def extract_peaks(heatmap, cfg, kind):
     order = order[np.arange(order.size) - channel_start < cfg.top_k]
     order = order[np.lexsort((channels[order], cells[order], -scores[order]))]
     return [
-        Keypoint(kind=kind, class_id=ch, row=row, col=col, score=score)
+        Keypoint(kind, ch, row, col, score)
         for ch, row, col, score in zip(
             channels[order].tolist(),
             rows[order].tolist(),
@@ -137,7 +152,10 @@ def attach_tags(keypoints, embedding):
             f"embedding map must have 1 channel, got {embedding.channels}"
         )
     tags = embedding.take(*_cells(keypoints))[:, 0].tolist()
-    return [replace(kp, tag=tag) for kp, tag in zip(keypoints, tags)]
+    return [
+        Keypoint(kp.kind, kp.class_id, kp.row, kp.col, kp.score, tag)
+        for kp, tag in zip(keypoints, tags)
+    ]
 
 
 def group_corners(top_lefts, bottom_rights, cfg):

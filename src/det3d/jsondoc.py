@@ -25,7 +25,7 @@ from .core import (
 __all__ = [
     "load", "field", "string", "integer", "count", "number", "items", "read_camera",
     "write_object", "read_object", "read_frames", "write_taxonomy", "read_taxonomy",
-    "read_samples", "write_record", "read_record",
+    "super_category", "read_samples", "write_record", "read_record",
 ]
 
 _REQUIRED = object()
@@ -189,14 +189,19 @@ def read_taxonomy(data, where, classes=_REQUIRED, complete=False):
     """
     names = field(data, "classes", where, items(string), classes)
     supers = field(data, "super", where, dict, _REQUIRED if complete else {})
-    grouping = {}
-    for name in names:
-        value = field(supers, name, f"{where}: super", default=_REQUIRED if complete else "Ground")
-        try:
-            grouping[name] = SuperCategory(value)
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: super[{name!r}]: invalid value {value!r}") from None
+    default = _REQUIRED if complete else "Ground"
+    grouping = {name: super_category(supers, name, where, default) for name in names}
     return _build(where, ClassTaxonomy, names=tuple(names), grouping=grouping), supers
+
+
+def super_category(supers, name, where, default=_REQUIRED):
+    """The SuperCategory that the `super` map of the document at `where`
+    gives class `name`; `default` stands in for an absent entry."""
+    value = field(supers, name, f"{where}: super", default=default)
+    try:
+        return SuperCategory(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: super[{name!r}]: invalid value {value!r}") from None
 
 
 def read_samples(manifest, where, keys):

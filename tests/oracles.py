@@ -18,6 +18,7 @@ from det3d.core import (
     ClassTaxonomy,
     ConfigurationError,
     DegenerateProjectionError,
+    Detection,
     GenerationError,
     KeypointKind,
     RangeError,
@@ -171,6 +172,62 @@ def grouping_oracle(top_lefts, bottom_rights, theta, geometric_gate):
         used_tl.add(best[1])
         used_br.add(best[2])
         pairs.append((best[1], best[2]))
+
+
+def assembly_oracle(pairs, centers, offsets, stride):
+    """The seed's scalar box assembly, one pair and one center at a time.
+
+    Each keypoint is refined to ((col + o_x) * stride, (row + o_y) * stride)
+    from its kind's offset map. A pair whose refined corners cross is
+    dropped; otherwise the same-class center with the smallest
+    (-score, row, col), first in input order on a tie, among those inside
+    the box's middle third is attached, and a pair with no such center is
+    dropped. Detections are sorted by (-score, tl row, tl col, br row,
+    br col, class).
+    """
+
+    def refine(keypoint):
+        plane = offsets[keypoint.kind]
+        o_x = plane.get(keypoint.row, keypoint.col, 0)
+        o_y = plane.get(keypoint.row, keypoint.col, 1)
+        return (keypoint.col + o_x) * stride, (keypoint.row + o_y) * stride
+
+    refined_centers = [(center, refine(center)) for center in centers]
+    detections = []
+    for tl, br in pairs:
+        x1, y1 = refine(tl)
+        x2, y2 = refine(br)
+        if x1 > x2 or y1 > y2:
+            continue
+        third_w = (x2 - x1) / 3.0
+        third_h = (y2 - y1) / 3.0
+        best = None
+        for center, (cx, cy) in refined_centers:
+            if center.class_id != tl.class_id:
+                continue
+            if not (x1 + third_w <= cx <= x2 - third_w and y1 + third_h <= cy <= y2 - third_h):
+                continue
+            key = (-center.score, center.row, center.col)
+            if best is None or key < (-best.score, best.row, best.col):
+                best = center
+        if best is None:
+            continue
+        score = (tl.score + br.score + best.score) / 3.0
+        box = Box2D(x1, y1, x2, y2, class_id=tl.class_id, score=score)
+        detections.append(
+            Detection(box=box, top_left=tl, bottom_right=br, center=best, tag=0.5 * (tl.tag + br.tag))
+        )
+    detections.sort(
+        key=lambda d: (
+            -d.box.score,
+            d.top_left.row,
+            d.top_left.col,
+            d.bottom_right.row,
+            d.bottom_right.col,
+            d.box.class_id,
+        )
+    )
+    return detections
 
 
 def lift_oracle(detections, bundle, camera):

@@ -367,6 +367,17 @@ class TestEval:
             f"error: {truth_path}: super: expected a JSON object, got list\n"
         )
 
+    def test_truth_super_value_not_a_category_exits_3(self, dataset, tmp_path, capsys):
+        truth = json.loads(read(dataset / "truth.json"))
+        truth["super"]["air_vehicle"] = [1]
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(truth))
+        code = main(["eval", "--pred", str(dataset / "truth.json"), "--truth", str(truth_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {truth_path}: super['air_vehicle']: invalid value [1]\n"
+        )
+
     def test_missing_args_exit_2(self):
         assert main(["eval"]) == 2
 

@@ -12,11 +12,13 @@ from det3d.core import (
     MapRole,
     SuperCategory,
 )
+from det3d import decode
 from det3d.decode import (
     GroupingConfig,
     PeakExtractionConfig,
     assemble_boxes,
     attach_tags,
+    decode_frame,
     extract_peaks,
     group_corners,
     refine_with_offsets,
@@ -29,7 +31,7 @@ from det3d.synthgen import (
     generate_scene,
     render_ideal_maps,
 )
-from oracles import grouping_oracle, peaks_oracle
+from oracles import assembly_oracle, grouping_oracle, peaks_oracle
 
 TL = KeypointKind.TOP_LEFT
 BR = KeypointKind.BOTTOM_RIGHT
@@ -128,6 +130,16 @@ class TestExtractPeaks:
             PeakExtractionConfig(score_threshold=1.5)
         with pytest.raises(DomainError):
             PeakExtractionConfig(top_k=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_top_k_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match="top_k must be an integer"):
+            PeakExtractionConfig(top_k=value)
+
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, "3"])
+    def test_nms_window_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match="nms_window must be an integer"):
+            PeakExtractionConfig(nms_window=value)
 
 
 def kp(kind, tag, class_id=0, row=0, col=0, score=1.0):
@@ -284,15 +296,17 @@ def quantized(rng, shape, levels):
     return (rng.integers(0, levels + 1, size=shape) / levels).astype(np.float32)
 
 
-def noisy_bundles(count, noise=0.2):
-    """Corrupted ideal bundles of small scenes from both camera sweeps."""
+def noisy_bundles(count, noise=0.2, n_objects=1, image_size=(128, 96)):
+    """Corrupted ideal bundles of scenes from both camera sweeps."""
     bundles = []
     for seed, super_category in enumerate(SuperCategory):
         points = enumerate_sweep(
             SweepSpec(category=Category.CAMERA, super_category=super_category, seed=seed)
         )
         for k in range(count):
-            sample = generate_scene(points[k], rng_seed=seed, n_objects=1, image_size=(128, 96))
+            sample = generate_scene(
+                points[k], rng_seed=seed, n_objects=n_objects, image_size=image_size
+            )
             bundle = render_ideal_maps(sample, include_aux=False)
             bundles.append(corrupt_maps(bundle, noise, rng_seed=[seed, k]))
     return bundles
@@ -370,3 +384,149 @@ class TestGroupingMatchesOracle:
             )
             for gate in (True, False):
                 self.check(tls, brs, GroupingConfig(geometric_gate=gate))
+
+
+def lattice_channel(rng, size, scores):
+    """An isolated window-3 maximum with each score, at shuffled cells of
+    the even-row, even-col lattice of a size x size plane."""
+    plane = np.zeros((size, size), dtype=np.float32)
+    lattice = [(r, c) for r in range(0, size, 2) for c in range(0, size, 2)]
+    for k, score in zip(rng.permutation(len(lattice)).tolist(), scores):
+        plane[lattice[k]] = score
+    return plane
+
+
+class TestTopKCutoff:
+    """A channel keeps at most top_k peaks; the peaks tied at its top_k-th
+    score are kept by (row, col) and every peak below it is dropped."""
+
+    @pytest.mark.parametrize("top_k", [1, 5, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ties_at_cutoff_next_to_a_short_channel(self, top_k, seed):
+        rng = np.random.default_rng([top_k, seed])
+        # Channel 0: top_k // 2 peaks above the cutoff score 0.5, more than
+        # top_k tied at it, and some below it. Channel 1: fewer than top_k.
+        crowded = [1.0] * (top_k // 2) + [0.5] * (top_k + 3) + [0.25] * 7
+        short = [0.75] * (top_k - 1)
+        size = 2 * int(np.ceil(np.sqrt(len(crowded))))
+        data = np.stack(
+            [lattice_channel(rng, size, crowded), lattice_channel(rng, size, short)], axis=-1
+        )
+        cfg = PeakExtractionConfig(score_threshold=0.2, nms_window=3, top_k=top_k)
+        got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+        assert got == peaks_oracle(data, 0.2, 3, top_k)
+        assert sum(ch == 0 for _, _, ch, _ in got) == top_k
+        assert sum(ch == 1 for _, _, ch, _ in got) == top_k - 1
+
+    @pytest.mark.parametrize("top_k", [1, 5, 100])
+    def test_quantized_maps_with_many_maxima(self, top_k):
+        rng = np.random.default_rng(top_k)
+        for _ in range(10):
+            data = quantized(rng, (40, 40, 3), levels=4)
+            data[1:, :, 2] = 0.0  # channel 2 keeps one row: few maxima
+            cfg = PeakExtractionConfig(score_threshold=0.25, nms_window=3, top_k=top_k)
+            got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+            assert got == peaks_oracle(data, 0.25, 3, top_k)
+
+
+def random_keypoint(rng, kind, size):
+    return kp(
+        kind,
+        float(rng.integers(0, 4)) / 4.0,
+        class_id=int(rng.integers(0, 2)),
+        row=int(rng.integers(0, size)),
+        col=int(rng.integers(0, size)),
+        score=float(rng.integers(1, 5)) / 4.0,
+    )
+
+
+class TestAssemblyMatchesOracle:
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_random_pairs_and_centers(self, stride):
+        rng = np.random.default_rng(stride)
+        size = 12
+        for _ in range(150):
+            offsets = {
+                kind: FeatureMap(
+                    (rng.integers(-2, 3, size=(size, size, 2)) / 4.0).astype(np.float32),
+                    role=MapRole.OFFSET,
+                )
+                for kind in KeypointKind
+            }
+            pairs = [
+                (random_keypoint(rng, TL, size), random_keypoint(rng, BR, size))
+                for _ in range(int(rng.integers(0, 8)))
+            ]
+            # Few cells and scores, so centers tie on score and on cell,
+            # and about half of them have the wrong class for a pair.
+            centers = [
+                random_keypoint(rng, CENTER, size) for _ in range(int(rng.integers(0, 12)))
+            ]
+            centers += [c for c in centers[:3] if rng.integers(0, 2)]
+            got = assemble_boxes(pairs, centers, offsets, stride)
+            assert got == assembly_oracle(pairs, centers, offsets, stride)
+
+    def test_crossed_corners_and_wrong_class_centers(self):
+        offsets = {kind: offsets_map(50, 50) for kind in KeypointKind}
+        pairs = [
+            (kp(TL, 0.0, row=40, col=10), kp(BR, 0.0, row=10, col=40)),
+            (kp(TL, 0.0, row=10, col=10), kp(BR, 0.0, row=40, col=40)),
+            (kp(TL, 0.0, class_id=1, row=10, col=10), kp(BR, 0.0, class_id=1, row=40, col=40)),
+        ]
+        centers = [
+            kp(CENTER, 0.0, class_id=1, row=25, col=25, score=0.9),
+            kp(CENTER, 0.0, row=25, col=24, score=0.5),
+            kp(CENTER, 1.0, row=25, col=24, score=0.5),
+            kp(CENTER, 0.0, row=24, col=25, score=0.5),
+        ]
+        got = assemble_boxes(pairs, centers, offsets, 1)
+        assert got == assembly_oracle(pairs, centers, offsets, 1)
+        assert [(d.class_id, d.center) for d in got] == [(1, centers[0]), (0, centers[3])]
+
+
+def decode_oracle(bundle, peak_cfg, group_cfg, stride=1):
+    """peaks_oracle -> tags read cell by cell -> grouping_oracle -> assembly_oracle."""
+    keypoints = {}
+    for kind in KeypointKind:
+        embedding = bundle.embeddings.get(kind)
+        keypoints[kind] = [
+            Keypoint(kind, ch, r, c, score, 0.0 if embedding is None else embedding.get(r, c, 0))
+            for r, c, ch, score in peaks_oracle(
+                bundle.heatmaps[kind].data,
+                peak_cfg.score_threshold,
+                peak_cfg.nms_window,
+                peak_cfg.top_k,
+            )
+        ]
+    tls, brs = keypoints[TL], keypoints[BR]
+    pairs = grouping_oracle(tls, brs, group_cfg.theta, group_cfg.geometric_gate)
+    return assembly_oracle(
+        [(tls[i], brs[j]) for i, j in pairs], keypoints[CENTER], bundle.offsets, stride
+    )
+
+
+class TestDecodeFrameMatchesOracle:
+    def test_full_size_noisy_bundles(self):
+        peak_cfg, group_cfg = PeakExtractionConfig(), GroupingConfig()
+        for bundle in noisy_bundles(1, n_objects=4, image_size=(320, 240)):
+            assert bundle.heatmaps[TL].data.shape[:2] == (240, 320)
+            got = decode_frame(bundle, peak_cfg, group_cfg)
+            assert got == decode_oracle(bundle, peak_cfg, group_cfg)
+
+
+def test_decode_frame_calls_each_stage_through_the_module(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        stage = getattr(decode, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return stage(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("extract_peaks", "attach_tags", "group_corners", "assemble_boxes"):
+        monkeypatch.setattr(decode, name, counting(name))
+    decode_frame(noisy_bundles(1)[0])
+    assert calls == {"extract_peaks": 3, "attach_tags": 2, "group_corners": 1, "assemble_boxes": 1}
