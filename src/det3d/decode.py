@@ -311,4 +311,4 @@ def decode_frame_3d(bundle, camera, peak_cfg=None, group_cfg=None, stride=1, tax
     detections = decode_frame(bundle, peak_cfg, group_cfg, stride, taxonomy)
     if not bundle.has_aux or camera is None:
         return [(det, None) for det in detections]
-    return list(zip(detections, geometry3d.lift_detections(detections, bundle, camera, stride)))
+    return list(zip(detections, geometry3d.lift_detections(detections, bundle, camera)))

@@ -6,7 +6,7 @@ generation, and recovery of the 3D center constrained by the 2D box.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "decode_multibin",
     "decode_depth",
     "dims_mse",
-    "rotation_matrix",
     "box3d_corners",
     "project_point",
     "back_project_point",
@@ -116,13 +115,16 @@ def _multibin_bins(angle_deg, bin_centers):
     return tuple(bins)
 
 
-def _bin_angle(bins, bin_centers):
-    """The first bin of highest confidence: its center plus the atan2 of its
-    (cos, sin) residual, wrapped to [-180, 180)."""
-    conf = [b[0] for b in bins]
-    i = conf.index(max(conf))
-    _, cos_delta, sin_delta = bins[i]
-    return normalize_angle(bin_centers[i] + math.degrees(math.atan2(sin_delta, cos_delta)))
+def _bin_angles(heads, bin_centers):
+    """The angle of each row of (n, N, 3) multibin heads: its first bin of
+    highest confidence's center plus the atan2 of that bin's (cos, sin)
+    residual, wrapped to [-180, 180)."""
+    best = heads[:, :, 0].argmax(axis=1)
+    _, cos_delta, sin_delta = heads[np.arange(len(heads)), best].T.tolist()
+    return [
+        normalize_angle(bin_centers[i] + math.degrees(math.atan2(s, c)))
+        for i, c, s in zip(best.tolist(), cos_delta, sin_delta)
+    ]
 
 
 def decode_multibin(out):
@@ -131,10 +133,13 @@ def decode_multibin(out):
     Ties on confidence pick the smallest bin index; non-finite confidences
     never win. Invariant to any uniform positive scaling of the confidences.
     """
-    if not any(math.isfinite(b[0]) for b in out.bins):
+    heads = np.array([out.bins])
+    conf = heads[:, :, 0]
+    finite = np.isfinite(conf)
+    if not finite.any():
         raise DomainError("all bin confidences are non-finite")
-    bins = [(c if math.isfinite(c) else -math.inf, cd, sd) for c, cd, sd in out.bins]
-    return _bin_angle(bins, out.bin_centers)
+    conf[~finite] = -np.inf
+    return _bin_angles(heads, out.bin_centers)[0]
 
 
 def decode_depth(out):
@@ -171,27 +176,16 @@ def dims_mse(pred, truth):
 
 
 def _rotations(orientations):
-    """Stacked (n, 3, 3) camera-frame rotations Rz(roll) @ Rx(elevation) @ Ry(azimuth)."""
-    factors = []
-    for orientation in orientations:
-        azimuth, elevation, roll = (math.radians(a) for a in orientation)
-        ca, sa = math.cos(azimuth), math.sin(azimuth)
-        ce, se = math.cos(elevation), math.sin(elevation)
-        cr, sr = math.cos(roll), math.sin(roll)
-        factors.append(
-            (
-                [[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]],
-                [[1.0, 0.0, 0.0], [0.0, ce, -se], [0.0, se, ce]],
-                [[ca, 0.0, sa], [0.0, 1.0, 0.0], [-sa, 0.0, ca]],
-            )
-        )
-    rz, rx, ry = np.array(factors).transpose(1, 0, 2, 3)
-    return rz @ rx @ ry
-
-
-def rotation_matrix(orientation_deg):
-    """Camera-frame rotation Rz(roll) @ Rx(elevation) @ Ry(azimuth)."""
-    return _rotations([orientation_deg])[0]
+    """Stacked (n, 3, 3) camera-frame rotations Rz(roll) @ Rx(elevation) @
+    Ry(azimuth) of an (n, 3) array of (azimuth, elevation, roll) degrees."""
+    radians = [math.radians(a) for a in orientations.ravel().tolist()]
+    ca, ce, cr = np.array([math.cos(r) for r in radians]).reshape(-1, 3).T
+    sa, se, sr = np.array([math.sin(r) for r in radians]).reshape(-1, 3).T
+    zero, one = np.zeros(len(ca)), np.ones(len(ca))
+    rz = np.stack([cr, -sr, zero, sr, cr, zero, zero, zero, one], axis=1)
+    rx = np.stack([one, zero, zero, zero, ce, -se, zero, se, ce], axis=1)
+    ry = np.stack([ca, zero, sa, zero, one, zero, -sa, zero, ca], axis=1)
+    return rz.reshape(-1, 3, 3) @ rx.reshape(-1, 3, 3) @ ry.reshape(-1, 3, 3)
 
 
 # Corner sign pattern: index bit 2 -> +w/2 when set, bit 1 -> +h/2,
@@ -204,23 +198,27 @@ _CORNER_SIGNS = np.array(
 )
 
 
-def _corners(boxes):
-    """Stacked (n, 8, 3) corners of the boxes.
+def _columns(boxes):
+    """(dims, centers, orientations) of Box3Ds, each an (n, 3) float64 array."""
+    table = np.array([box.dims + box.center + box.orientation for box in boxes])
+    return table[:, :3], table[:, 3:6], table[:, 6:]
+
+
+def _corners(dims, centers, orientations):
+    """Stacked (n, 8, 3) corners of boxes given as (n, 3) columns.
 
     numpy's matmul runs each stacked 8x3 @ 3x3 slice through the same
     kernel as a single-box product, so a box's corners are the same bits
     whatever batch it is in.
     """
-    shapes = np.array([box.dims + box.center for box in boxes])
-    local = _CORNER_SIGNS * (0.5 * shapes[:, None, :3])
-    rot = _rotations([box.orientation for box in boxes])
-    return local @ rot.transpose(0, 2, 1) + shapes[:, None, 3:]
+    local = _CORNER_SIGNS * (0.5 * dims[:, None, :])
+    return local @ _rotations(orientations).transpose(0, 2, 1) + centers[:, None, :]
 
 
 def box3d_corners(box):
     """The 8 corners (metres, camera frame) of a 3D box, in the fixed
     bit-pattern order documented on `_CORNER_SIGNS`."""
-    return _corners([box])[0]
+    return _corners(*_columns([box]))[0]
 
 
 def project_point(camera, point):
@@ -236,6 +234,23 @@ def project_point(camera, point):
     return (u / w, v / w)
 
 
+def _back_project(p, u, v, z):
+    """(x, y, det) of pixels (u, v) back-projected at depths z, as floats
+    or elementwise over arrays; x and y are meaningless where the 2x2
+    determinant det is 0. Overflow gives inf or nan without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a00 = p[0, 0] - u * p[2, 0]
+        a01 = p[0, 1] - u * p[2, 1]
+        a10 = p[1, 0] - v * p[2, 0]
+        a11 = p[1, 1] - v * p[2, 1]
+        b0 = u * (p[2, 2] * z + p[2, 3]) - (p[0, 2] * z + p[0, 3])
+        b1 = v * (p[2, 2] * z + p[2, 3]) - (p[1, 2] * z + p[1, 3])
+        det = a00 * a11 - a01 * a10
+        x = (b0 * a11 - b1 * a01) / det
+        y = (a00 * b1 - a10 * b0) / det
+    return x, y, det
+
+
 def back_project_point(camera, pixel, depth):
     """Invert :func:`project_point` at a known depth.
 
@@ -247,103 +262,60 @@ def back_project_point(camera, pixel, depth):
     z = float(depth)
     if z <= 0.0:
         raise DomainError(f"depth must be positive, got {z}")
-    p = camera.p
-    a00 = p[0, 0] - u * p[2, 0]
-    a01 = p[0, 1] - u * p[2, 1]
-    a10 = p[1, 0] - v * p[2, 0]
-    a11 = p[1, 1] - v * p[2, 1]
-    b0 = u * (p[2, 2] * z + p[2, 3]) - (p[0, 2] * z + p[0, 3])
-    b1 = v * (p[2, 2] * z + p[2, 3]) - (p[1, 2] * z + p[1, 3])
-    det = a00 * a11 - a01 * a10
+    x, y, det = _back_project(camera.p, u, v, z)
     if det == 0.0:
         raise DegenerateProjectionError("projection matrix is rank-deficient in (x, y)")
-    x = (b0 * a11 - b1 * a01) / det
-    y = (a00 * b1 - a10 * b0) / det
-    return (x, y, z)
+    return (float(x), float(y), z)
 
 
-def _hulls(camera, boxes):
-    """Yield the projected hull of each box in order, as `project_box3d`
-    returns it, and raise its error at the first box that fails.
-
-    All boxes are projected in one batch before the first yield.
-    """
-    corners = _corners(boxes)
-    hom = np.ones((len(boxes), 8, 4))
-    hom[:, :, :3] = corners
-    hom = hom @ camera.p.T
-    w = hom[:, :, 2:]
-    # A box with a zero scale raises before its hull is read.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = hom[:, :, :2] / w
-    checks = zip(
-        boxes,
-        corners[:, :, 2].tolist(),
-        w[:, :, 0].tolist(),
-        uv.min(axis=1).tolist(),
-        uv.max(axis=1).tolist(),
-    )
-    for i, (box, z, scale, low, high) in enumerate(checks):
-        if any(v <= 0.0 for v in z):
-            raise BehindCameraError(
-                f"box at {box.center} has corners behind the camera "
-                f"(min z = {corners[i, :, 2].min():g})"
-            )
-        if 0.0 in scale:
-            raise DegenerateProjectionError("a corner projected to zero homogeneous scale")
-        yield Box2D(*low, *high, class_id=box.class_id, score=box.score)
+def _project(camera, dims, centers, orientations):
+    """Project boxes given as (n, 3) columns: the (n, 8) corner depths,
+    the (n, 8) homogeneous scales and the (n, 4) hulls (x_min, y_min,
+    x_max, y_max). Overflow gives inf or nan without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        corners = _corners(dims, centers, orientations)
+        hom = np.ones((len(corners), 8, 4))
+        hom[:, :, :3] = corners
+        hom = hom @ camera.p.T
+        uv = hom[:, :, :2] / hom[:, :, 2:]
+    return corners[:, :, 2], hom[:, :, 2], np.concatenate([uv.min(axis=1), uv.max(axis=1)], axis=1)
 
 
 def project_box3d(camera, box):
     """Tight axis-aligned 2D hull of the 8 projected box corners."""
-    return next(_hulls(camera, [box]))
+    depths, scales, hulls = _project(camera, *_columns([box]))
+    if (depths <= 0.0).any():
+        raise BehindCameraError(
+            f"box at {box.center} has corners behind the camera (min z = {depths.min():g})"
+        )
+    if (scales == 0.0).any():
+        raise DegenerateProjectionError("a corner projected to zero homogeneous scale")
+    return Box2D(*hulls[0].tolist(), class_id=box.class_id, score=box.score)
 
 
-def _fit_centers(camera, inputs):
-    """Fit one 3D box per (box2d, dims, orientation, depth) of `inputs`, in order.
+def _fit_centers(camera, pixels, dims, centers, orientations, labels):
+    """One Box3D per staged box, shifted as `fit_center_from_2d` shifts it.
 
-    Each box is fitted as `fit_center_from_2d` describes, with every hull
-    projected in one batch. `inputs` may itself raise a Det3DError. The
-    error raised is the one that fitting the inputs one at a time, in
-    order, would raise first.
+    `pixels` holds the (n, 2) 2D box centers; `dims`, `centers` and
+    `orientations` are (n, 3) columns of boxes that pass Box3D's checks;
+    `labels` holds each box's (class_id, score). Raises the error of the
+    first box whose projection fails or whose shifted center is not finite.
     """
-    staged = []
-    pending = None
-    try:
-        for box2d, dims, orientation, depth in inputs:
-            z = float(depth)
-            if z <= 0.0:
-                raise DomainError(f"depth must be positive, got {z}")
-            u_c, v_c = box2d.center
-            box = Box3D(
-                center=back_project_point(camera, (u_c, v_c), z),
-                dims=dims,
-                orientation=orientation,
-                class_id=box2d.class_id,
-                score=box2d.score,
-            )
-            staged.append((box, u_c, v_c, z))
-    except Det3DError as exc:
-        # Every staged box comes before the failed input, so a staged
-        # box's own failure below is raised first.
-        pending = exc
-    fx, fy = camera.fx, camera.fy
-    fitted = []
-    for (box, u_c, v_c, z), hull in zip(staged, _hulls(camera, [s[0] for s in staged])):
-        u_h, v_h = hull.center
-        x, y, _ = box.center
-        dx = (u_c - u_h) * z / fx
-        dy = (v_c - v_h) * z / fy
-        fitted.append(replace(box, center=(x + dx, y + dy, z)))
-    if pending is not None:
-        # Drop the local before the frame exits: the traceback keeps this
-        # frame, and a frame holding its own exception is a reference
-        # cycle that keeps the bundle alive until the next gc pass.
-        try:
-            raise pending
-        finally:
-            del pending
-    return fitted
+    depths, scales, hulls = _project(camera, dims, centers, orientations)
+    failed = (depths <= 0.0).any(axis=1) | (scales == 0.0).any(axis=1)
+    failed |= ~np.isfinite(hulls).all(axis=1)
+    z = centers[:, 2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = (pixels - 0.5 * (hulls[:, :2] + hulls[:, 2:])) * z / (camera.fx, camera.fy)
+        fitted = np.concatenate([centers[:, :2] + shift, z], axis=1)
+    boxes = []
+    rows = zip(fitted.tolist(), dims.tolist(), orientations.tolist(), labels, failed.tolist())
+    for i, (center, size, orientation, (class_id, score), fails) in enumerate(rows):
+        if fails:
+            staged = Box3D(centers[i], size, orientation, class_id, score)
+            project_box3d(camera, staged)  # raises the error of its projection
+        boxes.append(Box3D(center, size, orientation, class_id, score))
+    return boxes
 
 
 def fit_center_from_2d(camera, box2d, dims, orientation, depth):
@@ -355,24 +327,32 @@ def fit_center_from_2d(camera, box2d, dims, orientation, depth):
     (box extent / depth)^2; for vehicle-scale boxes at driving distances
     it stays well under a pixel.
     """
-    return _fit_centers(camera, [(box2d, dims, orientation, depth)])[0]
+    center = back_project_point(camera, box2d.center, depth)
+    box = Box3D(center, dims, orientation, box2d.class_id, box2d.score)
+    columns = _columns([box])
+    return _fit_centers(camera, np.array([box2d.center]), *columns, [(box.class_id, box.score)])[0]
 
 
-def lift_detections(detections, bundle, camera, stride=1):
+def lift_detections(detections, bundle, camera):
     """Lift decoded 2D detections to 3D using the bundle's head maps.
 
     Reads the log-depth, dims, and multibin orientation channels at each
     detection's center cell, decodes them, and fits each 3D center under
-    its 2D box constraint. Returns one Box3D per detection, in order. The
+    its 2D box constraint. Returns one Box3D per detection, in order.
+
+    The frame is staged as float64 columns, with one `take` per head map.
+    The back-projection and the hull-center shift are numpy arithmetic in
+    the scalar formulas' order, so every value has the same bits; exp,
+    atan2, degrees, radians, cos and sin stay scalar `math` calls. Only the
+    detections before the first failing one are staged and projected. The
     error raised is the one that lifting the detections one at a time, in
-    order, would raise first.
+    order, would raise first: a staged box's projection error or
+    non-finite center, else the first failing detection's own error.
     """
     if not detections:
         return []
     if not bundle.has_aux:
         raise ConfigurationError("bundle carries no 3D head maps")
-    # The cells before the first one outside the map are read with one
-    # gather per head map; that one raises when its turn comes.
     height, width = bundle.height, bundle.width
     cells = []
     for det in detections:
@@ -381,27 +361,46 @@ def lift_detections(detections, bundle, camera, stride=1):
             break
         cells.append((row, col))
     rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    raw = bundle.aux_depth.take(rows, cols)[:, 0].astype(np.float64)
+    dims = bundle.aux_dims.take(rows, cols).astype(np.float64)
     n_bins = bundle.aux_orientation.channels // 9
-    bin_centers = uniform_bin_centers(n_bins)
-    heads = zip(
-        detections,
-        bundle.aux_depth.take(rows, cols)[:, 0].tolist(),
-        bundle.aux_dims.take(rows, cols).tolist(),
-        bundle.aux_orientation.take(rows, cols).reshape(-1, 3, n_bins, 3).tolist(),
-    )
+    heads = bundle.aux_orientation.take(rows, cols).astype(np.float64).reshape(-1, 3, n_bins, 3)
 
-    def inputs():
-        for det, raw_depth, dims, angles in heads:
-            depth = decode_depth(raw_depth)
-            orientation = tuple(_bin_angle(bins, bin_centers) for bins in angles)
-            yield det.box, dims, orientation, depth
-        if len(cells) < len(detections):
-            center = detections[len(cells)].center
-            bundle.aux_depth.get(center.row, center.col, 0)  # raises its BoundsError
+    # A detection fails at its center cell, its depth, a zero 2x2
+    # determinant, a non-finite center or nonpositive dims, in that order.
+    # The first bad dims is read off the columns, and no detection after
+    # it needs the other checks.
+    bad_dims = (dims <= 0.0).any(axis=1)
+    end = int(bad_dims.argmax()) if bad_dims.any() else len(cells)
+    depths = []
+    for value in raw[:end].tolist():
+        try:
+            depths.append(decode_depth(value))
+        except Det3DError:
+            break
+    z = np.array(depths)
+    pixels = np.array([det.box.center for det in detections[: len(z)]]).reshape(-1, 2)
+    x, y, determinant = _back_project(camera.p, pixels[:, 0], pixels[:, 1], z)
+    ok = (determinant != 0.0) & np.isfinite(x) & np.isfinite(y)
+    staged = len(z) if ok.all() else int(ok.argmin())
 
-    return _fit_centers(camera, inputs())
+    bins = heads[: staged + 1].reshape(-1, n_bins, 3)
+    angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
+    fitted = []
+    if staged:
+        labels = [(det.box.class_id, det.box.score) for det in detections[:staged]]
+        columns = dims[:staged], np.column_stack([x, y, z])[:staged], angles[:staged]
+        fitted = _fit_centers(camera, pixels[:staged], *columns, labels)
+    if staged < len(detections):
+        # Rerun the checks on the failing detection alone to raise its error.
+        det = detections[staged]
+        if staged == len(cells):
+            bundle.aux_depth.get(det.center.row, det.center.col, 0)  # raises its BoundsError
+        center = back_project_point(camera, det.box.center, decode_depth(raw[staged]))
+        Box3D(center, dims[staged], angles[staged], det.box.class_id, det.box.score)
+    return fitted
 
 
-def lift_detection(detection, bundle, camera, stride=1):
+def lift_detection(detection, bundle, camera):
     """Lift one decoded 2D detection to 3D; see `lift_detections`."""
-    return lift_detections([detection], bundle, camera, stride)[0]
+    return lift_detections([detection], bundle, camera)[0]

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     ALL_KINDS,
     CORNER_KINDS,
+    Box2D,
     Box3D,
     CameraIntrinsics,
     ClassTaxonomy,
@@ -34,7 +35,7 @@ from .core import (
     RenderError,
     SuperCategory,
 )
-from .geometry3d import _hulls, _multibin_bins, uniform_bin_centers
+from .geometry3d import _columns, _multibin_bins, _project, uniform_bin_centers
 from .jsondoc import (
     count,
     field,
@@ -322,9 +323,8 @@ def generate_scene(
         chunk = [candidate() for _ in range(n_objects - len(objects))]
         boxes = [box for box in chunk if box is not None]
         # The near-face test keeps every corner of a drawn box in front of
-        # the camera, so no hull of the chunk raises.
-        hulls = list(_hulls(camera, boxes)) if boxes else []
-        coords = np.array([(h.x_min, h.y_min, h.x_max, h.y_max) for h in hulls]).reshape(-1, 4)
+        # the camera, so no hull of the chunk fails `project_box3d`'s checks.
+        coords = _project(camera, *_columns(boxes))[2] if boxes else np.empty((0, 4))
         inside = ~(
             (coords[:, 0] < 0) | (coords[:, 1] < 0)
             | (coords[:, 2] > width - 1) | (coords[:, 3] > height - 1)
@@ -350,7 +350,7 @@ def generate_scene(
                 continue
             if inside[k] and not (overlaps[k] & taken).any():
                 objects.append(box)
-                boxes2d.append(hulls[k])
+                boxes2d.append(Box2D(*coords[k].tolist(), class_id=box.class_id, score=box.score))
                 taken[len(placed) + k] = True
                 attempts = 0
             else:

@@ -3,6 +3,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from det3d.core import (
     Box2D,
     Box3D,
     CameraIntrinsics,
+    DegenerateProjectionError,
     Det3DError,
     DomainError,
     FeatureMap,
@@ -40,7 +42,14 @@ from det3d.geometry3d import (
     project_point,
     uniform_bin_centers,
 )
-from det3d.synthgen import Category, SweepSpec, enumerate_sweep, generate_scene, render_ideal_maps
+from det3d.synthgen import (
+    Category,
+    SweepSpec,
+    corrupt_maps,
+    enumerate_sweep,
+    generate_scene,
+    render_ideal_maps,
+)
 from oracles import lift_oracle
 
 
@@ -480,3 +489,53 @@ class TestLiftErrorParity:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_overflowing_center_is_a_box_error(self, ground_frame):
+        """A raw depth near 709 decodes to a finite depth whose back-projected
+        center overflows: the box's own DomainError, with no RuntimeWarning."""
+        detections, bundle, camera = ground_frame
+        broken = with_heads(bundle, detections, depth=[None, 709.0, None, None], dims=[None] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's scalar numpy math
+            expected = outcome(lift_oracle, detections, broken, camera)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lift_detections, detections, broken, camera)
+        assert got == expected == (DomainError, "box parameters must be finite")
+
+    def test_rank_deficient_camera(self, ground_frame):
+        """The back-projection's 2x2 determinant is exactly 0 at the third
+        detection's center column alone: p[0, 0] == u * p[2, 0]."""
+        detections, bundle, camera = ground_frame
+        u = detections[2].box.center[0]
+        p = camera.p.copy()
+        p[0, 0], p[2, 0] = u / 1024.0, 1.0 / 1024.0
+        self.check(detections, bundle, CameraIntrinsics(p), DegenerateProjectionError)
+
+    def test_corner_at_zero_scale(self, ground_frame):
+        """A zero third camera row gives every corner w == 0; the first
+        box's projection error comes before the second one's dims error."""
+        detections, bundle, camera = ground_frame
+        p = camera.p.copy()
+        p[2] = 0.0
+        broken = with_heads(
+            bundle, detections, depth=[None] * 4, dims=[None, (0.0, 1.0, 1.0), None, None]
+        )
+        self.check(detections, broken, CameraIntrinsics(p), DegenerateProjectionError)
+
+    @pytest.mark.parametrize("super_category", [SuperCategory.AIR, SuperCategory.GROUND])
+    def test_noisy_frames(self, super_category):
+        """Whole decoded frames of bundles corrupted at noise 0.2, whose
+        false centers read zero heads."""
+        points = enumerate_sweep(
+            SweepSpec(category=Category.CAMERA, super_category=super_category, seed=0)
+        )
+        errors = 0
+        for k in range(8):
+            sample = generate_scene(points[k], 0, n_objects=4, sample_id=f"{k:06d}")
+            bundle = corrupt_maps(render_ideal_maps(sample), 0.2, rng_seed=[0, k])
+            detections = decode_frame(bundle, taxonomy=sample.taxonomy)
+            got = outcome(lift_detections, detections, bundle, sample.camera)
+            assert got == outcome(lift_oracle, detections, bundle, sample.camera)
+            errors += isinstance(got, tuple)
+        assert errors > 0
