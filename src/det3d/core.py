@@ -152,8 +152,9 @@ class FeatureMap:
     order, matching the binary dump layout. Cell storage (`from_cells`)
     holds a strictly increasing array of flat cell indices
     (row * width + col) and an (n, channels) float32 value table, and reads
-    exactly 0.0 at every other cell; it suits maps defined only at a few
-    keypoint cells. Both read alike through `take`, `get` and `data`.
+    exactly 0.0 at every other cell; it suits maps that are zero almost
+    everywhere, such as keypoint-cell maps and ideal heatmaps. Both read
+    alike through `take`, `get` and `data`.
     Heatmap-role maps must lie in [0, 1]; other roles only need finite
     values.
     """

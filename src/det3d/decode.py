@@ -78,14 +78,28 @@ def extract_peaks(heatmap, cfg, kind):
 
     Each channel keeps its first `top_k` peaks by (-score, row, col), and
     the result is sorted by (-score, row, col, channel).
+
+    A dense heatmap is scanned whole. A cell-stored one is searched among
+    its stored values only, and its dense plane is never built: both
+    kernels find the same peaks.
     """
-    data = heatmap.data
-    lo = float(data.min())
-    hi = float(data.max())
+    if heatmap.cell_table is None:
+        cells, channels, scores = _dense_peaks(heatmap.data, cfg)
+    else:
+        cells, channels, scores = _cell_peaks(heatmap, cfg)
+    return _ranked_keypoints(kind, heatmap, cfg.top_k, cells, channels, scores)
+
+
+def _check_range(lo, hi):
     if lo < 0.0 or hi > 1.0:
         raise DomainError(f"peak extraction needs values in [0, 1], got [{lo:g}, {hi:g}]")
+
+
+def _dense_peaks(data, cfg):
+    """(cells, channels, scores) of every peak of an (H, W, C) array."""
+    _check_range(float(data.min()), float(data.max()))
     margin = (cfg.nms_window - 1) // 2
-    _, width, n_channels = data.shape
+    n_channels = data.shape[2]
 
     # The window max is separable: each cell's row max over its window
     # columns, then those row maxima compared down the window rows. Each
@@ -105,24 +119,96 @@ def extract_peaks(heatmap, cfg, kind):
     del row_max
 
     flat = np.flatnonzero(keep)
-    channels = flat % n_channels
-    scores = data.reshape(-1)[flat]
+    cells, channels = np.divmod(flat, n_channels)
+    return cells, channels, data.reshape(-1)[flat]
+
+
+def _cell_peaks(heatmap, cfg):
+    """(cells, channels, scores) of every peak of a cell-stored heatmap.
+
+    Every unstored cell reads 0.0, so below a positive threshold only
+    stored values can be peaks. At threshold 0 an unstored cell can be one
+    too, but only where its window holds no cell before it, since no
+    value is below 0: cell (0, 0), or every cell when the window is 1x1.
+    """
+    cells, values = heatmap.cell_table
+    height, width, n_channels = heatmap.shape
+    n_stored = cells.size
+    lo, hi = (float(values.min()), float(values.max())) if n_stored else (0.0, 0.0)
+    if n_stored < height * width:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    _check_range(lo, hi)
+    window = cfg.nms_window
+    margin = (window - 1) // 2
+
+    flat_values = values.reshape(-1)
+    flat = np.flatnonzero(flat_values >= cfg.score_threshold)
+    index, channels = np.divmod(flat, n_channels)
+    cand_cells = cells[index]
+    scores = flat_values[flat]
+    if margin:
+        # A candidate that loses to the cell beside it in its row, where
+        # the table stores that cell next to it, cannot be a peak. Dropping
+        # those first leaves about one candidate per row of a bump for the
+        # full window test.
+        cols = cand_cells % width
+        left = np.maximum(index - 1, 0)
+        right = np.minimum(index + 1, n_stored - 1)
+        has_left = (cols > 0) & (cells[left] == cand_cells - 1)
+        has_right = (cols < width - 1) & (cells[right] == cand_cells + 1)
+        lose = has_left & (scores <= values[left, channels])
+        lose |= has_right & (scores < values[right, channels])
+        channels, cand_cells, scores = channels[~lose], cand_cells[~lose], scores[~lose]
+    if cfg.score_threshold <= 0.0:
+        free = np.arange(height * width if margin == 0 else 1)
+        free = free[np.isin(free, cells, assume_unique=True, invert=True)]
+        cand_cells = np.concatenate((cand_cells, np.repeat(free, n_channels)))
+        channels = np.concatenate((channels, np.tile(np.arange(n_channels), free.size)))
+        scores = np.concatenate((scores, np.zeros(free.size * n_channels, values.dtype)))
+    if not margin:
+        return cand_cells, channels, scores
+
+    # Each candidate against its whole window at once: one row of
+    # neighbours per candidate in (row, col) order, so the first half
+    # come before it. A neighbour is read from the table by binary
+    # search; an unstored one reads 0.0, and one off the map -inf, so
+    # that it never blocks.
+    offsets = np.arange(window * window)
+    half = offsets.size // 2
+    offsets = np.delete(offsets, half)
+    n_rows = (cand_cells // width)[:, None] + (offsets // window - margin)
+    n_cols = (cand_cells % width)[:, None] + (offsets % window - margin)
+    on_map = (n_rows >= 0) & (n_rows < height) & (n_cols >= 0) & (n_cols < width)
+    neighbour = np.where(on_map, np.float32(0.0), np.float32(-np.inf))
+    if n_stored:
+        flat = n_rows * width + n_cols
+        pos = np.minimum(np.searchsorted(cells, flat), n_stored - 1)
+        stored = on_map & (cells[pos] == flat)
+        neighbour = np.where(stored, values[pos, channels[:, None]], neighbour)
+    score = scores[:, None]
+    peak = (score > neighbour[:, :half]).all(axis=1) & (score >= neighbour[:, half:]).all(axis=1)
+    return cand_cells[peak], channels[peak], scores[peak]
+
+
+def _ranked_keypoints(kind, heatmap, top_k, cells, channels, scores):
+    """Each channel's first `top_k` peaks by (-score, row, col), as
+    keypoints sorted by (-score, row, col, channel)."""
+    n_channels = heatmap.channels
     # A peak below its channel's top_k-th best score can never be kept, so
     # it is dropped before any ranking; ties at that score all stay.
     cutoff = np.zeros(n_channels, dtype=scores.dtype)
     for ch in range(n_channels):
         ranked = scores[channels == ch]
-        if ranked.size > cfg.top_k:
-            cutoff[ch] = np.partition(ranked, -cfg.top_k)[-cfg.top_k]
+        if ranked.size > top_k:
+            cutoff[ch] = np.partition(ranked, -top_k)[-top_k]
     survive = scores >= cutoff[channels]
-    flat, channels, scores = flat[survive], channels[survive], scores[survive]
-    cells = flat // n_channels
-    rows, cols = np.divmod(cells, width)
+    cells, channels, scores = cells[survive], channels[survive], scores[survive]
+    rows, cols = np.divmod(cells, heatmap.width)
     # Flat cell indices run in (row, col) order within a channel. Rank the
     # peaks within their channel and keep the first top_k of each.
     order = np.lexsort((cells, -scores, channels))
     channel_start = np.searchsorted(channels[order], channels[order])
-    order = order[np.arange(order.size) - channel_start < cfg.top_k]
+    order = order[np.arange(order.size) - channel_start < top_k]
     order = order[np.lexsort((channels[order], cells[order], -scores[order]))]
     return [
         Keypoint(kind, ch, row, col, score)

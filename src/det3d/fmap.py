@@ -17,9 +17,9 @@ or, for version 2 (a cell-stored map, see FeatureMap.from_cells):
   values  n*C float32, the channels of each cell in turn
 
 A version-2 map reads 0.0 at every cell it does not list. `dump_fmap`
-writes a map in the storage it has, so a bundle from `render_ideal_maps`
-has dense heatmaps (version 1) and cell-stored offsets, embeddings and 3D
-heads (version 2). Both versions load.
+writes a map in the storage it has, so every map of a bundle from
+`render_ideal_maps` is version 2, while a dense map, such as a
+`corrupt_maps` one, is version 1. Both versions load.
 """
 
 import mmap

@@ -104,10 +104,11 @@ def encode_multibin(angle_deg, bin_centers):
 def _multibin_bins(angle_deg, bin_centers):
     """The (confidence, cos delta, sin delta) float tuple of each bin of
     :func:`encode_multibin`, without building or checking the output."""
-    best = min(
-        range(len(bin_centers)),
-        key=lambda i: (abs(normalize_angle(angle_deg - bin_centers[i])), i),
-    )
+    best, best_gap = 0, math.inf
+    for i, center in enumerate(bin_centers):
+        gap = abs(normalize_angle(angle_deg - center))
+        if gap < best_gap:
+            best, best_gap = i, gap
     bins = []
     for i, center in enumerate(bin_centers):
         delta = math.radians(angle_deg - center)

@@ -401,9 +401,9 @@ def render_ideal_maps(
     per-object tag (object index + 1) into both corner embeddings. The
     center keypoint is the midpoint of the projected 2D box. With
     `include_aux`, the center cell additionally stores log-depth, dims,
-    and the multibin encoding of each orientation angle. Heatmaps are
-    dense; every other map is cell-stored (`FeatureMap.from_cells`) and
-    never allocated at full size.
+    and the multibin encoding of each orientation angle. Every map is
+    cell-stored (`FeatureMap.from_cells`): a heatmap keeps the cells its
+    bumps cover, every other map only its keypoint cells.
     """
     img_w, img_h = sample.image_size
     if height is None:
@@ -412,7 +412,10 @@ def render_ideal_maps(
         width = int(math.ceil(img_w / stride))
     n_classes = len(sample.taxonomy)
 
+    # Bumps are stamped into scratch dense planes, and `stamped` marks the
+    # cells each one covers; only those cells are kept.
     heat = {kind: np.zeros((height, width, n_classes), dtype=np.float32) for kind in ALL_KINDS}
+    stamped = {kind: np.zeros((height, width), dtype=bool) for kind in ALL_KINDS}
     # The other maps are defined only at keypoint cells, so each is built
     # as a table of flat cell -> that cell's channel values. A later object
     # overwrites an earlier one's cell, as a dense write would.
@@ -451,6 +454,7 @@ def render_ideal_maps(
             window = heat[kind][r0:r1, c0:c1, class_ch]
             bump = kernel[r0 - row + radius : r1 - row + radius, c0 - col + radius : c1 - col + radius]
             np.maximum(window, bump, out=window)
+            stamped[kind][r0:r1, c0:c1] = True
             cell = row * width + col
             offset[kind][cell] = (px / stride - col, py / stride - row)
             if kind in CORNER_KINDS:
@@ -472,9 +476,14 @@ def render_ideal_maps(
             cells, values.reshape(len(cells), channels), height, width, role=role
         )
 
+    def heat_map(kind):
+        cells = np.flatnonzero(stamped[kind])
+        values = np.take(heat[kind].reshape(-1, n_classes), cells, axis=0)
+        return FeatureMap.from_cells(cells, values, height, width, role=MapRole.HEATMAP)
+
     aux_channels = {"aux_depth": 1, "aux_dims": 3, "aux_orientation": 9 * orientation_bins}
     return MapBundle(
-        heatmaps={kind: FeatureMap(heat.pop(kind), role=MapRole.HEATMAP) for kind in ALL_KINDS},
+        heatmaps={kind: heat_map(kind) for kind in ALL_KINDS},
         embeddings={kind: cell_map(embed[kind], 1, MapRole.EMBEDDING) for kind in CORNER_KINDS},
         offsets={kind: cell_map(offset[kind], 2, MapRole.OFFSET) for kind in ALL_KINDS},
         **{name: cell_map(table, aux_channels[name], MapRole.GENERIC) for name, table in aux.items()},
@@ -494,11 +503,20 @@ def corrupt_maps(bundle, noise_level, rng_seed):
         return bundle
     rng = np.random.default_rng(rng_seed)
 
+    # The noise array takes the map's values in place: at an unstored cell
+    # the sum 0.0 + n is n exactly, since normal(0.0, sigma) never
+    # returns -0.0. So a cell-stored map is never made dense first.
     def noisy(fmap, sigma, clamp):
-        data = fmap.data.astype(np.float64) + rng.normal(0.0, sigma, size=fmap.shape)
+        data = rng.normal(0.0, sigma, size=fmap.shape)
+        table = fmap.cell_table
+        if table is None:
+            data += fmap.data
+        else:
+            cells, values = table
+            data.reshape(-1, fmap.channels)[cells] += values
         if clamp:
-            data = np.clip(data, 0.0, 1.0)
-        return FeatureMap(data.astype(np.float32), role=fmap.role)
+            np.clip(data, 0.0, 1.0, out=data)
+        return FeatureMap(data, role=fmap.role)
 
     heatmaps = {k: noisy(bundle.heatmaps[k], noise_level, clamp=True) for k in ALL_KINDS}
     embeddings = {

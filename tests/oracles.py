@@ -413,6 +413,32 @@ def heatmap_oracle(sample, stride=1, sigma=1.5):
     return heat
 
 
+def corrupt_oracle(bundle, noise_level, rng_seed):
+    """The seed's noise on a bundle: each map's dense values in float64
+    plus one `normal(0, sigma)` draw of the map's full shape, in the order
+    heatmaps, embeddings, offsets (kinds in enum order). Heatmaps take
+    sigma = noise_level and are clipped to [0, 1], embeddings take a tenth
+    of it, offsets all of it. Returns {"heatmaps": {kind: array},
+    "embeddings": {kind: array}, "offsets": {kind: array}}, every array
+    (H, W, C) float32."""
+    rng = np.random.default_rng(rng_seed)
+    out = {"heatmaps": {}, "embeddings": {}, "offsets": {}}
+    for group, sigma, clip in (
+        ("heatmaps", noise_level, True),
+        ("embeddings", noise_level / 10.0, False),
+        ("offsets", noise_level, False),
+    ):
+        for kind in KeypointKind:
+            if kind not in getattr(bundle, group):
+                continue
+            fmap = getattr(bundle, group)[kind]
+            data = fmap.data.astype(np.float64) + rng.normal(0.0, sigma, size=fmap.shape)
+            if clip:
+                data = np.clip(data, 0.0, 1.0)
+            out[group][kind] = data.astype(np.float32)
+    return out
+
+
 def _multibin_oracle(angle, n_bins):
     """(confidence, cos, sin) per bin, flattened: confidence 1 at the first
     circularly nearest of n evenly spaced bin centers, 0 elsewhere; every

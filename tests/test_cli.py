@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ class TestDecode:
         truncate_heatmap(load_first, "000001")
         zero_dims(load_first, "000002")
         message = messages(load_first)
-        assert message.startswith("error: frame 000001: ") and "heatmap_tl.fmap: payload holds" in message
+        assert message.startswith("error: frame 000001: ") and "heatmap_tl.fmap: cell table holds" in message
 
     @pytest.mark.parametrize(
         "edit, fragment",
@@ -423,6 +424,8 @@ class TestMappedLoad:
         bundle = tmp_path / "bundle"
         shutil.copytree(dataset / "frames" / "000000", bundle)
         path = bundle / "heatmap_tl.fmap"
+        heatmap = load_fmap(path)
+        save_fmap(path, FeatureMap(heatmap.data, role=heatmap.role))  # dense: version 1
         blob = bytearray(read(path))
         blob[21:25] = np.array([2.0], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
@@ -637,12 +640,27 @@ class TestMalformedFields:
 
 
 class TestCellBundles:
-    """Bundles whose offsets, embeddings and 3D heads are `.fmap` version 2."""
+    """Bundles whose every map is `.fmap` version 2."""
 
     def test_versions_on_disk(self, dataset):
         for path in sorted((dataset / "frames").glob("*/*.fmap")):
             version = int.from_bytes(read(path)[4:8], "little")
-            assert version == (1 if path.name.startswith("heatmap_") else 2), path.name
+            assert version == 2, path.name
+
+    def test_v2_heatmap_above_one_exits_3(self, dataset, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(dataset / "frames" / "000000", bundle)
+        path = bundle / "heatmap_center.fmap"
+        blob = bytearray(read(path))
+        count = int.from_bytes(blob[21:25], "little")
+        offset = 25 + 4 * count + 4 * 5
+        blob[offset : offset + 4] = struct.pack("<f", 1.5)
+        path.write_bytes(bytes(blob))
+        code = main(["decode", "--bundle", str(bundle), "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: heatmap value 1.5 outside [0, 1] (at byte offset {offset})\n"
+        )
 
     def test_truncated_v2_exits_3(self, dataset, tmp_path, capsys):
         bundle = tmp_path / "bundle"

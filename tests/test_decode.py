@@ -1,5 +1,7 @@
 """Peak extraction, tag grouping, offset refinement, and box assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,73 @@ class TestPeaksMatchOracle:
                 data = bundle.heatmaps[kind].data
                 got = peak_tuples(extract_peaks(bundle.heatmaps[kind], cfg, kind))
                 assert got == peaks_oracle(data, cfg.score_threshold, cfg.nms_window, cfg.top_k)
+
+
+def cell_heatmap(entries, height, width, channels=1, role=MapRole.HEATMAP):
+    """A cell-stored map from {(row, col): value of every channel}."""
+    cells = sorted(row * width + col for row, col in entries)
+    values = [[entries[divmod(cell, width)]] * channels for cell in cells]
+    values = np.reshape(values, (len(cells), channels))
+    return FeatureMap.from_cells(cells, values, height, width, role=role)
+
+
+class TestCellKernel:
+    """extract_peaks on cell-stored heatmaps, against the dense kernel."""
+
+    @staticmethod
+    def both(fmap, cfg):
+        got = extract_peaks(fmap, cfg, CENTER)
+        assert got == extract_peaks(FeatureMap(fmap.data, role=fmap.role), cfg, CENTER)
+        return peak_tuples(got)
+
+    def test_row_ends_are_not_neighbours(self):
+        """Consecutive table cells that wrap from one row's end to the next
+        row's start are not in one window."""
+        cfg = PeakExtractionConfig(score_threshold=0.1, nms_window=3)
+        first = cell_heatmap({(0, 5): 0.9, (1, 0): 0.5}, 3, 6)
+        assert self.both(first, cfg) == [(0, 5, 0, 0.8999999761581421), (1, 0, 0, 0.5)]
+        second = cell_heatmap({(0, 5): 0.5, (1, 0): 0.9}, 3, 6)
+        assert self.both(second, cfg) == [(1, 0, 0, 0.8999999761581421), (0, 5, 0, 0.5)]
+
+    def test_unstored_origin_at_threshold_zero(self):
+        cfg = PeakExtractionConfig(score_threshold=0.0, nms_window=3, top_k=5)
+        fmap = cell_heatmap({(3, 3): 0.5}, 4, 4, channels=2)
+        expected = [(3, 3, 0, 0.5), (3, 3, 1, 0.5), (0, 0, 0, 0.0), (0, 0, 1, 0.0)]
+        assert self.both(fmap, cfg) == expected
+        # A stored zero beside the origin ties with it, and the origin comes first.
+        fmap = cell_heatmap({(0, 1): 0.0, (3, 3): 0.5}, 4, 4)
+        assert self.both(fmap, cfg) == [(3, 3, 0, 0.5), (0, 0, 0, 0.0)]
+        fmap = cell_heatmap({(1, 1): 0.25}, 4, 4)
+        assert self.both(fmap, cfg) == [(1, 1, 0, 0.25)]
+
+    def test_every_unstored_cell_with_a_one_cell_window(self):
+        cfg = PeakExtractionConfig(score_threshold=0.0, nms_window=1, top_k=3)
+        fmap = cell_heatmap({(0, 0): 0.0, (1, 2): 0.75}, 2, 3)
+        assert self.both(fmap, cfg) == [(1, 2, 0, 0.75), (0, 0, 0, 0.0), (0, 1, 0, 0.0)]
+
+    @pytest.mark.parametrize(
+        "entries, fragment",
+        [({(0, 0): 1.5}, "[0, 1.5]"), ({(0, 0): 0.5, (0, 1): 1.5}, "[0.5, 1.5]")],
+        ids=["unstored_zero", "every_cell_stored"],
+    )
+    def test_range_error_matches_dense(self, entries, fragment):
+        fmap = cell_heatmap(entries, 1, 2, role=MapRole.GENERIC)
+        cfg = PeakExtractionConfig()
+        with pytest.raises(DomainError) as dense_error:
+            extract_peaks(FeatureMap(fmap.data), cfg, CENTER)
+        with pytest.raises(DomainError, match=re.escape(fragment)) as cell_error:
+            extract_peaks(fmap, cfg, CENTER)
+        assert str(cell_error.value) == str(dense_error.value)
+
+    @pytest.mark.parametrize("threshold, window", [(0.3, 3), (0.0, 3), (0.05, 7)])
+    def test_crowded_bundles(self, threshold, window):
+        cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window)
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.AIR, seed=1))
+        for index in (0, 30):
+            bundle = render_ideal_maps(generate_scene(points[index], 1, n_objects=48))
+            for kind in KeypointKind:
+                assert bundle.heatmaps[kind].cell_table is not None
+                self.both(bundle.heatmaps[kind], cfg)
 
 
 class TestGroupingMatchesOracle:

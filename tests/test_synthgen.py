@@ -4,7 +4,7 @@ closed loop through the decoder."""
 import numpy as np
 import pytest
 
-from det3d.core import GenerationError, KeypointKind, SuperCategory
+from det3d.core import FeatureMap, GenerationError, KeypointKind, MapBundle, SuperCategory
 from det3d.decode import GroupingConfig, decode_frame, decode_frame_3d
 from det3d.geometry3d import fit_center_from_2d, project_box3d
 from det3d.metrics import iou
@@ -28,6 +28,7 @@ from det3d.synthgen import (
     scene_from_dict,
     scene_to_dict,
 )
+from oracles import corrupt_oracle
 
 
 def spec(category, super_category=SuperCategory.AIR, seed=7):
@@ -247,6 +248,28 @@ class TestCorruptMaps:
         c = corrupt_maps(bundle, 0.05, rng_seed=43)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("level", [0.05, 0.2, 0.5])
+    def test_matches_oracle_on_cell_and_dense_maps(self, level):
+        """Noise is added at the stored cells of a cell-stored map, and
+        every value comes out as the seed's float64 sum gives it."""
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.GROUND, seed=2))
+        for k in range(0, 40, 8):
+            sample = generate_scene(points[k], rng_seed=2, n_objects=4)
+            cells = render_ideal_maps(sample)
+            dense = MapBundle(**{
+                group: {k: FeatureMap(m.data, role=m.role) for k, m in getattr(cells, group).items()}
+                for group in ("heatmaps", "embeddings", "offsets")
+            })
+            for seed in ([0, k], [5, k], k):
+                expected = corrupt_oracle(cells, level, seed)
+                for bundle in (cells, dense):
+                    noisy = corrupt_maps(bundle, level, rng_seed=seed)
+                    for group, arrays in expected.items():
+                        for kind, array in arrays.items():
+                            got = getattr(noisy, group)[kind].data
+                            assert got.tobytes() == array.tobytes(), (group, kind)
+                    assert noisy.aux_dims is bundle.aux_dims
 
     def test_heatmaps_stay_in_range(self):
         sample = generate_scene(fixed_point(), rng_seed=1, n_objects=1)
