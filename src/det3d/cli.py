@@ -8,12 +8,9 @@ file write is atomic.
 """
 
 import argparse
-import contextlib
-import functools
 import math
 import os
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
@@ -32,7 +29,7 @@ from .fmap import load_bundle
 from .ioutil import atomic_write_text, stable_json_dumps
 from .kitti import scene_to_kitti
 from .metrics import EvalItem, Interpolation, MatchPolicy, evaluate, mean_average_precision
-from .synthgen import Category, SceneKind, SweepSpec, _read_scene, write_dataset
+from .synthgen import Category, SceneKind, SweepSpec, scene_from_dict, write_dataset
 
 __all__ = ["main", "build_parser"]
 
@@ -164,16 +161,8 @@ def _cmd_synth(args):
     return 0
 
 
-def _load_frame(frame_dir, scene_path):
-    """A frame's bundle, and the camera of its scene file when there is one."""
-    bundle = load_bundle(frame_dir)
-    camera = None
-    if os.path.exists(scene_path):
-        camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
-    return bundle, camera
-
-
-def _decode_loaded(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
+def _frame_detections(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
+    """The detections JSON objects of one frame's bundle."""
     results = decode_frame_3d(
         bundle, camera, peak_cfg, group_cfg, stride=stride, taxonomy=taxonomy
     )
@@ -183,54 +172,36 @@ def _decode_loaded(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
     ]
 
 
-def _in_frame(fid, exc):
-    """`exc` re-raised with its type and the failing frame's id."""
-    return type(exc)(f"frame {fid}: {exc}")
+def _decode_frames(dataset, samples, workers, **decode_args):
+    """Detections of each (frame id, frames dir, scene file) sample of
+    `dataset`, keyed by frame id.
 
-
-def _decode_frames(jobs, decode, workers):
-    """Detections of each (frame id, frame dir, scene path) job, in job order.
-
-    Every frame is loaded here, in the calling thread, so its large arrays
-    come from this thread's heap, where the next frame (or command) reuses
-    them. With one worker each frame is then decoded here too; with more,
-    it goes to a pool of that many threads, with at most `workers` frames
-    in flight. The error raised is the first failing frame's, in job order,
-    whether it failed to load or to decode.
+    One call loads, decodes and tags each frame: in turn on this thread
+    with one worker, else on a pool of `workers` threads, so at most
+    `workers` frames are in flight. Results are taken in frame-id order, so
+    the error raised is the first failing frame's, prefixed with its id,
+    whether it failed to load or to decode. With one worker no later frame
+    is loaded; with more, Executor.map cancels the frames not yet started
+    once it meets the failure.
     """
-    frames = {}
-    pending = deque()  # (frame id, callable returning its detections)
 
-    def collect():
-        fid, result = pending.popleft()
+    def decode_one(sample):
+        fid, frames_dir, scene = sample
         try:
-            frames[fid] = result()
+            bundle = load_bundle(os.path.join(dataset, frames_dir))
+            scene_path = os.path.join(dataset, scene)
+            camera = None
+            if os.path.exists(scene_path):
+                camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
+            return fid, _frame_detections(bundle, camera, **decode_args)
         except Det3DError as exc:
-            raise _in_frame(fid, exc) from exc
+            raise type(exc)(f"frame {fid}: {exc}") from exc
 
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(workers))
-
-            def submit(fn, *args):
-                return pool.submit(fn, *args).result
-
-        else:
-            submit = functools.partial  # decoded here, when collected
-        for fid, frame_dir, scene_path in jobs:
-            if len(pending) == workers:
-                collect()
-            try:
-                # No local keeps the bundle: once its decode is collected,
-                # nothing holds it while the next frame loads.
-                pending.append((fid, submit(decode, *_load_frame(frame_dir, scene_path))))
-            except Det3DError as exc:
-                while pending:
-                    collect()
-                raise _in_frame(fid, exc) from exc
-        while pending:
-            collect()
-    return frames
+    ordered = sorted(samples, key=lambda sample: sample[0])
+    if workers == 1:
+        return dict(map(decode_one, ordered))
+    with ThreadPoolExecutor(workers) as pool:
+        return dict(pool.map(decode_one, ordered))
 
 
 def _cmd_decode(args):
@@ -247,15 +218,10 @@ def _cmd_decode(args):
         taxonomy, super_names = jsondoc.read_taxonomy(manifest, manifest_path)
         stride = args.stride or jsondoc.field(manifest, "stride", manifest_path, jsondoc.count, 1)
         samples = jsondoc.read_samples(manifest, manifest_path, ("id", "frames", "scene"))
-        jobs = [
-            (fid, os.path.join(args.dataset, frames_dir), os.path.join(args.dataset, scene))
-            for fid, frames_dir, scene in samples
-        ]
-        jobs.sort(key=lambda job: job[0])
-        decode = functools.partial(
-            _decode_loaded, taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride
+        frames = _decode_frames(
+            args.dataset, samples, args.jobs,
+            taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride,
         )
-        frames = _decode_frames(jobs, decode, args.jobs)
     else:
         classes = ClassTaxonomy.default().names
         if args.classes:
@@ -268,7 +234,7 @@ def _cmd_decode(args):
         bundle = load_bundle(args.bundle)
         frame_id = os.path.basename(os.path.normpath(args.bundle))
         stride = args.stride or 1
-        frames = {frame_id: _decode_loaded(bundle, camera, taxonomy, peak_cfg, group_cfg, stride)}
+        frames = {frame_id: _frame_detections(bundle, camera, taxonomy, peak_cfg, group_cfg, stride)}
     payload = {
         "classes": list(taxonomy.names),
         "super": super_names,
@@ -370,7 +336,7 @@ def _cmd_convert(args):
         return 2
     for fid, scene in samples:
         scene_path = os.path.join(args.dataset, scene)
-        label_text, calib_text = scene_to_kitti(_read_scene(jsondoc.load(scene_path), scene_path))
+        label_text, calib_text = scene_to_kitti(scene_from_dict(jsondoc.load(scene_path), scene_path))
         atomic_write_text(os.path.join(labels_dir, f"{fid}.txt"), label_text)
         atomic_write_text(os.path.join(calib_dir, f"{fid}.txt"), calib_text)
     print(f"converted {len(samples)} frames -> {args.out}")

@@ -22,7 +22,6 @@ writes a map in the storage it has, so every map of a bundle from
 `corrupt_maps` one, is version 1. Both versions load.
 """
 
-import mmap
 import os
 import struct
 
@@ -197,35 +196,24 @@ def save_fmap(path, fmap):
 
 def load_fmap(path):
     """Load a tensor dump from disk; a malformed one raises ParseError
-    naming the file.
+    naming the file, at the offset parse_fmap gives.
 
-    The file is mapped read-only and parsed in place, so the payload's one
-    copy is the one FeatureMap makes. This relies on no page of the mapping
-    vanishing (SIGBUS) while it is read: the mapping lives only while the
-    payload is checked and copied, and det3d never shrinks a dump in place
-    (atomic_write_bytes writes a temp file and renames it over the old one).
+    The file is read whole into one bytes object, which parse_fmap checks
+    and FeatureMap copies; the dumps of a rendered bundle are cell tables
+    of a few kilobytes each.
     """
     name = os.fspath(path)
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except FileNotFoundError:
         raise ParseError(f"missing tensor dump {name!r}") from None
-    with fh:
-        # An empty file cannot be mapped; parse_fmap rejects b"" as a
-        # truncated header.
-        size = os.fstat(fh.fileno()).st_size
-        blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     try:
         return parse_fmap(blob)
     except ParseError as exc:
-        # Only the message leaves this handler: the traceback holds numpy
-        # views of the mapping, which would make closing it raise BufferError.
         error = ParseError(f"{name}: {exc}")
         error.offset = exc.offset
-    finally:
-        if size:
-            blob.close()
-    raise error
+        raise error from exc
 
 
 _AUX_HEADS = ("depth", "dims", "orientation")

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BoundsError, DomainError, FeatureMap, KeypointKind, MapRole
+from .core import DomainError, FeatureMap, KeypointKind, MapRole
 
 __all__ = [
     "Axis",
@@ -52,12 +52,6 @@ DOWNWARD = PoolingDirection(Axis.VERTICAL, Sense.TOWARD_INCREASING)
 UPWARD = PoolingDirection(Axis.VERTICAL, Sense.TOWARD_DECREASING)
 
 
-def _plane(fmap, channel):
-    if not 0 <= channel < fmap.channels:
-        raise BoundsError(f"channel index {channel} out of range [0, {fmap.channels})")
-    return fmap.data[:, :, channel]
-
-
 def _scan(plane, direction):
     """Running max from each cell along the ray in `direction`, inclusive."""
     axis = 1 if direction.axis is Axis.HORIZONTAL else 0
@@ -69,13 +63,13 @@ def _scan(plane, direction):
 
 def directional_max_scan(fmap, channel, direction):
     """out[r, c] = max of the channel along the ray from (r, c) in `direction`."""
-    plane = _plane(fmap, channel)
+    plane = fmap.channel_plane(channel)
     return FeatureMap(_scan(plane, direction)[:, :, None], role=MapRole.GENERIC)
 
 
 def center_pool(fmap, channel):
     """out[r, c] = (max of row r) + (max of column c)."""
-    plane = _plane(fmap, channel)
+    plane = fmap.channel_plane(channel)
     row_max = plane.max(axis=1, keepdims=True)
     col_max = plane.max(axis=0, keepdims=True)
     return FeatureMap((row_max + col_max)[:, :, None], role=MapRole.GENERIC)
@@ -95,7 +89,7 @@ def cascade_corner_pool(fmap, channel, corner):
         sense = Sense.TOWARD_DECREASING
     else:
         raise DomainError(f"corner must be TOP_LEFT or BOTTOM_RIGHT, got {corner!r}")
-    plane = _plane(fmap, channel)
+    plane = fmap.channel_plane(channel)
     horizontal = _scan(plane, PoolingDirection(Axis.HORIZONTAL, sense))
     vertical = _scan(horizontal, PoolingDirection(Axis.VERTICAL, sense))
     return FeatureMap((vertical + horizontal)[:, :, None], role=MapRole.GENERIC)

@@ -652,15 +652,9 @@ def write_dataset(
     return manifest
 
 
-def scene_from_dict(data):
+def scene_from_dict(data, where="scene"):
     """Inverse of :func:`scene_to_dict`; a malformed field raises ParseError
-    naming its JSON path under `scene`."""
-    return _read_scene(data, "scene")
-
-
-def _read_scene(data, where):
-    """The SceneSample of the scene document at `where`, a file name or
-    another root for the JSON paths of its errors."""
+    naming its JSON path under `where`, a file name or another root."""
     taxonomy, _ = read_taxonomy(data, where, complete=True)
     objects = [
         read_object(obj, f"{where}: objects[{k}]", taxonomy.names)

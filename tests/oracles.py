@@ -270,13 +270,15 @@ def _lift_one(det, bundle, camera):
         )
 
     u_c, v_c = det.box.center
-    p = camera.p
-    a00 = p[0, 0] - u_c * p[2, 0]
-    a01 = p[0, 1] - u_c * p[2, 1]
-    a10 = p[1, 0] - v_c * p[2, 0]
-    a11 = p[1, 1] - v_c * p[2, 1]
-    b0 = u_c * (p[2, 2] * z + p[2, 3]) - (p[0, 2] * z + p[0, 3])
-    b1 = v_c * (p[2, 2] * z + p[2, 3]) - (p[1, 2] * z + p[1, 3])
+    # Python floats: the same IEEE operations as numpy scalars, but an
+    # overflow gives inf without a RuntimeWarning.
+    p = camera.p.tolist()
+    a00 = p[0][0] - u_c * p[2][0]
+    a01 = p[0][1] - u_c * p[2][1]
+    a10 = p[1][0] - v_c * p[2][0]
+    a11 = p[1][1] - v_c * p[2][1]
+    b0 = u_c * (p[2][2] * z + p[2][3]) - (p[0][2] * z + p[0][3])
+    b1 = v_c * (p[2][2] * z + p[2][3]) - (p[1][2] * z + p[1][3])
     det_a = a00 * a11 - a01 * a10
     if det_a == 0.0:
         raise DegenerateProjectionError("projection matrix is rank-deficient in (x, y)")

@@ -8,9 +8,10 @@ import struct
 import numpy as np
 import pytest
 
+from det3d import cli
 from det3d.cli import main
 from det3d.core import FeatureMap, ParseError
-from det3d.fmap import load_fmap, parse_fmap, save_fmap
+from det3d.fmap import dump_fmap, load_bundle, load_fmap, parse_fmap, save_fmap
 from det3d.kitti import parse_kitti_calib, parse_kitti_label_file
 
 
@@ -176,11 +177,11 @@ class TestDecode:
 
         def messages(root):
             found = []
-            for jobs in ("1", "2"):
+            for jobs in ("1", "2", "3"):
                 out = tmp_path / f"jobs{jobs}.json"
                 assert main(["decode", "--dataset", str(root), "--out", str(out), "--jobs", jobs]) == 3
                 found.append(capsys.readouterr().err)
-            assert found[1] == found[0]
+            assert found[1:] == found[:1] * 2
             return found[0]
 
         broken = tmp_path / "broken"
@@ -205,6 +206,41 @@ class TestDecode:
         zero_dims(load_first, "000002")
         message = messages(load_first)
         assert message.startswith("error: frame 000001: ") and "heatmap_tl.fmap: cell table holds" in message
+
+    def test_serial_decode_loads_no_frame_after_the_failing_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """With --jobs 1, a failure at the k-th frame in id order, in its
+        load or its decode, loads exactly frames 0..k."""
+        four = tmp_path / "four"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
+                     "--repeats", "2", "--out", str(four)]) == 0
+        fids = sorted(os.listdir(four / "frames"))
+        assert len(fids) == 4
+        dims = load_fmap(four / "frames" / fids[0] / "aux_dims.fmap")
+        failures = (
+            ("aux_dims.fmap", dump_fmap(FeatureMap(np.zeros(dims.shape), role=dims.role)),
+             "box dims must be positive"),
+            ("heatmap_tl.fmap", b"", "truncated header"),
+        )
+        loads = []
+
+        def counting_load(directory):
+            loads.append(os.path.basename(directory))
+            return load_bundle(directory)
+
+        monkeypatch.setattr(cli, "load_bundle", counting_load)
+        for k, fid in enumerate(fids):
+            for name, blob, fragment in failures:
+                root = tmp_path / f"{fid}_{name}"
+                shutil.copytree(four, root)
+                (root / "frames" / fid / name).write_bytes(blob)
+                loads.clear()
+                out = tmp_path / "x.json"
+                assert main(["decode", "--dataset", str(root), "--out", str(out), "--jobs", "1"]) == 3
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: frame {fid}: ") and fragment in err, err
+                assert loads == fids[: k + 1]
 
     @pytest.mark.parametrize(
         "edit, fragment",
@@ -420,6 +456,14 @@ class TestMappedLoad:
         for path in paths:
             assert load_fmap(path) == parse_fmap(read(path))
 
+    def test_dense_rewrite_equals_parse_of_file_bytes(self, dataset, tmp_path):
+        heatmap = load_fmap(dataset / "frames" / "000000" / "heatmap_tl.fmap")
+        path = tmp_path / "heatmap_tl.fmap"
+        save_fmap(path, FeatureMap(heatmap.data, role=heatmap.role))
+        blob = read(path)
+        assert struct.unpack_from("<I", blob, 4) == (1,)  # dense: version 1
+        assert load_fmap(path) == parse_fmap(blob) == heatmap
+
     def test_out_of_range_heatmap_is_a_parse_error(self, dataset, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(dataset / "frames" / "000000", bundle)
@@ -429,8 +473,8 @@ class TestMappedLoad:
         blob = bytearray(read(path))
         blob[21:25] = np.array([2.0], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        # The parse fails after the payload view exists; the view must not
-        # keep the mapping open (BufferError, exit 4).
+        # The parse fails in FeatureMap, after the payload view exists; it
+        # still leaves load_fmap as a ParseError naming the file (exit 3).
         with pytest.raises(ParseError) as info:
             load_fmap(path)
         assert str(info.value) == (

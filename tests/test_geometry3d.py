@@ -496,7 +496,7 @@ class TestLiftErrorParity:
         detections, bundle, camera = ground_frame
         broken = with_heads(bundle, detections, depth=[None, 709.0, None, None], dims=[None] * 4)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's scalar numpy math
+            warnings.simplefilter("error")
             expected = outcome(lift_oracle, detections, broken, camera)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -63,7 +63,7 @@ def frames(draw):
 @given(frame=frames())
 def test_lift_matches_oracle_wherever_heads_fail(frame):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's scalar numpy math
+        warnings.simplefilter("error")
         expected = outcome(lift_oracle, *frame)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
