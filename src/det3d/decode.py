@@ -3,11 +3,14 @@
 The pipeline is peak extraction, tag attachment, greedy corner grouping by
 tag distance, sub-cell offset refinement, and center-validated box
 assembly. Every step is deterministic: all orderings use total sort keys
-(score descending, then row, then col).
+(score descending, then row, then col). Keypoints travel between the
+stages as columns (`Keypoints`, `CornerPairs`); `Keypoint` objects are
+built only for the detections returned.
 """
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,8 @@ from . import geometry3d
 __all__ = [
     "PeakExtractionConfig",
     "GroupingConfig",
+    "Keypoints",
+    "CornerPairs",
     "extract_peaks",
     "attach_tags",
     "group_corners",
@@ -43,9 +48,8 @@ class PeakExtractionConfig:
 
     def __post_init__(self):
         for name in ("nms_window", "top_k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+            _check_number(self, name, numbers.Integral, "an integer")
+        _check_number(self, "score_threshold", numbers.Real, "a real number")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise DomainError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
         if self.nms_window < 1 or self.nms_window % 2 == 0:
@@ -60,8 +64,136 @@ class GroupingConfig:
     geometric_gate: bool = True
 
     def __post_init__(self):
+        _check_number(self, "theta", numbers.Real, "a real number")
         if not (math.isfinite(self.theta) and self.theta > 0.0):
             raise DomainError(f"theta must be finite and positive, got {self.theta}")
+        if not isinstance(self.geometric_gate, bool):
+            raise DomainError(f"geometric_gate must be a bool, got {self.geometric_gate!r}")
+
+
+def _check_number(cfg, name, kind, what):
+    """Raise DomainError unless the field is an instance of `kind` and not a bool."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+
+
+class _ItemSequence(Sequence):
+    """An immutable sequence whose items `at(indices)` builds, a list at a
+    time; it compares equal to a list of the same items."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.at(range(len(self))[index])
+        return self.at([range(len(self))[index]])[0]
+
+    def __iter__(self):
+        return iter(self.at(range(len(self))))
+
+    def __eq__(self, other):
+        if isinstance(other, (_ItemSequence, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class Keypoints(_ItemSequence):
+    """Keypoints held as columns, one entry per keypoint: `kinds` (a
+    tuple), integer `class_ids`, `rows` and `cols`, and float64 `scores`
+    and `tags`.
+
+    The decode stages read and test the columns. Indexing and iteration
+    yield `Keypoint`s, each built on first access and then kept, so only
+    the keypoints a caller reads become objects. `Keypoints.of` takes
+    plain `Keypoint` lists too, and keeps their objects as the items.
+    """
+
+    __slots__ = ("kinds", "class_ids", "rows", "cols", "scores", "tags", "_built")
+
+    def __init__(self, kinds, class_ids, rows, cols, scores, tags, built=None):
+        self.kinds = kinds
+        self.class_ids = class_ids
+        self.rows = rows
+        self.cols = cols
+        self.scores = scores
+        self.tags = tags
+        self._built = [None] * len(kinds) if built is None else built
+
+    @classmethod
+    def of(cls, keypoints):
+        """The keypoints as a Keypoints: itself, or the columns of a sequence of `Keypoint`s."""
+        if isinstance(keypoints, Keypoints):
+            return keypoints
+        items = list(keypoints)
+
+        def column(name, dtype):
+            return np.array([getattr(kp, name) for kp in items], dtype=dtype)
+
+        return cls(
+            tuple(kp.kind for kp in items),
+            column("class_id", np.int64),
+            column("row", np.intp),
+            column("col", np.intp),
+            column("score", np.float64),
+            column("tag", np.float64),
+            items,
+        )
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def at(self, indices):
+        """The `Keypoint`s at the indices, as a list."""
+        built = self._built
+        indices = list(indices)
+        missing = [k for k in indices if built[k] is None]
+        if missing:
+            columns = (self.class_ids, self.rows, self.cols, self.scores, self.tags)
+            for k, *fields in zip(missing, *(column[missing].tolist() for column in columns)):
+                built[k] = Keypoint(self.kinds[k], *fields)
+        return [built[k] for k in indices]
+
+
+class CornerPairs(_ItemSequence):
+    """Grouped corners: keypoint `tl_index[p]` of `top_lefts` with keypoint
+    `br_index[p]` of `bottom_rights`. Items are (top-left, bottom-right)
+    `Keypoint` tuples."""
+
+    __slots__ = ("top_lefts", "bottom_rights", "tl_index", "br_index")
+
+    def __init__(self, top_lefts, bottom_rights, tl_index, br_index):
+        self.top_lefts = top_lefts
+        self.bottom_rights = bottom_rights
+        self.tl_index = tl_index
+        self.br_index = br_index
+
+    @classmethod
+    def of(cls, pairs):
+        """The pairs as CornerPairs: itself, or the columns of a sequence of `(Keypoint, Keypoint)`."""
+        if isinstance(pairs, CornerPairs):
+            return pairs
+        pairs = list(pairs)
+        index = np.arange(len(pairs))
+        return cls(
+            Keypoints.of([tl for tl, _ in pairs]), Keypoints.of([br for _, br in pairs]), index, index
+        )
+
+    def __len__(self):
+        return self.tl_index.size
+
+    def at(self, indices):
+        """The (top-left, bottom-right) `Keypoint` pairs at the indices, as a list."""
+        indices = list(indices)
+        return list(
+            zip(
+                self.top_lefts.at(self.tl_index[indices].tolist()),
+                self.bottom_rights.at(self.br_index[indices].tolist()),
+            )
+        )
 
 
 def extract_peaks(heatmap, cfg, kind):
@@ -203,45 +335,32 @@ def _ranked_keypoints(kind, heatmap, top_k, cells, channels, scores):
             cutoff[ch] = np.partition(ranked, -top_k)[-top_k]
     survive = scores >= cutoff[channels]
     cells, channels, scores = cells[survive], channels[survive], scores[survive]
-    rows, cols = np.divmod(cells, heatmap.width)
     # Flat cell indices run in (row, col) order within a channel. Rank the
     # peaks within their channel and keep the first top_k of each.
     order = np.lexsort((cells, -scores, channels))
     channel_start = np.searchsorted(channels[order], channels[order])
     order = order[np.arange(order.size) - channel_start < top_k]
     order = order[np.lexsort((channels[order], cells[order], -scores[order]))]
-    return [
-        Keypoint(kind, ch, row, col, score)
-        for ch, row, col, score in zip(
-            channels[order].tolist(),
-            rows[order].tolist(),
-            cols[order].tolist(),
-            scores[order].tolist(),
-        )
-    ]
-
-
-def _field(keypoints, name, dtype=None):
-    """One attribute of every keypoint, as an array."""
-    return np.array([getattr(kp, name) for kp in keypoints], dtype=dtype)
-
-
-def _cells(keypoints):
-    """Row and col index arrays of the keypoints."""
-    return _field(keypoints, "row", np.intp), _field(keypoints, "col", np.intp)
+    rows, cols = np.divmod(cells[order], heatmap.width)
+    return Keypoints(
+        (kind,) * order.size,
+        channels[order],
+        rows,
+        cols,
+        scores[order].astype(np.float64),
+        np.zeros(order.size),
+    )
 
 
 def attach_tags(keypoints, embedding):
-    """Return copies of the keypoints tagged from a 1-channel embedding map."""
+    """Return the keypoints tagged from a 1-channel embedding map."""
     if embedding.channels != 1:
         raise ConfigurationError(
             f"embedding map must have 1 channel, got {embedding.channels}"
         )
-    tags = embedding.take(*_cells(keypoints))[:, 0].tolist()
-    return [
-        Keypoint(kp.kind, kp.class_id, kp.row, kp.col, kp.score, tag)
-        for kp, tag in zip(keypoints, tags)
-    ]
+    kps = Keypoints.of(keypoints)
+    tags = embedding.take(kps.rows, kps.cols)[:, 0].astype(np.float64)
+    return Keypoints(kps.kinds, kps.class_ids, kps.rows, kps.cols, kps.scores, tags)
 
 
 def group_corners(top_lefts, bottom_rights, cfg):
@@ -254,31 +373,31 @@ def group_corners(top_lefts, bottom_rights, cfg):
     neither of its corners was taken before. Unmatched keypoints are
     dropped.
     """
-    distance = np.abs(_field(top_lefts, "tag")[:, None] - _field(bottom_rights, "tag"))
-    admissible = (
-        _field(top_lefts, "class_id")[:, None] == _field(bottom_rights, "class_id")
-    ) & (distance < cfg.theta)
+    tls, brs = Keypoints.of(top_lefts), Keypoints.of(bottom_rights)
+    distance = np.abs(tls.tags[:, None] - brs.tags)
+    admissible = (tls.class_ids[:, None] == brs.class_ids) & (distance < cfg.theta)
     if cfg.geometric_gate:
-        admissible &= _field(top_lefts, "row")[:, None] <= _field(bottom_rights, "row")
-        admissible &= _field(top_lefts, "col")[:, None] <= _field(bottom_rights, "col")
+        admissible &= tls.rows[:, None] <= brs.rows
+        admissible &= tls.cols[:, None] <= brs.cols
     # nonzero is row-major, so a stable sort on distance alone breaks
     # ties by (i, j).
     tl_idx, br_idx = np.nonzero(admissible)
     order = np.argsort(distance[tl_idx, br_idx], kind="stable")
 
-    used_tl = set()
+    taken = {}  # top-left index -> its bottom-right index, in the order taken
     used_br = set()
-    pairs = []
     for i, j in zip(tl_idx[order].tolist(), br_idx[order].tolist()):
-        if i in used_tl or j in used_br:
+        if i in taken or j in used_br:
             continue
-        used_tl.add(i)
+        taken[i] = j
         used_br.add(j)
-        pairs.append((top_lefts[i], bottom_rights[j]))
-    return pairs
+    n = len(taken)
+    return CornerPairs(
+        tls, brs, np.fromiter(taken, np.intp, n), np.fromiter(taken.values(), np.intp, n)
+    )
 
 
-def _refined(keypoints, offsets, stride):
+def _refined(rows, cols, offsets, stride):
     """Image-pixel (x, y) arrays: ((col + o_x) * stride, (row + o_y) * stride)."""
     if offsets.channels != 2:
         raise ConfigurationError(
@@ -286,14 +405,13 @@ def _refined(keypoints, offsets, stride):
         )
     if int(stride) != stride or stride < 1:
         raise DomainError(f"stride must be a positive integer, got {stride!r}")
-    rows, cols = _cells(keypoints)
     o = offsets.take(rows, cols).astype(np.float64)
     return (cols + o[:, 0]) * stride, (rows + o[:, 1]) * stride
 
 
 def refine_with_offsets(keypoint, offsets, stride=1):
     """Grid cell -> image pixels: (col + o_x, row + o_y) * stride."""
-    x, y = _refined([keypoint], offsets, stride)
+    x, y = _refined(np.array([keypoint.row]), np.array([keypoint.col]), offsets, stride)
     return (float(x[0]), float(y[0]))
 
 
@@ -305,37 +423,43 @@ def assemble_boxes(pairs, centers, offsets, stride):
     highest-scoring such center (ties: smallest row, col) is attached.
     Pairs whose refined corners cross are dropped. The box score is the
     mean of the three keypoint scores.
+
+    The tests run on columns; a `Keypoint` is read only for the three
+    keypoints of each detection returned.
     """
     # Each kind's offset map is read (and checked) only when keypoints of
     # that kind exist, so empty inputs never touch a missing or bad map.
     # Centers go in (-score, row, col) order: the first inside a box is its best.
-    rank = np.lexsort((_field(centers, "col"), _field(centers, "row"), -_field(centers, "score")))
-    ranked = [centers[k] for k in rank]
-    if ranked:
-        cx, cy = _refined(ranked, offsets[KeypointKind.CENTER], stride)
+    centers = Keypoints.of(centers)
+    rank = np.lexsort((centers.cols, centers.rows, -centers.scores))
+    if rank.size:
+        cx, cy = _refined(
+            centers.rows[rank], centers.cols[rank], offsets[KeypointKind.CENTER], stride
+        )
+    pairs = CornerPairs.of(pairs)
     if not pairs:
         return []
-    top_lefts = [tl for tl, _ in pairs]
-    x1, y1 = _refined(top_lefts, offsets[KeypointKind.TOP_LEFT], stride)
-    x2, y2 = _refined([br for _, br in pairs], offsets[KeypointKind.BOTTOM_RIGHT], stride)
-    if not ranked:
+    tls, brs = pairs.top_lefts, pairs.bottom_rights
+    i, j = pairs.tl_index, pairs.br_index
+    x1, y1 = _refined(tls.rows[i], tls.cols[i], offsets[KeypointKind.TOP_LEFT], stride)
+    x2, y2 = _refined(brs.rows[j], brs.cols[j], offsets[KeypointKind.BOTTOM_RIGHT], stride)
+    if not rank.size:
         return []
     third_w = (x2 - x1) / 3.0
     third_h = (y2 - y1) / 3.0
     inside = (
-        (_field(top_lefts, "class_id")[:, None] == _field(ranked, "class_id"))
+        (tls.class_ids[i][:, None] == centers.class_ids[rank])
         & ((x1 + third_w)[:, None] <= cx)
         & (cx <= (x2 - third_w)[:, None])
         & ((y1 + third_h)[:, None] <= cy)
         & (cy <= (y2 - third_h)[:, None])
     )
-    kept = inside.any(axis=1) & (x1 <= x2) & (y1 <= y2)
-    best = inside.argmax(axis=1)
+    kept = np.flatnonzero(inside.any(axis=1) & (x1 <= x2) & (y1 <= y2))
+    best = rank[inside[kept].argmax(axis=1)]
 
     detections = []
-    for p in np.flatnonzero(kept).tolist():
-        tl, br = pairs[p]
-        center = ranked[best[p]]
+    kept = kept.tolist()
+    for p, (tl, br), center in zip(kept, pairs.at(kept), centers.at(best.tolist())):
         score = (tl.score + br.score + center.score) / 3.0
         box = Box2D(x1[p], y1[p], x2[p], y2[p], class_id=tl.class_id, score=score)
         detections.append(

@@ -16,7 +16,9 @@ from det3d.core import (
 )
 from det3d import decode
 from det3d.decode import (
+    CornerPairs,
     GroupingConfig,
+    Keypoints,
     PeakExtractionConfig,
     assemble_boxes,
     attach_tags,
@@ -142,6 +144,31 @@ class TestExtractPeaks:
     def test_nms_window_must_be_an_integer(self, value):
         with pytest.raises(DomainError, match="nms_window must be an integer"):
             PeakExtractionConfig(nms_window=value)
+
+    @pytest.mark.parametrize("value", [True, False, "0.3", None])
+    def test_score_threshold_must_be_a_real_number(self, value):
+        with pytest.raises(DomainError, match="score_threshold must be a real number"):
+            PeakExtractionConfig(score_threshold=value)
+
+    def test_score_threshold_takes_any_real(self):
+        assert PeakExtractionConfig(score_threshold=0).score_threshold == 0
+        assert PeakExtractionConfig(score_threshold=np.float32(0.5)).score_threshold == 0.5
+
+
+class TestGroupingConfig:
+    @pytest.mark.parametrize("value", [True, "a", None])
+    def test_theta_must_be_a_real_number(self, value):
+        with pytest.raises(DomainError, match="theta must be a real number"):
+            GroupingConfig(theta=value)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_geometric_gate_must_be_a_bool(self, value):
+        with pytest.raises(DomainError, match="geometric_gate must be a bool"):
+            GroupingConfig(geometric_gate=value)
+
+    def test_accepts_reals_and_bools(self):
+        assert GroupingConfig(theta=1, geometric_gate=False).theta == 1
+        assert GroupingConfig(theta=np.float64(0.25)).geometric_gate is True
 
 
 def kp(kind, tag, class_id=0, row=0, col=0, score=1.0):
@@ -574,6 +601,12 @@ def decode_oracle(bundle, peak_cfg, group_cfg, stride=1):
     )
 
 
+def crowded_bundles(indices=(0, 30)):
+    """Clean full-size bundles of 48 objects from the air camera sweep."""
+    points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.AIR, seed=0))
+    return [render_ideal_maps(generate_scene(points[k], 0, n_objects=48)) for k in indices]
+
+
 class TestDecodeFrameMatchesOracle:
     def test_full_size_noisy_bundles(self):
         peak_cfg, group_cfg = PeakExtractionConfig(), GroupingConfig()
@@ -581,6 +614,95 @@ class TestDecodeFrameMatchesOracle:
             assert bundle.heatmaps[TL].data.shape[:2] == (240, 320)
             got = decode_frame(bundle, peak_cfg, group_cfg)
             assert got == decode_oracle(bundle, peak_cfg, group_cfg)
+
+    @pytest.mark.parametrize("noise", [0.05, 0.5])
+    def test_full_size_bundles_at_other_noise_levels(self, noise):
+        peak_cfg, group_cfg = PeakExtractionConfig(), GroupingConfig()
+        for bundle in noisy_bundles(1, noise=noise, n_objects=4, image_size=(320, 240)):
+            got = decode_frame(bundle, peak_cfg, group_cfg)
+            assert got == decode_oracle(bundle, peak_cfg, group_cfg)
+
+    def test_full_size_crowded_bundles(self):
+        peak_cfg, group_cfg = PeakExtractionConfig(), GroupingConfig()
+        for bundle in crowded_bundles():
+            assert bundle.heatmaps[TL].shape[:2] == (240, 320)
+            assert all(bundle.heatmaps[kind].cell_table is not None for kind in KeypointKind)
+            got = decode_frame(bundle, peak_cfg, group_cfg)
+            assert len(got) > 24
+            assert got == decode_oracle(bundle, peak_cfg, group_cfg)
+
+
+class TestColumnsAndLists:
+    """The stages carry keypoints as columns; plain `Keypoint` lists in
+    give the same results, and the columns read as today's lists."""
+
+    @pytest.mark.parametrize("source", ["noisy", "crowded"])
+    def test_every_stage_agrees_on_lists_and_columns(self, source):
+        peak_cfg, group_cfg = PeakExtractionConfig(), GroupingConfig()
+        if source == "noisy":
+            bundles = noisy_bundles(1, n_objects=4, image_size=(320, 240))
+        else:
+            bundles = crowded_bundles((10,))
+        for bundle in bundles:
+            peaks = {kind: extract_peaks(bundle.heatmaps[kind], peak_cfg, kind) for kind in KeypointKind}
+            assert all(isinstance(found, Keypoints) for found in peaks.values())
+            tagged = {}
+            for kind in (TL, BR):
+                tagged[kind] = attach_tags(peaks[kind], bundle.embeddings[kind])
+                assert isinstance(tagged[kind], Keypoints)
+                assert attach_tags(list(peaks[kind]), bundle.embeddings[kind]) == tagged[kind]
+            pairs = group_corners(tagged[TL], tagged[BR], group_cfg)
+            assert isinstance(pairs, CornerPairs)
+            assert group_corners(list(tagged[TL]), list(tagged[BR]), group_cfg) == pairs
+            detections = assemble_boxes(pairs, peaks[CENTER], bundle.offsets, 1)
+            assert detections
+            as_lists = assemble_boxes(list(pairs), list(peaks[CENTER]), bundle.offsets, 1)
+            assert as_lists == detections
+            reversed_pairs = list(reversed(pairs))
+            assert assemble_boxes(reversed_pairs, peaks[CENTER], bundle.offsets, 1) == detections
+            assert decode_frame(bundle, peak_cfg, group_cfg) == detections
+
+    def test_sequences_read_as_lists(self):
+        bundle = noisy_bundles(1)[0]
+        cfg = PeakExtractionConfig()
+        peaks = attach_tags(extract_peaks(bundle.heatmaps[TL], cfg, TL), bundle.embeddings[TL])
+        as_list = list(peaks)
+        assert len(peaks) == len(as_list) > 5
+        assert peaks == as_list and as_list == peaks and peaks != as_list[:-1]
+        assert peaks[-1] == as_list[-1] and peaks[2:5] == as_list[2:5]
+        assert peaks[0] is peaks[0]
+        with pytest.raises(IndexError):
+            peaks[len(peaks)]
+        assert repr(peaks) == f"Keypoints({as_list!r})"
+        for point in as_list:
+            assert [type(v) for v in (point.class_id, point.row, point.col)] == [int] * 3
+            assert type(point.score) is float and type(point.tag) is float
+        brs = attach_tags(extract_peaks(bundle.heatmaps[BR], cfg, BR), bundle.embeddings[BR])
+        pairs = group_corners(peaks, brs, GroupingConfig())
+        assert pairs == [(peaks[i], brs[j]) for i, j in zip(pairs.tl_index, pairs.br_index)]
+        assert pairs[-1] == list(pairs)[-1]
+
+    def test_plain_lists_keep_their_objects(self):
+        tls = [kp(TL, 0.5, row=1, col=1), kp(TL, 0.1)]
+        brs = [kp(BR, 0.12, row=2, col=2)]
+        pairs = group_corners(tls, brs, GroupingConfig(theta=0.1))
+        assert len(pairs) == 1 and pairs[0][0] is tls[1] and pairs[0][1] is brs[0]
+        assert Keypoints.of(tls)[0] is tls[0]
+
+
+def test_decode_frame_builds_keypoints_only_for_detections(monkeypatch):
+    bundle = noisy_bundles(1, n_objects=4, image_size=(320, 240))[0]
+    built = []
+    post_init = Keypoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Keypoint, "__post_init__", counting)
+    detections = decode_frame(bundle)
+    assert detections
+    assert len(built) <= 3 * len(detections)
 
 
 def test_decode_frame_calls_each_stage_through_the_module(monkeypatch):
