@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import (
     ClassTaxonomy,
@@ -93,7 +92,7 @@ def build_parser():
     decode.add_argument("--nms-window", type=_odd_int, default=3)
     decode.add_argument("--top-k", type=_positive_int, default=100)
     decode.add_argument("--theta", type=_positive_float, default=0.5)
-    decode.add_argument("--jobs", type=_positive_int, default=1)
+    decode.add_argument("--jobs", type=_positive_int, default=1, help="accepted for compatibility, ignored")
     decode.add_argument("--out", required=True)
     decode.set_defaults(func=_cmd_decode)
 
@@ -172,36 +171,26 @@ def _frame_detections(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
     ]
 
 
-def _decode_frames(dataset, samples, workers, **decode_args):
+def _decode_frames(dataset, samples, **decode_args):
     """Detections of each (frame id, frames dir, scene file) sample of
     `dataset`, keyed by frame id.
 
-    One call loads, decodes and tags each frame: in turn on this thread
-    with one worker, else on a pool of `workers` threads, so at most
-    `workers` frames are in flight. Results are taken in frame-id order, so
-    the error raised is the first failing frame's, prefixed with its id,
-    whether it failed to load or to decode. With one worker no later frame
-    is loaded; with more, Executor.map cancels the frames not yet started
-    once it meets the failure.
+    Frames are loaded, decoded and tagged in frame-id order on this thread.
+    A frame's Det3DError, whether it failed to load or to decode, is raised
+    again with its id prefixed, and no later frame is loaded.
     """
-
-    def decode_one(sample):
-        fid, frames_dir, scene = sample
+    frames = {}
+    for fid, frames_dir, scene in sorted(samples):
         try:
             bundle = load_bundle(os.path.join(dataset, frames_dir))
             scene_path = os.path.join(dataset, scene)
             camera = None
             if os.path.exists(scene_path):
                 camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
-            return fid, _frame_detections(bundle, camera, **decode_args)
+            frames[fid] = _frame_detections(bundle, camera, **decode_args)
         except Det3DError as exc:
             raise type(exc)(f"frame {fid}: {exc}") from exc
-
-    ordered = sorted(samples, key=lambda sample: sample[0])
-    if workers == 1:
-        return dict(map(decode_one, ordered))
-    with ThreadPoolExecutor(workers) as pool:
-        return dict(pool.map(decode_one, ordered))
+    return frames
 
 
 def _cmd_decode(args):
@@ -217,9 +206,9 @@ def _cmd_decode(args):
         manifest = jsondoc.load(manifest_path)
         taxonomy, super_names = jsondoc.read_taxonomy(manifest, manifest_path)
         stride = args.stride or jsondoc.field(manifest, "stride", manifest_path, jsondoc.count, 1)
-        samples = jsondoc.read_samples(manifest, manifest_path, ("id", "frames", "scene"))
+        samples = jsondoc.read_samples(manifest, manifest_path, ("frames", "scene"))
         frames = _decode_frames(
-            args.dataset, samples, args.jobs,
+            args.dataset, samples,
             taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride,
         )
     else:
@@ -235,15 +224,10 @@ def _cmd_decode(args):
         frame_id = os.path.basename(os.path.normpath(args.bundle))
         stride = args.stride or 1
         frames = {frame_id: _frame_detections(bundle, camera, taxonomy, peak_cfg, group_cfg, stride)}
-    payload = {
-        "classes": list(taxonomy.names),
-        "super": super_names,
-        "frames": {fid: frames[fid] for fid in sorted(frames)},
-    }
-
+    payload = {"classes": list(taxonomy.names), "super": super_names, "frames": frames}
     atomic_write_text(args.out, stable_json_dumps(payload))
-    total = sum(len(v) for v in payload["frames"].values())
-    print(f"decoded {len(payload['frames'])} frames, {total} detections -> {args.out}")
+    total = sum(len(v) for v in frames.values())
+    print(f"decoded {len(frames)} frames, {total} detections -> {args.out}")
     return 0
 
 
@@ -325,7 +309,7 @@ def _cmd_eval(args):
 
 def _cmd_convert(args):
     manifest_path = os.path.join(args.dataset, "manifest.json")
-    samples = jsondoc.read_samples(jsondoc.load(manifest_path), manifest_path, ("id", "scene"))
+    samples = jsondoc.read_samples(jsondoc.load(manifest_path), manifest_path, ("scene",))
     labels_dir = os.path.join(args.out, "label_2")
     calib_dir = os.path.join(args.out, "calib")
     try:

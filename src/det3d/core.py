@@ -7,6 +7,7 @@ coordination.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Mapping, Optional
@@ -135,6 +136,13 @@ def normalize_angle(deg):
     if not math.isfinite(deg):
         raise DomainError(f"angle must be finite, got {deg!r}")
     return (deg + 180.0) % 360.0 - 180.0
+
+
+def check_number(obj, name, kind, what):
+    """Raise DomainError unless `obj.<name>` is a `kind` and not a bool."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
 
 
 def _check_score(score):
@@ -333,6 +341,10 @@ class Keypoint:
     def __post_init__(self):
         if not isinstance(self.kind, KeypointKind):
             raise DomainError(f"kind must be a KeypointKind, got {self.kind!r}")
+        # Plain ints, as decode builds them, skip the slower ABC check.
+        if not (type(self.class_id) is type(self.row) is type(self.col) is int):
+            for name in ("class_id", "row", "col"):
+                check_number(self, name, numbers.Integral, "an integer")
         if self.class_id < 0:
             raise DomainError(f"class_id must be >= 0, got {self.class_id}")
         if self.row < 0 or self.col < 0:

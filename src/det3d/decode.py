@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     Keypoint,
     KeypointKind,
+    check_number,
 )
 from . import geometry3d
 
@@ -48,8 +49,8 @@ class PeakExtractionConfig:
 
     def __post_init__(self):
         for name in ("nms_window", "top_k"):
-            _check_number(self, name, numbers.Integral, "an integer")
-        _check_number(self, "score_threshold", numbers.Real, "a real number")
+            check_number(self, name, numbers.Integral, "an integer")
+        check_number(self, "score_threshold", numbers.Real, "a real number")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise DomainError(f"score_threshold must lie in [0, 1], got {self.score_threshold}")
         if self.nms_window < 1 or self.nms_window % 2 == 0:
@@ -64,18 +65,11 @@ class GroupingConfig:
     geometric_gate: bool = True
 
     def __post_init__(self):
-        _check_number(self, "theta", numbers.Real, "a real number")
+        check_number(self, "theta", numbers.Real, "a real number")
         if not (math.isfinite(self.theta) and self.theta > 0.0):
             raise DomainError(f"theta must be finite and positive, got {self.theta}")
         if not isinstance(self.geometric_gate, bool):
             raise DomainError(f"geometric_gate must be a bool, got {self.geometric_gate!r}")
-
-
-def _check_number(cfg, name, kind, what):
-    """Raise DomainError unless the field is an instance of `kind` and not a bool."""
-    value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DomainError(f"{name} must be {what}, got {value!r}")
 
 
 class _ItemSequence(Sequence):

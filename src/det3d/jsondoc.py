@@ -205,11 +205,17 @@ def super_category(supers, name, where, default=_REQUIRED):
 
 
 def read_samples(manifest, where, keys):
-    """The string fields `keys` of each manifest sample, one tuple per sample."""
-    return [
-        tuple(field(entry, key, f"{where}: samples[{k}]", string) for key in keys)
-        for k, entry in enumerate(field(manifest, "samples", where, list))
-    ]
+    """(id, then the string fields `keys`) of each manifest sample, one
+    tuple per sample. No two samples share an id."""
+    samples, seen = [], set()
+    for k, entry in enumerate(field(manifest, "samples", where, list)):
+        place = f"{where}: samples[{k}]"
+        sample = tuple(field(entry, key, place, string) for key in ("id",) + keys)
+        if sample[0] in seen:
+            raise ParseError(f"{place}.id: duplicate id {sample[0]!r}")
+        seen.add(sample[0])
+        samples.append(sample)
+    return samples
 
 
 _SCALARS = {int: integer, float: number, bool: _json_type(bool), str: string}

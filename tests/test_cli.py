@@ -210,7 +210,7 @@ class TestDecode:
     def test_serial_decode_loads_no_frame_after_the_failing_one(
         self, tmp_path, monkeypatch, capsys
     ):
-        """With --jobs 1, a failure at the k-th frame in id order, in its
+        """For any --jobs, a failure at the k-th frame in id order, in its
         load or its decode, loads exactly frames 0..k."""
         four = tmp_path / "four"
         assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
@@ -235,12 +235,14 @@ class TestDecode:
                 root = tmp_path / f"{fid}_{name}"
                 shutil.copytree(four, root)
                 (root / "frames" / fid / name).write_bytes(blob)
-                loads.clear()
                 out = tmp_path / "x.json"
-                assert main(["decode", "--dataset", str(root), "--out", str(out), "--jobs", "1"]) == 3
-                err = capsys.readouterr().err
-                assert err.startswith(f"error: frame {fid}: ") and fragment in err, err
-                assert loads == fids[: k + 1]
+                for jobs in ("1", "2"):
+                    loads.clear()
+                    argv = ["decode", "--dataset", str(root), "--out", str(out), "--jobs", jobs]
+                    assert main(argv) == 3
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"error: frame {fid}: ") and fragment in err, err
+                    assert loads == fids[: k + 1], jobs
 
     @pytest.mark.parametrize(
         "edit, fragment",
@@ -249,6 +251,7 @@ class TestDecode:
             (lambda m: m["samples"][0].pop("frames"), "samples[0]: missing field 'frames'"),
             (lambda m: m["samples"][0].pop("scene"), "samples[0]: missing field 'scene'"),
             (lambda m: m["samples"][0].update(id=5), "samples[0].id: invalid value 5"),
+            (lambda m: m["samples"][1].update(id="000000"), "samples[1].id: duplicate id '000000'"),
             (lambda m: m.update(super=["x"]), "super: expected a JSON object, got list"),
             (lambda m: m["super"].update(air_vehicle="Sky"), "super['air_vehicle']: invalid value 'Sky'"),
         ],

@@ -125,6 +125,8 @@ class TestKeypoint:
     def test_valid(self):
         kp = Keypoint(KeypointKind.CENTER, class_id=0, row=2, col=3, score=0.5, tag=1.0)
         assert kp.row == 2 and kp.col == 3
+        kp = Keypoint(KeypointKind.TOP_LEFT, np.int64(1), np.int32(2), np.uint8(3), score=0.5)
+        assert (kp.class_id, kp.row, kp.col) == (1, 2, 3)
 
     def test_rejects_bad_score(self):
         with pytest.raises(DomainError):
@@ -133,6 +135,23 @@ class TestKeypoint:
     def test_rejects_negative_position(self):
         with pytest.raises(BoundsError):
             Keypoint(KeypointKind.CENTER, 0, -1, 0, score=0.5)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((0, 0.5, 1), "row"),
+            ((0, 1, 1.5), "col"),
+            ((0.0, 1, 1), "class_id"),
+            ((0, True, 1), "row"),
+            ((False, 1, 1), "class_id"),
+            ((0, np.float64(2.0), 1), "row"),
+            ((0, 1, "1"), "col"),
+            ((None, 1, 1), "class_id"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, fields, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            Keypoint(KeypointKind.TOP_LEFT, *fields, score=0.5)
 
 
 class TestBox2D:
