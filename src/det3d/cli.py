@@ -17,6 +17,7 @@ from .core import (
     ConfigurationError,
     Det3DError,
     DomainError,
+    GenerationError,
     ParseError,
     ShapeError,
     SuperCategory,
@@ -156,6 +157,8 @@ def _cmd_synth(args):
     except OSError as exc:
         print(f"error: cannot write dataset under {args.out!r}: {exc}", file=sys.stderr)
         return 2
+    except GenerationError as exc:
+        raise UsageError(f"argument --objects: {args.objects} objects do not fit: {exc}") from None
     print(f"wrote {len(manifest['samples'])} samples to {args.out}")
     return 0
 
@@ -273,12 +276,15 @@ def _cmd_eval(args):
         per_class = {}
         for item in args.per_class_ap:
             name, _, value = item.partition("=")
-            if not name or not value:
-                raise UsageError(f"--per-class-ap needs CLASS=AP, got {item!r}")
             try:
-                per_class[name] = float(value)
+                ap = float(value)
             except ValueError:
-                raise UsageError(f"--per-class-ap value must be numeric, got {item!r}") from None
+                ap = math.nan
+            if not name or not math.isfinite(ap):
+                raise UsageError(f"argument --per-class-ap: needs CLASS=<finite AP>, got {item!r}")
+            if name in per_class:
+                raise UsageError(f"argument --per-class-ap: class {name!r} given twice")
+            per_class[name] = ap
         map_value = mean_average_precision(per_class)
         width = max(len(n) for n in per_class)
         for name in sorted(per_class):

@@ -25,6 +25,7 @@ from .core import (
     check_number,
 )
 from . import geometry3d
+from .metrics import _greedy_walk
 
 __all__ = [
     "PeakExtractionConfig",
@@ -377,18 +378,7 @@ def group_corners(top_lefts, bottom_rights, cfg):
     # ties by (i, j).
     tl_idx, br_idx = np.nonzero(admissible)
     order = np.argsort(distance[tl_idx, br_idx], kind="stable")
-
-    taken = {}  # top-left index -> its bottom-right index, in the order taken
-    used_br = set()
-    for i, j in zip(tl_idx[order].tolist(), br_idx[order].tolist()):
-        if i in taken or j in used_br:
-            continue
-        taken[i] = j
-        used_br.add(j)
-    n = len(taken)
-    return CornerPairs(
-        tls, brs, np.fromiter(taken, np.intp, n), np.fromiter(taken.values(), np.intp, n)
-    )
+    return CornerPairs(tls, brs, *_greedy_walk(tl_idx[order], br_idx[order]))
 
 
 def _refined(rows, cols, offsets, stride):

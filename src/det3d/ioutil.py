@@ -29,5 +29,5 @@ def atomic_write_text(path, text):
 
 
 def stable_json_dumps(obj):
-    """Deterministic JSON: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON: sorted keys, fixed indentation, trailing newline; no NaN or inf."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

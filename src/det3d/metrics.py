@@ -3,10 +3,12 @@ error, per-class average precision, mAP, and confusion matrices.
 
 Matching is greedy in score order against the unmatched ground truth with
 the highest overlap, which keeps every result deterministic and lets the
-whole report be reproduced from the raw boxes.
+whole report be reproduced from the raw boxes. Every report, AP and
+confusion matrix comes from one frame-at-a-time `Evaluator`.
 """
 
 from array import array
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -20,6 +22,7 @@ __all__ = [
     "MatchPolicy",
     "EvalItem",
     "EvalReport",
+    "Evaluator",
     "iou",
     "iou_matrix",
     "match_frame",
@@ -147,30 +150,25 @@ def match_frame(iou, scores, threshold):
     # Candidates by (-score, detection index, -IoU, truth index): the first
     # free truth in a detection's run is the one the greedy rule gives it.
     by_rule = np.lexsort((truths, -iou[dets, truths], dets, -scores[dets]))
-    pairs, taken = {}, set()
-    for k, j in zip(dets[by_rule].tolist(), truths[by_rule].tolist()):
-        if k not in pairs and j not in taken:
-            pairs[k] = j
-            taken.add(j)
-    return np.array(list(pairs), dtype=np.intp), np.array(list(pairs.values()), dtype=np.intp)
+    return _greedy_walk(dets[by_rule], truths[by_rule])
+
+
+def _greedy_walk(rows, cols):
+    """Walk (row, col) candidates in the given order and take each one
+    whose row and column are both still free. Returns the taken rows and
+    columns as two intp arrays, in the order taken. Shared by matching and
+    by `decode.group_corners`, which order their candidates differently."""
+    taken, used_cols = {}, set()  # taken: row -> its column, in the order taken
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i not in taken and j not in used_cols:
+            taken[i] = j
+            used_cols.add(j)
+    n = len(taken)
+    return np.fromiter(taken, np.intp, n), np.fromiter(taken.values(), np.intp, n)
 
 
 def _coords(boxes):
     return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64)
-
-
-def _add_confusion(counts, det_classes, truth_classes, det_idx, truth_idx):
-    """Add one frame's matches to the (C+1)x(C+1) counts: a detection
-    lands at (its truth's class, its class), or in the background row when
-    unmatched; an unmatched truth lands in the background column."""
-    background = len(counts) - 1
-    truth_classes = np.asarray(truth_classes, dtype=np.intp)
-    rows = np.full(len(det_classes), background, dtype=np.intp)
-    rows[det_idx] = truth_classes[truth_idx]
-    np.add.at(counts, (rows, np.asarray(det_classes, dtype=np.intp)), 1)
-    missed = np.ones(truth_classes.size, dtype=bool)
-    missed[truth_idx] = False
-    np.add.at(counts, (truth_classes[missed], background), 1)
 
 
 def _integrate_all_point(recalls, precisions):
@@ -200,9 +198,7 @@ def _integrate_eleven_point(recalls, precisions):
 def _pooled_ap(scores, hits, n_truth, interpolation):
     """AP of detections pooled across frames: `hits[k]` says whether
     detection k matched in its own frame; ranks go by (-score, pool
-    order). None when there are no detections and no truths."""
-    if not scores and n_truth == 0:
-        return None
+    order)."""
     if not scores or n_truth == 0:
         return 0.0
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
@@ -214,6 +210,20 @@ def _pooled_ap(scores, hits, n_truth, interpolation):
     return _integrate_all_point(recalls, precisions)
 
 
+# A (box, score) detection read as an EvalItem that ranks by the pair's score.
+_Ranked = namedtuple("_Ranked", "label box score depth", defaults=(None,))
+
+
+def _report_pairs(dets_by_frame, truths_by_frame, policy, label):
+    """The report of (box, score) detections and truth boxes, each labelled
+    `label(box)`, over the frame ids of either side (empty on the other)."""
+    evaluator = Evaluator(policy)
+    for fid in sorted(set(dets_by_frame) | set(truths_by_frame)):
+        dets = [_Ranked(label(box), box, score) for box, score in dets_by_frame.get(fid, ())]
+        evaluator.add(fid, dets, [EvalItem(label(b), b) for b in truths_by_frame.get(fid, ())])
+    return evaluator.report()
+
+
 def average_precision_frames(dets_by_frame, truths_by_frame, policy=None):
     """Single-class AP where matching is confined to each frame.
 
@@ -222,19 +232,7 @@ def average_precision_frames(dets_by_frame, truths_by_frame, policy=None):
     its own first. Returns None when there are no detections and no truths
     (AP undefined).
     """
-    policy = policy or MatchPolicy()
-    scores, hits, n_truth = [], [], 0
-    for fid in sorted(set(dets_by_frame) | set(truths_by_frame)):
-        dets = list(dets_by_frame.get(fid, ()))
-        truths = list(truths_by_frame.get(fid, ()))
-        frame_scores = [score for _, score in dets]
-        overlaps = iou_matrix(_coords(box for box, _ in dets), _coords(truths))
-        frame_hits = np.zeros(len(dets), dtype=bool)
-        frame_hits[match_frame(overlaps, frame_scores, policy.iou_threshold)[0]] = True
-        scores += frame_scores
-        hits += frame_hits.tolist()
-        n_truth += len(truths)
-    return _pooled_ap(scores, hits, n_truth, policy.interpolation)
+    return _report_pairs(dets_by_frame, truths_by_frame, policy, lambda box: 0).per_class_ap.get(0)
 
 
 def average_precision(dets, truths, policy=None):
@@ -258,24 +256,15 @@ def confusion_matrix_frames(dets_by_frame, truths_by_frame, policy=None, n_class
     (truth_class, det_class). Unmatched truths count against the
     background column, unmatched detections against the background row.
     `dets_by_frame` holds (box, score) pairs; box classes come from the
-    boxes themselves.
+    boxes themselves, and `n_classes` defaults to the largest one + 1.
     """
-    policy = policy or MatchPolicy()
-    frame_ids = sorted(set(dets_by_frame) | set(truths_by_frame))
-    frames = [
-        (list(dets_by_frame.get(fid, ())), list(truths_by_frame.get(fid, ()))) for fid in frame_ids
-    ]
+    report = _report_pairs(dets_by_frame, truths_by_frame, policy, lambda box: box.class_id)
+    seen = list(report.confusion_labels)
     if n_classes is None:
-        n_classes = 0
-        for dets, truths in frames:
-            for box in [box for box, _ in dets] + truths:
-                n_classes = max(n_classes, box.class_id + 1)
+        n_classes = seen[-1] + 1 if seen else 0
+    index = seen + [n_classes]
     counts = np.zeros((n_classes + 1, n_classes + 1), dtype=np.int64)
-    for dets, truths in frames:
-        overlaps = iou_matrix(_coords(box for box, _ in dets), _coords(truths))
-        det_idx, truth_idx = match_frame(overlaps, [s for _, s in dets], policy.iou_threshold)
-        det_classes = [box.class_id for box, _ in dets]
-        _add_confusion(counts, det_classes, [b.class_id for b in truths], det_idx, truth_idx)
+    np.add.at(counts, np.ix_(index, index), report.confusion)
     return counts
 
 
@@ -326,93 +315,108 @@ class EvalReport:
         return out
 
 
-def evaluate(preds_by_frame, truths_by_frame, policy=None, super_map=None):
-    """Build the full report from per-frame EvalItem lists.
+class Evaluator:
+    """Frame-at-a-time evaluation: `add` matches one frame and folds it
+    into running totals, and `report` builds the EvalReport of the frames
+    added so far. Frame ids must be added in strictly increasing order,
+    which fixes each class's detection pool, the DIoU sum and the SIE
+    inputs to sorted-id order: a report equals :func:`evaluate` of the
+    same frames."""
 
-    Frame id sets must match exactly; SIE and the mean DIoU loss aggregate
-    over the class-agnostic matched pairs (SIE only over pairs where both
-    sides carry a depth).
-    """
-    policy = policy or MatchPolicy()
-    missing_in_pred = sorted(set(truths_by_frame) - set(preds_by_frame))
-    missing_in_truth = sorted(set(preds_by_frame) - set(truths_by_frame))
-    if missing_in_pred or missing_in_truth:
-        raise ValidationError(
-            "frame ids do not match: "
-            f"missing from predictions {missing_in_pred}, "
-            f"missing from truths {missing_in_truth}"
-        )
-    frame_ids = sorted(truths_by_frame)
+    def __init__(self, policy=None):
+        self.policy = policy or MatchPolicy()
+        self._last = None  # the last frame id added
+        self._codes = {}  # label -> integer code, in first-seen order
+        self._pooled = defaultdict(lambda: ([], []))  # code -> scores and hits, in pool order
+        self._n_truths = Counter()  # code -> truths
+        self._confusion = Counter()  # (matched truth's code or -1, detection's code) -> count
+        # Losses are new floats, so they are held unboxed; the depths are
+        # the items' own.
+        self._diou_losses, self._truth_depths, self._pred_depths = array("d"), [], []
 
-    labels = sorted(
-        {item.label for frame in truths_by_frame.values() for item in frame}
-        | {item.label for frame in preds_by_frame.values() for item in frame}
-    )
-    label_index = {label: i for i, label in enumerate(labels)}
-
-    confusion = np.zeros((len(labels) + 1, len(labels) + 1), dtype=np.int64)
-    pooled = [([], []) for _ in labels]  # per class: scores and hits, in pool order
-    n_truths = [0] * len(labels)
-    # Losses are new floats, so they are held unboxed; the depths are the
-    # items' own.
-    diou_losses, truth_depths, pred_depths = array("d"), [], []
-    for fid in frame_ids:
-        preds = list(preds_by_frame[fid])
-        truths = list(truths_by_frame[fid])
-        pred_cls = [label_index[item.label] for item in preds]
-        truth_cls = [label_index[item.label] for item in truths]
+    def add(self, frame_id, preds, truths):
+        """Match one frame's predicted and true EvalItems and add them to
+        the totals; ValidationError unless `frame_id` is above every id
+        added before."""
+        if self._last is not None and frame_id <= self._last:
+            raise ValidationError(f"frame ids must increase: got {frame_id!r} after {self._last!r}")
+        self._last = frame_id
+        preds, truths, codes = list(preds), list(truths), self._codes
+        pred_cls = [codes.setdefault(item.label, len(codes)) for item in preds]
+        truth_cls = [codes.setdefault(item.label, len(codes)) for item in truths]
         scores = [item.score for item in preds]
         overlaps = iou_matrix(_coords(p.box for p in preds), _coords(t.box for t in truths))
 
-        # Class-agnostic pass: cross-class matches are confusions.
-        det_idx, truth_idx = match_frame(overlaps, scores, policy.iou_threshold)
-        _add_confusion(confusion, pred_cls, truth_cls, det_idx, truth_idx)
+        # Class-agnostic pass: cross-class matches are confusions. Missed
+        # truths are counted at report time, from the truth counts.
+        det_idx, truth_idx = match_frame(overlaps, scores, self.policy.iou_threshold)
+        rows = [-1] * len(preds)
         for k, j in zip(det_idx.tolist(), truth_idx.tolist()):
-            diou_losses.append(loss_diou(preds[k].box, truths[j].box))
+            rows[k] = truth_cls[j]
+            self._diou_losses.append(loss_diou(preds[k].box, truths[j].box))
             if truths[j].depth is not None and preds[k].depth is not None:
-                truth_depths.append(truths[j].depth)
-                pred_depths.append(preds[k].depth)
+                self._truth_depths.append(truths[j].depth)
+                self._pred_depths.append(preds[k].depth)
+        self._confusion.update(zip(rows, pred_cls))
 
         # Per-class pass: with cross-class overlaps zeroed no detection can
         # take another class's truth, so one pass matches every class.
-        same_class = np.equal.outer(pred_cls, truth_cls)
-        class_idx, _ = match_frame(np.where(same_class, overlaps, 0.0), scores, policy.iou_threshold)
+        overlaps = np.where(np.equal.outer(pred_cls, truth_cls), overlaps, 0.0)
         hits = np.zeros(len(preds), dtype=bool)
-        hits[class_idx] = True
+        hits[match_frame(overlaps, scores, self.policy.iou_threshold)[0]] = True
         for c, score, hit in zip(pred_cls, scores, hits.tolist()):
-            pooled[c][0].append(score)
-            pooled[c][1].append(hit)
-        for c in truth_cls:
-            n_truths[c] += 1
+            pool = self._pooled[c]
+            pool[0].append(score)
+            pool[1].append(hit)
+        self._n_truths.update(truth_cls)
 
-    per_class_ap = {}
-    for label, (scores, hits), n_truth in zip(labels, pooled, n_truths):
-        ap = _pooled_ap(scores, hits, n_truth, policy.interpolation)
-        if ap is not None:
-            per_class_ap[label] = ap
+    def report(self, super_map=None):
+        """The EvalReport of every frame added so far. SIE and the mean
+        DIoU loss aggregate over the class-agnostic matched pairs (SIE only
+        over pairs where both sides carry a depth)."""
+        labels = sorted(self._codes)
+        order = [self._codes[label] for label in labels]
+        per_class_ap = {
+            label: _pooled_ap(*self._pooled[c], self._n_truths[c], self.policy.interpolation)
+            for label, c in zip(labels, order)
+        }
+        # Label order, background last; a truth class's misses are its
+        # truths less its matched ones.
+        position = {c: i for i, c in enumerate(order + [-1])}
+        confusion = np.zeros((len(position), len(position)), dtype=np.int64)
+        for (row, col), n in self._confusion.items():
+            confusion[position[row], position[col]] = n
+        confusion[:-1, -1] = [self._n_truths[c] for c in order] - confusion[:-1].sum(axis=1)
 
-    map_value = mean_average_precision(per_class_ap) if per_class_ap else 0.0
-    mean_diou = sum(diou_losses) / len(diou_losses) if diou_losses else None
-    sie_value = (
-        scale_invariant_error(truth_depths, pred_depths) if truth_depths else None
-    )
+        per_super = None
+        if super_map is not None:
+            groups = {}
+            for label, ap in per_class_ap.items():
+                if super_map.get(label) is not None:
+                    groups.setdefault(str(super_map[label]), []).append(ap)
+            per_super = {name: sum(v) / len(v) for name, v in sorted(groups.items())} or None
+        losses, truth_depths = self._diou_losses, self._truth_depths
+        return EvalReport(
+            per_class_ap=per_class_ap,
+            map=mean_average_precision(per_class_ap) if per_class_ap else 0.0,
+            confusion_labels=tuple(labels),
+            confusion=confusion,
+            sie=scale_invariant_error(truth_depths, self._pred_depths) if truth_depths else None,
+            mean_diou_loss=sum(losses) / len(losses) if losses else None,
+            per_super_map=per_super,
+        )
 
-    per_super = None
-    if super_map is not None:
-        groups = {}
-        for label, ap in per_class_ap.items():
-            super_name = super_map.get(label)
-            if super_name is not None:
-                groups.setdefault(str(super_name), []).append(ap)
-        if groups:
-            per_super = {name: sum(v) / len(v) for name, v in sorted(groups.items())}
 
-    return EvalReport(
-        per_class_ap=per_class_ap,
-        map=map_value,
-        confusion_labels=tuple(labels),
-        confusion=confusion,
-        sie=sie_value,
-        mean_diou_loss=mean_diou,
-        per_super_map=per_super,
-    )
+def evaluate(preds_by_frame, truths_by_frame, policy=None, super_map=None):
+    """The report of per-frame EvalItem lists whose frame id sets match
+    exactly: an :class:`Evaluator` fed every frame in sorted id order."""
+    pred_ids, truth_ids = set(preds_by_frame), set(truths_by_frame)
+    if pred_ids != truth_ids:
+        raise ValidationError(
+            f"frame ids do not match: missing from predictions {sorted(truth_ids - pred_ids)}, "
+            f"missing from truths {sorted(pred_ids - truth_ids)}"
+        )
+    evaluator = Evaluator(policy)
+    for fid in sorted(truths_by_frame):
+        evaluator.add(fid, preds_by_frame[fid], truths_by_frame[fid])
+    return evaluator.report(super_map)

@@ -329,9 +329,21 @@ class TestFlagBounds:
             (["eval"], "--iou", "1.5", "must lie in (0, 1], got 1.5"),
             (_SYNTH, "--sigma", "inf", "must be finite, got inf"),
             (_DECODE, "--theta", "inf", "must be finite, got inf"),
+            (["eval", "--per-class-ap", "b=1"], "--per-class-ap", "a=nan",
+             "needs CLASS=<finite AP>, got 'a=nan'"),
+            (["eval", "--per-class-ap", "b=1"], "--per-class-ap", "a=-inf",
+             "needs CLASS=<finite AP>, got 'a=-inf'"),
+            (["eval"], "--per-class-ap", "a=x", "needs CLASS=<finite AP>, got 'a=x'"),
+            (["eval"], "--per-class-ap", "=1", "needs CLASS=<finite AP>, got '=1'"),
+            (["eval", "--per-class-ap", "a=0.5"], "--per-class-ap", "a=0.7",
+             "class 'a' given twice"),
+            (_SYNTH + ["--super", "ground"], "--objects", "60",
+             "60 objects do not fit: could not place object 12 after 200 attempts "
+             "at sweep point 0 (sensor/Ground, distance 15 m)"),
         ],
     )
-    def test_bound_message(self, capsys, argv, flag, value, message):
+    def test_bound_message(self, capsys, tmp_path, monkeypatch, argv, flag, value, message):
+        monkeypatch.chdir(tmp_path)  # synth makes its --out directory before it fails
         assert main(argv + [flag, value]) == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
@@ -355,6 +367,14 @@ class TestEval:
         assert code == 0
         assert "65.797338" in capsys.readouterr().out
         assert json.loads(read(out))["map"] == pytest.approx(65.797338, abs=1e-6)
+
+    def test_non_json_number_is_never_written(self, capsys, tmp_path, monkeypatch):
+        # A NaN that gets past the flag checks is an internal error at the writer.
+        monkeypatch.setattr(cli, "mean_average_precision", lambda per_class: float("nan"))
+        out = tmp_path / "ap.json"
+        assert main(["eval", "--per-class-ap", "a=1", "--out", str(out)]) == 4
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_frame_mismatch_exits_3(self, dataset, tmp_path, capsys):
         partial = tmp_path / "partial.json"

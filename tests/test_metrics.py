@@ -10,11 +10,13 @@ from det3d.core import Box2D, DomainError, ShapeError, SuperCategory, Validation
 from det3d.decode import decode_frame_3d
 from det3d.metrics import (
     EvalItem,
+    Evaluator,
     Interpolation,
     MatchPolicy,
     average_precision,
     average_precision_frames,
     confusion_matrix,
+    confusion_matrix_frames,
     diou,
     evaluate,
     iou,
@@ -239,6 +241,34 @@ class TestConfusionMatrix:
         counts = confusion_matrix(dets, [], n_classes=1)
         assert counts[1, 0] == 1
 
+    def test_frames_against_hand_counts(self):
+        # Frame "a": class 0 found, a class-1 truth taken by a class-2
+        # detection, a class-1 truth missed, a stray class-0 detection.
+        # Frame "b" has detections only, frame "c" truths only; each frame
+        # matches on its own, so nothing in "b" can take the truth in "c".
+        dets = {
+            "a": [(box(0, 0, 10, 10, class_id=0), 0.9), (box(20, 20, 30, 30, class_id=2), 0.8),
+                  (box(60, 60, 70, 70, class_id=0), 0.7)],
+            "b": [(box(0, 0, 10, 10, class_id=1), 0.6)],
+        }
+        truths = {
+            "a": [box(0, 0, 10, 10, class_id=0), box(20, 20, 30, 30, class_id=1),
+                  box(40, 40, 50, 50, class_id=1)],
+            "c": [box(0, 0, 10, 10, class_id=2)],
+        }
+        expected = [
+            [1, 0, 0, 0, 0],
+            [0, 0, 1, 0, 1],
+            [0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0],
+        ]
+        counts = confusion_matrix_frames(dets, truths, n_classes=4)
+        assert counts.dtype == np.int64 and counts.tolist() == expected
+        # By default the classes run to the largest one seen.
+        trimmed = [row[:3] + row[4:] for row in expected[:3] + expected[4:]]
+        assert confusion_matrix_frames(dets, truths).tolist() == trimmed
+
 
 class TestEvaluate:
     def _frames(self, with_depth=True):
@@ -272,6 +302,13 @@ class TestEvaluate:
         counts = np.asarray(report.confusion)
         assert counts[:, -1].sum() == 3  # every truth in the background column
         assert report.sie is None and report.mean_diou_loss is None
+
+    @pytest.mark.parametrize("second", ["000000", ""])
+    def test_evaluator_rejects_ids_out_of_order(self, second):
+        evaluator = Evaluator()
+        evaluator.add("000000", [], [])
+        with pytest.raises(ValidationError, match=f"got '{second}' after '000000'"):
+            evaluator.add(second, [], [])
 
     def test_frame_mismatch_lists_ids(self):
         truths = self._frames()
@@ -347,6 +384,11 @@ def _assert_matches_oracle(preds, truths, threshold, interpolation, super_map=No
         preds, truths, threshold, interpolation is Interpolation.ELEVEN_POINT, super_map
     )
     assert repr(report.to_dict()) == repr(expected)
+    # The same frames fed to an Evaluator one at a time.
+    evaluator = Evaluator(policy)
+    for fid in sorted(truths):
+        evaluator.add(fid, preds[fid], truths[fid])
+    assert repr(evaluator.report(super_map).to_dict()) == repr(expected)
 
 
 class TestEvaluateMatchesOracle:
