@@ -58,6 +58,7 @@ _AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
 _unit_interval = _bounded(float, (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"))
 _iou_threshold = _bounded(float, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
 _positive_int = _bounded(int, _AT_LEAST_ONE)
+_seed = _bounded(int, (lambda v: v >= 0, "be >= 0"))
 _odd_int = _bounded(int, _AT_LEAST_ONE, (lambda v: v % 2 == 1, "be odd"))
 _positive_float = _bounded(float, (lambda v: v > 0.0, "be > 0"), (math.isfinite, "be finite"))
 
@@ -74,7 +75,7 @@ def build_parser():
     synth.add_argument("--category", required=True, choices=[c.value for c in Category])
     synth.add_argument("--super", dest="super_category", required=True, choices=sorted(_SUPER_FLAGS))
     synth.add_argument("--scene", default="city", choices=[s.value for s in SceneKind])
-    synth.add_argument("--seed", type=int, default=None, help="falls back to $DET3D_SEED, then 0")
+    synth.add_argument("--seed", type=_seed, default=None, help="falls back to $DET3D_SEED, then 0")
     synth.add_argument("--repeats", type=_positive_int, default=1, help="object layouts per grid point")
     synth.add_argument("--objects", type=_positive_int, default=1, help="objects per scene")
     synth.add_argument("--stride", type=_positive_int, default=1)
@@ -127,11 +128,10 @@ def build_parser():
 def _resolve_seed(seed):
     if seed is not None:
         return seed
-    raw = os.environ.get("DET3D_SEED", "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"DET3D_SEED must be an integer, got {raw!r}") from None
+        return _seed(os.environ.get("DET3D_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"DET3D_SEED: {exc}") from None
 
 
 class UsageError(Exception):
@@ -187,9 +187,7 @@ def _decode_frames(dataset, samples, **decode_args):
         try:
             bundle = load_bundle(os.path.join(dataset, frames_dir))
             scene_path = os.path.join(dataset, scene)
-            camera = None
-            if os.path.exists(scene_path):
-                camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
+            camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
             frames[fid] = _frame_detections(bundle, camera, **decode_args)
         except Det3DError as exc:
             raise type(exc)(f"frame {fid}: {exc}") from exc

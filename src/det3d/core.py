@@ -447,10 +447,9 @@ class CameraIntrinsics:
         self._p = arr
 
     @classmethod
-    def simple(cls, focal, cx, cy, focal_y=None):
-        """Pinhole matrix [[fx, 0, cx, 0], [0, fy, cy, 0], [0, 0, 1, 0]]."""
-        fy = focal if focal_y is None else focal_y
-        return cls([[focal, 0.0, cx, 0.0], [0.0, fy, cy, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    def simple(cls, focal, cx, cy):
+        """Pinhole matrix [[f, 0, cx, 0], [0, f, cy, 0], [0, 0, 1, 0]]."""
+        return cls([[focal, 0.0, cx, 0.0], [0.0, focal, cy, 0.0], [0.0, 0.0, 1.0, 0.0]])
 
     @property
     def p(self):

@@ -249,12 +249,15 @@ def save_bundle(directory, bundle):
 
 
 def load_bundle(directory):
-    """Load a bundle saved by :func:`save_bundle`; aux maps are optional."""
+    """Load a bundle saved by :func:`save_bundle`. The three aux maps are
+    optional together: when any of them exists, a missing one is an error."""
+    names = bundle_filenames()
+    aux = any(os.path.exists(os.path.join(directory, names[("aux", h)])) for h in _AUX_HEADS)
     fields = {field: {} for field in _GROUP_FIELDS.values()}
-    for (group, key), name in bundle_filenames().items():
+    for (group, key), name in names.items():
         path = os.path.join(directory, name)
         if group == "aux":
-            fields[f"aux_{key}"] = load_fmap(path) if os.path.exists(path) else None
+            fields[f"aux_{key}"] = load_fmap(path) if aux else None
         else:
             fields[_GROUP_FIELDS[group]][key] = load_fmap(path)
     return MapBundle(**fields)

@@ -193,24 +193,23 @@ def _wrap_rad(angle):
     return math.radians(normalize_angle(math.degrees(angle)))
 
 
-def record_to_boxes(record, class_id=0):
-    """Record -> (Box2D, Box3D); azimuth from rotation_y, other angles 0."""
+def record_to_boxes(record):
+    """Record -> (Box2D, Box3D) of class 0; azimuth from rotation_y, other angles 0."""
     left, top, right, bottom = record.bbox
     score = record.score if record.score is not None else 1.0
-    box2d = Box2D(left, top, right, bottom, class_id=class_id, score=score)
+    box2d = Box2D(left, top, right, bottom, score=score)
     h, w, l = record.dimensions
     box3d = Box3D(
         center=record.location,
         dims=(w, h, l),
         orientation=(math.degrees(record.rotation_y), 0.0, 0.0),
-        class_id=class_id,
         score=score,
     )
     return box2d, box3d
 
 
-def boxes_to_record(label, box2d, box3d, truncated=0.0, occluded=0, score=None):
-    """(Box2D, Box3D) -> record.
+def boxes_to_record(label, box2d, box3d, score=None):
+    """(Box2D, Box3D) -> record, neither truncated nor occluded.
 
     The azimuth converts to rotation_y (radians); alpha is the observation
     angle rotation_y - atan2(x, z); dims reorder from (w, h, l) to
@@ -222,8 +221,8 @@ def boxes_to_record(label, box2d, box3d, truncated=0.0, occluded=0, score=None):
     w, h, l = box3d.dims
     return KittiLabelRecord(
         type=label,
-        truncated=truncated,
-        occluded=occluded,
+        truncated=0.0,
+        occluded=0,
         alpha=alpha,
         bbox=(box2d.x_min, box2d.y_min, box2d.x_max, box2d.y_max),
         dimensions=(h, w, l),

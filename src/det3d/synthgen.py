@@ -123,8 +123,12 @@ _CATEGORY_SALT = {
     Category.SENSOR: 104,
 }
 
+# The one synthetic sensor: the image size of every dataset frame, the
+# focal length (pixels) of every scene camera, and the multibin bins per
+# angle of every rendered orientation head.
 DEFAULT_IMAGE_SIZE = (320, 240)  # (width, height) pixels
-DEFAULT_FOCAL = 260.0
+FOCAL = 260.0
+ORIENTATION_BINS = 4
 
 
 def camera_distance_grid(super_category):
@@ -241,30 +245,24 @@ class SceneSample:
     metadata: Mapping[str, object]
 
 
-def _class_for(super_category, taxonomy):
-    for name in taxonomy.names:
-        if taxonomy.supercategory(name) is super_category:
-            return name
-    raise DomainError(f"taxonomy has no class in super-category {super_category.value}")
-
-
 def generate_scene(
     point,
     rng_seed,
     n_objects=1,
     image_size=DEFAULT_IMAGE_SIZE,
-    focal=DEFAULT_FOCAL,
-    taxonomy=None,
     max_attempts=200,
     variant=0,
     sample_id=None,
 ):
     """Place `n_objects` boxes at the sweep's camera distance (within 10%).
 
-    Placement rejects layouts whose projected hulls leave the image or
-    overlap pairwise at IoU >= 0.1; dimensions jitter around the class
-    prior. Deterministic given (point, rng_seed, variant); `variant`
-    selects independent object layouts for the same sweep point.
+    The camera has focal length `FOCAL` and its center at the middle of
+    `image_size` (width, height); every box is the default taxonomy's class
+    of the point's super-category. Placement rejects layouts whose
+    projected hulls leave the image or overlap pairwise at IoU >= 0.1;
+    dimensions jitter around the class prior. Deterministic given (point,
+    rng_seed, variant); `variant` selects independent object layouts for
+    the same sweep point.
 
     The candidates form one stream, drawn from a generator local to the
     call, that does not depend on which of them are accepted: each attempt
@@ -278,11 +276,11 @@ def generate_scene(
     """
     if n_objects < 1:
         raise DomainError(f"n_objects must be >= 1, got {n_objects}")
-    taxonomy = taxonomy or ClassTaxonomy.default()
+    taxonomy = ClassTaxonomy.default()
     width, height = image_size
-    camera = CameraIntrinsics.simple(focal, width / 2.0, height / 2.0)
+    camera = CameraIntrinsics.simple(FOCAL, width / 2.0, height / 2.0)
     rng = np.random.default_rng([int(rng_seed), point.index, int(variant)])
-    label = _class_for(point.super_category, taxonomy)
+    label = next(n for n in taxonomy.names if taxonomy.supercategory(n) is point.super_category)
     class_id = taxonomy.index(label)
     prior = np.asarray(DIMENSION_PRIORS[point.super_category])
 
@@ -301,8 +299,8 @@ def generate_scene(
         near = z - half_diag
         if near <= 0.1:
             return None
-        x_reach = (width / 2.0 - margin) * near / focal - half_diag
-        y_reach = (height / 2.0 - margin) * near / focal - half_diag
+        x_reach = (width / 2.0 - margin) * near / FOCAL - half_diag
+        y_reach = (height / 2.0 - margin) * near / FOCAL - half_diag
         if x_reach <= 0.0 or y_reach <= 0.0:
             return None
         x = float(rng.uniform(-x_reach, x_reach))
@@ -384,32 +382,24 @@ def generate_scene(
     )
 
 
-def render_ideal_maps(
-    sample,
-    height=None,
-    width=None,
-    stride=1,
-    sigma=1.5,
-    orientation_bins=4,
-    include_aux=True,
-):
+def render_ideal_maps(sample, stride=1, sigma=1.5, include_aux=True):
     """Synthesize the ideal output bundle for a scene.
 
-    For every object, each keypoint kind gets a unit-peak gaussian bump on
-    the object's class channel at floor(pixel / stride); the exact
+    Every map is ceil(image height / stride) x ceil(image width / stride)
+    cells. For every object, each keypoint kind gets a unit-peak gaussian
+    bump on the object's class channel at floor(pixel / stride); the exact
     fractional remainders go into the offset maps at those cells and the
     per-object tag (object index + 1) into both corner embeddings. The
     center keypoint is the midpoint of the projected 2D box. With
     `include_aux`, the center cell additionally stores log-depth, dims,
-    and the multibin encoding of each orientation angle. Every map is
+    and the multibin encoding of each orientation angle over
+    `ORIENTATION_BINS` bins (9 * ORIENTATION_BINS channels). Every map is
     cell-stored (`FeatureMap.from_cells`): a heatmap keeps the cells its
     bumps cover, every other map only its keypoint cells.
     """
     img_w, img_h = sample.image_size
-    if height is None:
-        height = int(math.ceil(img_h / stride))
-    if width is None:
-        width = int(math.ceil(img_w / stride))
+    height = int(math.ceil(img_h / stride))
+    width = int(math.ceil(img_w / stride))
     n_classes = len(sample.taxonomy)
 
     # Bumps are stamped into scratch dense planes, and `stamped` marks the
@@ -423,11 +413,13 @@ def render_ideal_maps(
     embed = {kind: {} for kind in CORNER_KINDS}
     aux = {"aux_depth": {}, "aux_dims": {}, "aux_orientation": {}} if include_aux else {}
     if include_aux:
-        bin_centers = uniform_bin_centers(orientation_bins)
+        bin_centers = uniform_bin_centers(ORIENTATION_BINS)
     # Every bump is a crop of one unit-peak gaussian kernel. Rounding to
     # float32 is monotone, so max-combining the float32 kernel gives the
-    # float32 of the float64 maximum.
-    radius = max(1, int(math.ceil(3.0 * sigma)))
+    # float32 of the float64 maximum. Each crop is clipped to the map, so a
+    # radius past the map's larger side crops the same cells: clipping the
+    # radius there keeps a huge sigma's kernel small.
+    radius = max(1, int(math.ceil(min(3.0 * sigma, max(height, width)))))
     steps = np.arange(-radius, radius + 1)
     kernel = np.exp(-(steps[:, None] ** 2 + steps[None, :] ** 2) / (2.0 * sigma * sigma))
     kernel = kernel.astype(np.float32)
@@ -481,7 +473,7 @@ def render_ideal_maps(
         values = np.take(heat[kind].reshape(-1, n_classes), cells, axis=0)
         return FeatureMap.from_cells(cells, values, height, width, role=MapRole.HEATMAP)
 
-    aux_channels = {"aux_depth": 1, "aux_dims": 3, "aux_orientation": 9 * orientation_bins}
+    aux_channels = {"aux_depth": 1, "aux_dims": 3, "aux_orientation": 9 * ORIENTATION_BINS}
     return MapBundle(
         heatmaps={kind: heat_map(kind) for kind in ALL_KINDS},
         embeddings={kind: cell_map(embed[kind], 1, MapRole.EMBEDDING) for kind in CORNER_KINDS},
@@ -562,30 +554,20 @@ def truth_dict(samples):
     return {**write_taxonomy(taxonomy), "frames": frames}
 
 
-def write_dataset(
-    out_dir,
-    spec,
-    repeats=1,
-    n_objects=1,
-    image_size=DEFAULT_IMAGE_SIZE,
-    focal=DEFAULT_FOCAL,
-    stride=1,
-    sigma=1.5,
-    orientation_bins=4,
-    taxonomy=None,
-    include_aux=True,
-):
+def write_dataset(out_dir, spec, repeats=1, n_objects=1, stride=1, sigma=1.5):
     """Materialize a full sweep on disk.
 
     Layout: manifest.json, truth.json, scenes/<id>.json, and one tensor
-    bundle directory per frame under frames/<id>/. Every write is atomic
-    and the output is a pure function of the arguments, so repeated runs
-    produce byte-identical files.
+    bundle directory per frame under frames/<id>/. Each frame is a
+    `DEFAULT_IMAGE_SIZE` scene of the default taxonomy, rendered with its
+    3D head maps; the manifest records the sensor constants (`image_size`,
+    `focal`, `orientation_bins`). Every write is atomic and the output is
+    a pure function of the arguments, so repeated runs produce
+    byte-identical files.
     """
     from .fmap import save_bundle
     from .ioutil import atomic_write_text, stable_json_dumps
 
-    taxonomy = taxonomy or ClassTaxonomy.default()
     points = enumerate_sweep(spec)
     os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "frames"), exist_ok=True)
@@ -597,22 +579,9 @@ def write_dataset(
         for repeat in range(repeats):
             sample_id = f"{sample_index:06d}"
             sample = generate_scene(
-                point,
-                spec.seed,
-                n_objects=n_objects,
-                image_size=image_size,
-                focal=focal,
-                taxonomy=taxonomy,
-                variant=repeat,
-                sample_id=sample_id,
+                point, spec.seed, n_objects=n_objects, variant=repeat, sample_id=sample_id
             )
-            bundle = render_ideal_maps(
-                sample,
-                stride=stride,
-                sigma=sigma,
-                orientation_bins=orientation_bins,
-                include_aux=include_aux,
-            )
+            bundle = render_ideal_maps(sample, stride=stride, sigma=sigma)
             scene_rel = os.path.join("scenes", f"{sample_id}.json")
             frames_rel = os.path.join("frames", sample_id)
             atomic_write_text(
@@ -639,12 +608,12 @@ def write_dataset(
         "seed": spec.seed,
         "repeats": repeats,
         "objects_per_scene": n_objects,
-        "image_size": [image_size[0], image_size[1]],
-        "focal": focal,
+        "image_size": list(DEFAULT_IMAGE_SIZE),
+        "focal": FOCAL,
         "stride": stride,
         "sigma": sigma,
-        "orientation_bins": orientation_bins,
-        **write_taxonomy(taxonomy),
+        "orientation_bins": ORIENTATION_BINS,
+        **write_taxonomy(ClassTaxonomy.default()),
         "samples": entries,
     }
     atomic_write_text(os.path.join(out_dir, "truth.json"), stable_json_dumps(truth_dict(samples)))

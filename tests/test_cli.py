@@ -10,7 +10,7 @@ import pytest
 
 from det3d import cli
 from det3d.cli import main
-from det3d.core import FeatureMap, ParseError
+from det3d.core import CameraIntrinsics, FeatureMap, ParseError
 from det3d.fmap import dump_fmap, load_bundle, load_fmap, parse_fmap, save_fmap
 from det3d.kitti import parse_kitti_calib, parse_kitti_label_file
 
@@ -93,6 +93,41 @@ class TestSynth:
         assert code == 0
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "raw, message", [("-1", "must be >= 0, got -1"), ("x", "not an integer: 'x'")]
+    )
+    def test_bad_seed_env_exits_2(self, tmp_path, monkeypatch, capsys, raw, message):
+        monkeypatch.setenv("DET3D_SEED", raw)
+        out = tmp_path / "env_seeded"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: DET3D_SEED: {message}\n"
+
+    def test_huge_sigma_covers_the_map(self, tmp_path):
+        # A bump's radius, 3 sigma, is clipped to the map it is cropped to.
+        out = tmp_path / "wide"
+        argv = ["synth", "--category", "sensor", "--super", "air", "--stride", "4",
+                "--sigma", "1e30", "--out", str(out)]
+        assert main(argv) == 0
+        for path in sorted((out / "frames").glob("*/heatmap_*.fmap")):
+            heat = load_fmap(path)
+            assert heat.shape == (60, 80, 2)
+            assert (heat.data[..., 0] == 1.0).all() and not heat.data[..., 1].any(), path
+
+    def test_sensor_is_fixed(self, dataset):
+        """The image size, focal length and orientation bins of every frame."""
+        manifest = json.loads(read(dataset / "manifest.json"))
+        assert (manifest["image_size"], manifest["focal"], manifest["orientation_bins"]) == (
+            [320, 240], 260.0, 4
+        )
+        frames = sorted((dataset / "frames").iterdir())
+        scenes = sorted((dataset / "scenes").iterdir())
+        assert len(frames) == len(scenes) == len(manifest["samples"])
+        for frame in frames:
+            assert load_fmap(frame / "aux_orientation.fmap").channels == 36
+        for scene in scenes:
+            camera = CameraIntrinsics(json.loads(read(scene))["camera"]["p"])
+            assert camera == CameraIntrinsics.simple(260, 160, 120)
 
 
 class TestDecode:
@@ -340,6 +375,7 @@ class TestFlagBounds:
             (_SYNTH + ["--super", "ground"], "--objects", "60",
              "60 objects do not fit: could not place object 12 after 200 attempts "
              "at sweep point 0 (sensor/Ground, distance 15 m)"),
+            (_SYNTH, "--seed", "-1", "must be >= 0, got -1"),
         ],
     )
     def test_bound_message(self, capsys, tmp_path, monkeypatch, argv, flag, value, message):
@@ -553,6 +589,14 @@ class TestMalformedScene:
             f"error: frame 000001: {path}: missing field 'camera'\n"
         )
 
+    def test_dataset_scene_file_missing(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        path = broken / "scenes" / "000001.json"
+        path.unlink()
+        assert self.decode_dataset(broken, tmp_path) == 3
+        assert capsys.readouterr().err == f"error: frame 000001: missing file {str(path)!r}\n"
+
     def test_bundle_scene_camera_without_p(self, dataset, tmp_path, capsys):
         scene = json.loads(read(dataset / "scenes" / "000000.json"))
         scene["camera"] = {"q": 1}
@@ -738,6 +782,25 @@ class TestCellBundles:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: cell table holds ") and "(at byte offset 25)" in err
+
+    @pytest.mark.parametrize("head", ["depth", "dims", "orientation"])
+    def test_partial_3d_heads_exit_3(self, dataset, tmp_path, capsys, head):
+        broken = tmp_path / "broken"
+        shutil.copytree(dataset, broken)
+        path = broken / "frames" / "000001" / f"aux_{head}.fmap"
+        path.unlink()
+        out = tmp_path / "x.json"
+        assert main(["decode", "--dataset", str(broken), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: frame 000001: missing tensor dump {str(path)!r}\n"
+        )
+        # Without any of the three, the frame decodes in 2D only.
+        for other in (broken / "frames" / "000001").glob("aux_*.fmap"):
+            other.unlink()
+        assert main(["decode", "--dataset", str(broken), "--out", str(out)]) == 0
+        frames = json.loads(read(out))["frames"]
+        assert frames["000001"] and all(obj["box3d"] is None for obj in frames["000001"])
+        assert all(obj["box3d"] is not None for obj in frames["000000"])
 
     def test_v1_rewrite_decodes_identically(self, dataset, tmp_path):
         dense = tmp_path / "dense"

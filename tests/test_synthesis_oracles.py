@@ -132,6 +132,12 @@ class TestHeatmapsMatchOracle:
         tl = bundle.heatmaps[ALL_KINDS[0]]
         assert tl.get(0, 0, sample.objects[0].class_id) == 1.0
 
+    @pytest.mark.parametrize("sigma", [20.0, 1e30])
+    def test_radius_past_the_map(self, sigma):
+        # At stride 8 the map is 30x40 cells, and 3 sigma exceeds both sides.
+        sample = generate_scene(sweep(SuperCategory.GROUND)[3], 0, n_objects=4)
+        assert_heatmaps_match(sample, stride=8, sigma=sigma)
+
     def test_stride_two_ground_scene(self):
         sample = generate_scene(sweep(SuperCategory.GROUND)[3], 0, n_objects=4)
         assert_heatmaps_match(sample, stride=2)
