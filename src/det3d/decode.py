@@ -206,9 +206,9 @@ def extract_peaks(heatmap, cfg, kind):
     Each channel keeps its first `top_k` peaks by (-score, row, col), and
     the result is sorted by (-score, row, col, channel).
 
-    A dense heatmap is scanned whole. A cell-stored one is searched among
-    its stored values only, and its dense plane is never built: both
-    kernels find the same peaks.
+    A dense heatmap is scanned whole, as is a cell-stored one whose
+    candidates' neighbour table would outgrow it; any other is searched
+    among its stored values only. Both kernels find the same peaks.
     """
     if heatmap.cell_table is None:
         cells, channels, scores = _dense_peaks(heatmap.data, cfg)
@@ -294,6 +294,9 @@ def _cell_peaks(heatmap, cfg):
         scores = np.concatenate((scores, np.zeros(free.size * n_channels, values.dtype)))
     if not margin:
         return cand_cells, channels, scores
+    if cand_cells.size * (window * window - 1) > height * width * n_channels:
+        # The neighbour table below would outgrow the dense map.
+        return _dense_peaks(heatmap.data, cfg)
 
     # Each candidate against its whole window at once: one row of
     # neighbours per candidate in (row, col) order, so the first half

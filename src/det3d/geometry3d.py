@@ -294,29 +294,18 @@ def project_box3d(camera, box):
     return Box2D(*hulls[0].tolist(), class_id=box.class_id, score=box.score)
 
 
-def _fit_centers(camera, pixels, dims, centers, orientations, labels):
-    """One Box3D per staged box, shifted as `fit_center_from_2d` shifts it.
-
-    `pixels` holds the (n, 2) 2D box centers; `dims`, `centers` and
-    `orientations` are (n, 3) columns of boxes that pass Box3D's checks;
-    `labels` holds each box's (class_id, score). Raises the error of the
-    first box whose projection fails or whose shifted center is not finite.
-    """
+def _fit_centers(camera, pixels, dims, centers, orientations):
+    """(fitted, ok) of boxes given as (n, 3) columns that pass Box3D's
+    checks: the (n, 3) centers `fit_center_from_2d` shifts them to under
+    the (n, 2) 2D box centers `pixels`, and an (n,) mask of the boxes
+    whose projection passes and whose shifted center is finite."""
     depths, scales, hulls = _project(camera, dims, centers, orientations)
-    failed = (depths <= 0.0).any(axis=1) | (scales == 0.0).any(axis=1)
-    failed |= ~np.isfinite(hulls).all(axis=1)
+    ok = ~((depths <= 0.0).any(axis=1) | (scales == 0.0).any(axis=1))
     z = centers[:, 2:]
     with np.errstate(over="ignore", invalid="ignore"):
         shift = (pixels - 0.5 * (hulls[:, :2] + hulls[:, 2:])) * z / (camera.fx, camera.fy)
         fitted = np.concatenate([centers[:, :2] + shift, z], axis=1)
-    boxes = []
-    rows = zip(fitted.tolist(), dims.tolist(), orientations.tolist(), labels, failed.tolist())
-    for i, (center, size, orientation, (class_id, score), fails) in enumerate(rows):
-        if fails:
-            staged = Box3D(centers[i], size, orientation, class_id, score)
-            project_box3d(camera, staged)  # raises the error of its projection
-        boxes.append(Box3D(center, size, orientation, class_id, score))
-    return boxes
+    return fitted, ok & np.isfinite(fitted).all(axis=1)
 
 
 def fit_center_from_2d(camera, box2d, dims, orientation, depth):
@@ -330,8 +319,10 @@ def fit_center_from_2d(camera, box2d, dims, orientation, depth):
     """
     center = back_project_point(camera, box2d.center, depth)
     box = Box3D(center, dims, orientation, box2d.class_id, box2d.score)
-    columns = _columns([box])
-    return _fit_centers(camera, np.array([box2d.center]), *columns, [(box.class_id, box.score)])[0]
+    fitted, ok = _fit_centers(camera, np.array([box2d.center]), *_columns([box]))
+    if not ok[0]:
+        project_box3d(camera, box)  # raises the error of its projection
+    return Box3D(fitted[0], box.dims, box.orientation, box.class_id, box.score)
 
 
 def lift_detections(detections, bundle, camera):
@@ -344,64 +335,63 @@ def lift_detections(detections, bundle, camera):
     The frame is staged as float64 columns, with one `take` per head map.
     The back-projection and the hull-center shift are numpy arithmetic in
     the scalar formulas' order, so every value has the same bits; exp,
-    atan2, degrees, radians, cos and sin stay scalar `math` calls. Only the
-    detections before the first failing one are staged and projected. The
-    error raised is the one that lifting the detections one at a time, in
-    order, would raise first: a staged box's projection error or
-    non-finite center, else the first failing detection's own error.
+    atan2, degrees, radians, cos and sin stay scalar `math` calls. One
+    mask marks the detections whose lift fails: a center off the map, a
+    depth `decode_depth` rejects, a zero 2x2 determinant, a non-finite
+    center, nonpositive dims, then (only up to the first of those) a
+    failed projection or a non-finite fitted center. `lift_detection`
+    lifts the first failing detection alone and raises its error, the
+    first that a one-at-a-time lift of the frame would raise.
     """
     if not detections:
         return []
     if not bundle.has_aux:
         raise ConfigurationError("bundle carries no 3D head maps")
-    height, width = bundle.height, bundle.width
-    cells = []
-    for det in detections:
-        row, col = det.center.row, det.center.col
-        if not (0 <= row < height and 0 <= col < width):
-            break
-        cells.append((row, col))
-    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    rows, cols = np.array([(det.center.row, det.center.col) for det in detections]).T
+    ok = (rows >= 0) & (rows < bundle.height) & (cols >= 0) & (cols < bundle.width)
+    rows, cols = rows * ok, cols * ok  # off-map centers read cell (0, 0)
     raw = bundle.aux_depth.take(rows, cols)[:, 0].astype(np.float64)
     dims = bundle.aux_dims.take(rows, cols).astype(np.float64)
     n_bins = bundle.aux_orientation.channels // 9
     heads = bundle.aux_orientation.take(rows, cols).astype(np.float64).reshape(-1, 3, n_bins, 3)
 
-    # A detection fails at its center cell, its depth, a zero 2x2
-    # determinant, a non-finite center or nonpositive dims, in that order.
-    # The first bad dims is read off the columns, and no detection after
-    # it needs the other checks.
-    bad_dims = (dims <= 0.0).any(axis=1)
-    end = int(bad_dims.argmax()) if bad_dims.any() else len(cells)
-    depths = []
-    for value in raw[:end].tolist():
+    # A rejected depth reads nan, so its center fails the finite check.
+    z = []
+    for value in raw.tolist():
         try:
-            depths.append(decode_depth(value))
+            z.append(decode_depth(value))
         except Det3DError:
-            break
-    z = np.array(depths)
-    pixels = np.array([det.box.center for det in detections[: len(z)]]).reshape(-1, 2)
-    x, y, determinant = _back_project(camera.p, pixels[:, 0], pixels[:, 1], z)
-    ok = (determinant != 0.0) & np.isfinite(x) & np.isfinite(y)
-    staged = len(z) if ok.all() else int(ok.argmin())
+            z.append(math.nan)
+    pixels = np.array([det.box.center for det in detections])
+    x, y, determinant = _back_project(camera.p, pixels[:, 0], pixels[:, 1], np.array(z))
+    centers = np.column_stack([x, y, z])
+    ok &= (determinant != 0.0) & np.isfinite(centers).all(axis=1) & (dims > 0.0).all(axis=1)
+    staged = len(ok) if ok.all() else int(ok.argmin())
 
-    bins = heads[: staged + 1].reshape(-1, n_bins, 3)
-    angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
-    fitted = []
     if staged:
-        labels = [(det.box.class_id, det.box.score) for det in detections[:staged]]
-        columns = dims[:staged], np.column_stack([x, y, z])[:staged], angles[:staged]
-        fitted = _fit_centers(camera, pixels[:staged], *columns, labels)
-    if staged < len(detections):
-        # Rerun the checks on the failing detection alone to raise its error.
-        det = detections[staged]
-        if staged == len(cells):
-            bundle.aux_depth.get(det.center.row, det.center.col, 0)  # raises its BoundsError
-        center = back_project_point(camera, det.box.center, decode_depth(raw[staged]))
-        Box3D(center, dims[staged], angles[staged], det.box.class_id, det.box.score)
-    return fitted
+        bins = heads[:staged].reshape(-1, n_bins, 3)
+        angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
+        columns = dims[:staged], centers[:staged], angles
+        fitted, ok[:staged] = _fit_centers(camera, pixels[:staged], *columns)
+    if not ok.all():
+        lift_detection(detections[int(ok.argmin())], bundle, camera)  # raises its error
+    boxes = zip(fitted.tolist(), dims.tolist(), angles.tolist(), detections)
+    return [Box3D(c, d, o, det.box.class_id, det.box.score) for c, d, o, det in boxes]
 
 
 def lift_detection(detection, bundle, camera):
-    """Lift one decoded 2D detection to 3D; see `lift_detections`."""
-    return lift_detections([detection], bundle, camera)[0]
+    """Lift one decoded 2D detection to 3D, as `lift_detections` lifts it.
+
+    Raises the detection's first error in the order of its steps: the
+    bundle's head maps, the head reads at its center cell, `decode_depth`,
+    `back_project_point`, the Box3D checks, then `fit_center_from_2d`'s
+    projection and fitted center.
+    """
+    if not bundle.has_aux:
+        raise ConfigurationError("bundle carries no 3D head maps")
+    row, col = detection.center.row, detection.center.col
+    depth = decode_depth(bundle.aux_depth.get(row, col, 0))
+    dims = bundle.aux_dims.take([row], [col])[0].tolist()
+    heads = bundle.aux_orientation.take([row], [col]).astype(np.float64).reshape(3, -1, 3)
+    angles = _bin_angles(heads, uniform_bin_centers(heads.shape[1]))
+    return fit_center_from_2d(camera, detection.box, dims, angles, depth)

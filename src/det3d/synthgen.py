@@ -418,10 +418,14 @@ def render_ideal_maps(sample, stride=1, sigma=1.5, include_aux=True):
     # float32 is monotone, so max-combining the float32 kernel gives the
     # float32 of the float64 maximum. Each crop is clipped to the map, so a
     # radius past the map's larger side crops the same cells: clipping the
-    # radius there keeps a huge sigma's kernel small.
+    # radius there keeps a huge sigma's kernel small. Where 2 sigma^2
+    # underflows, the center is 0 / 0; it is exp(-0.0) = 1.0 for every
+    # other sigma, so pinning it makes so narrow a bump one cell.
     radius = max(1, int(math.ceil(min(3.0 * sigma, max(height, width)))))
     steps = np.arange(-radius, radius + 1)
-    kernel = np.exp(-(steps[:, None] ** 2 + steps[None, :] ** 2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kernel = np.exp(-(steps[:, None] ** 2 + steps[None, :] ** 2) / (2.0 * sigma * sigma))
+    kernel[radius, radius] = 1.0
     kernel = kernel.astype(np.float32)
 
     for obj_index, (box3d, box2d) in enumerate(zip(sample.objects, sample.boxes2d)):

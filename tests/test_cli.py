@@ -114,6 +114,30 @@ class TestSynth:
             assert heat.shape == (60, 80, 2)
             assert (heat.data[..., 0] == 1.0).all() and not heat.data[..., 1].any(), path
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", ["1e-155", "1e-200"])
+    def test_tiny_sigma_is_a_one_cell_peak(self, tmp_path, capsys, sigma):
+        """2 sigma^2 is subnormal at 1e-155 and 0 at 1e-200: each bump is
+        its keypoint cell alone, at 1.0."""
+        out = tmp_path / "narrow"
+        argv = ["synth", "--category", "sensor", "--super", "air", "--sigma", sigma,
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        truth = json.loads(read(out / "truth.json"))
+        for frame_id, (obj,) in truth["frames"].items():
+            box = obj["box2d"]
+            anchors = {
+                "tl": (box["x_min"], box["y_min"]),
+                "br": (box["x_max"], box["y_max"]),
+                "center": ((box["x_min"] + box["x_max"]) / 2, (box["y_min"] + box["y_max"]) / 2),
+            }
+            for kind, (x, y) in anchors.items():
+                heat = load_fmap(out / "frames" / frame_id / f"heatmap_{kind}.fmap").data
+                expected = np.zeros_like(heat)
+                expected[int(y), int(x), truth["classes"].index(obj["class"])] = 1.0
+                assert (heat == expected).all(), (frame_id, kind)
+
     def test_sensor_is_fixed(self, dataset):
         """The image size, focal length and orientation bins of every frame."""
         manifest = json.loads(read(dataset / "manifest.json"))

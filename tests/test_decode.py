@@ -1,6 +1,7 @@
 """Peak extraction, tag grouping, offset refinement, and box assembly."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,21 @@ class TestCellKernel:
         with pytest.raises(DomainError, match=re.escape(fragment)) as cell_error:
             extract_peaks(fmap, cfg, CENTER)
         assert str(cell_error.value) == str(dense_error.value)
+
+    def test_wide_window_scans_densely(self):
+        """A window whose neighbour table would outgrow the map takes the
+        dense kernel: at 121, the neighbour table alone would be 162 MB."""
+        cfg = PeakExtractionConfig(nms_window=121)
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.AIR, seed=0))
+        heatmap = render_ideal_maps(generate_scene(points[0], 0, n_objects=48)).heatmaps[CENTER]
+        tracemalloc.start()
+        try:
+            got = extract_peaks(heatmap, cfg, CENTER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert got == extract_peaks(FeatureMap(heatmap.data, role=heatmap.role), cfg, CENTER)
 
     @pytest.mark.parametrize("threshold, window", [(0.3, 3), (0.0, 3), (0.05, 7)])
     def test_crowded_bundles(self, threshold, window):

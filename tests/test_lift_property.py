@@ -1,6 +1,7 @@
 """Property tests of the 3D lift: it gives the boxes or the error of the
 one-detection-at-a-time `lift_oracle` wherever passing and failing heads
-sit in a frame, and the angle wrap it relies on is idempotent bit for bit.
+sit in a frame, as does `lift_detection` on each detection alone, and the
+angle wrap it relies on is idempotent bit for bit.
 
 Kept apart from test_geometry3d.py so that the other lift tests still run
 where the optional `hypothesis` package is not installed.
@@ -18,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from det3d.core import SuperCategory, normalize_angle
-from det3d.geometry3d import lift_detections
+from det3d.geometry3d import lift_detection, lift_detections
 from oracles import lift_oracle
 from test_geometry3d import decoded_frames, outcome, with_heads
 
@@ -59,15 +60,25 @@ def frames(draw):
     return detections, bundle, camera
 
 
+def lift_alone(detections, bundle, camera):
+    (detection,) = detections
+    return [lift_detection(detection, bundle, camera)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(frame=frames())
 def test_lift_matches_oracle_wherever_heads_fail(frame):
+    detections, bundle, camera = frame
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         expected = outcome(lift_oracle, *frame)
+        alone = [outcome(lift_oracle, [det], bundle, camera) for det in detections]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(lift_detections, *frame) == expected
+        # lift_detection raises a failing frame's error, so it must give
+        # each detection's own outcome.
+        assert [outcome(lift_alone, [det], bundle, camera) for det in detections] == alone
 
 
 @settings(max_examples=2000, deadline=None)
