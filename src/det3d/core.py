@@ -145,6 +145,18 @@ def check_number(obj, name, kind, what):
         raise DomainError(f"{name} must be {what}, got {value!r}")
 
 
+def _indices(name, idx, size):
+    """`idx` as an intp array, after checking that it holds integers (an
+    empty sequence counts) and that each lies in [0, size)."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise DomainError(f"{name} indices must be integers, got {idx.dtype} values")
+    outside = idx[(idx < 0) | (idx >= size)]
+    if outside.size:
+        raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
+    return idx.astype(np.intp, copy=False)
+
+
 def _check_score(score):
     score = float(score)
     if not math.isfinite(score) or score < 0.0 or score > 1.0:
@@ -274,13 +286,9 @@ class FeatureMap:
 
     def take(self, rows, cols):
         """(n, C) float32 values at the cells (rows[k], cols[k]), the same
-        as `data[rows, cols]`; every index must lie inside the map."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        for name, idx, size in (("row", rows, self.height), ("col", cols, self.width)):
-            outside = idx[(idx < 0) | (idx >= size)]
-            if outside.size:
-                raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
+        as `data[rows, cols]`; every index must be an integer inside the map."""
+        rows = _indices("row", rows, self.height)
+        cols = _indices("col", cols, self.width)
         if self._cells is None:
             return self._data[rows, cols]
         out = np.zeros(rows.shape + (self.channels,), dtype=np.float32)
@@ -292,23 +300,14 @@ class FeatureMap:
         return out
 
     def get(self, row, col, channel):
-        """Return the stored value at (row, col, channel)."""
-        for name, idx, size in (
-            ("row", row, self.height),
-            ("col", col, self.width),
-            ("channel", channel, self.channels),
-        ):
-            if not 0 <= idx < size:
-                raise BoundsError(f"{name} index {idx} out of range [0, {size})")
-        return float(self.take([row], [col])[0, channel])
+        """Return the stored value at (row, col, channel), each an integer
+        inside the map."""
+        values = self.take([row], [col])[0]
+        return float(values[_indices("channel", [channel], self.channels)[0]])
 
     def channel_plane(self, channel):
         """Read-only (H, W) view of a single channel."""
-        if not 0 <= channel < self.channels:
-            raise BoundsError(
-                f"channel index {channel} out of range [0, {self.channels})"
-            )
-        return self.data[:, :, channel]
+        return self.data[:, :, _indices("channel", [channel], self.channels)[0]]
 
     def __eq__(self, other):
         if not isinstance(other, FeatureMap):

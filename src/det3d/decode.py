@@ -206,15 +206,14 @@ def extract_peaks(heatmap, cfg, kind):
     Each channel keeps its first `top_k` peaks by (-score, row, col), and
     the result is sorted by (-score, row, col, channel).
 
-    A dense heatmap is scanned whole, as is a cell-stored one whose
-    candidates' neighbour table would outgrow it; any other is searched
-    among its stored values only. Both kernels find the same peaks.
+    A cell-stored heatmap is searched among its stored values wherever
+    `_cell_peaks` can; any other is scanned whole. Both kernels find the
+    same peaks.
     """
-    if heatmap.cell_table is None:
-        cells, channels, scores = _dense_peaks(heatmap.data, cfg)
-    else:
-        cells, channels, scores = _cell_peaks(heatmap, cfg)
-    return _ranked_keypoints(kind, heatmap, cfg.top_k, cells, channels, scores)
+    found = None if heatmap.cell_table is None else _cell_peaks(heatmap, cfg)
+    if found is None:
+        found = _dense_peaks(heatmap.data, cfg)
+    return _ranked_keypoints(kind, heatmap, cfg.top_k, *found)
 
 
 def _check_range(lo, hi):
@@ -251,13 +250,13 @@ def _dense_peaks(data, cfg):
 
 
 def _cell_peaks(heatmap, cfg):
-    """(cells, channels, scores) of every peak of a cell-stored heatmap.
-
-    Every unstored cell reads 0.0, so below a positive threshold only
-    stored values can be peaks. At threshold 0 an unstored cell can be one
-    too, but only where its window holds no cell before it, since no
-    value is below 0: cell (0, 0), or every cell when the window is 1x1.
+    """(cells, channels, scores) of every peak of a cell-stored heatmap, or
+    None where the dense kernel must run: at threshold 0, where an unstored
+    cell (it reads 0.0) can be a peak too, or where the candidates'
+    neighbour table would hold more entries than the map holds values.
     """
+    if cfg.score_threshold <= 0.0:
+        return None
     cells, values = heatmap.cell_table
     height, width, n_channels = heatmap.shape
     n_stored = cells.size
@@ -286,17 +285,8 @@ def _cell_peaks(heatmap, cfg):
         lose = has_left & (scores <= values[left, channels])
         lose |= has_right & (scores < values[right, channels])
         channels, cand_cells, scores = channels[~lose], cand_cells[~lose], scores[~lose]
-    if cfg.score_threshold <= 0.0:
-        free = np.arange(height * width if margin == 0 else 1)
-        free = free[np.isin(free, cells, assume_unique=True, invert=True)]
-        cand_cells = np.concatenate((cand_cells, np.repeat(free, n_channels)))
-        channels = np.concatenate((channels, np.tile(np.arange(n_channels), free.size)))
-        scores = np.concatenate((scores, np.zeros(free.size * n_channels, values.dtype)))
-    if not margin:
-        return cand_cells, channels, scores
     if cand_cells.size * (window * window - 1) > height * width * n_channels:
-        # The neighbour table below would outgrow the dense map.
-        return _dense_peaks(heatmap.data, cfg)
+        return None
 
     # Each candidate against its whole window at once: one row of
     # neighbours per candidate in (row, col) order, so the first half
@@ -309,12 +299,11 @@ def _cell_peaks(heatmap, cfg):
     n_rows = (cand_cells // width)[:, None] + (offsets // window - margin)
     n_cols = (cand_cells % width)[:, None] + (offsets % window - margin)
     on_map = (n_rows >= 0) & (n_rows < height) & (n_cols >= 0) & (n_cols < width)
+    flat = n_rows * width + n_cols
+    pos = np.minimum(np.searchsorted(cells, flat), n_stored - 1)
+    stored = on_map & (cells[pos] == flat)
     neighbour = np.where(on_map, np.float32(0.0), np.float32(-np.inf))
-    if n_stored:
-        flat = n_rows * width + n_cols
-        pos = np.minimum(np.searchsorted(cells, flat), n_stored - 1)
-        stored = on_map & (cells[pos] == flat)
-        neighbour = np.where(stored, values[pos, channels[:, None]], neighbour)
+    neighbour = np.where(stored, values[pos, channels[:, None]], neighbour)
     score = scores[:, None]
     peak = (score > neighbour[:, :half]).all(axis=1) & (score >= neighbour[:, half:]).all(axis=1)
     return cand_cells[peak], channels[peak], scores[peak]

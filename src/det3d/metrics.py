@@ -7,6 +7,7 @@ whole report be reproduced from the raw boxes. Every report, AP and
 confusion matrix comes from one frame-at-a-time `Evaluator`.
 """
 
+import numbers
 from array import array
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import DomainError, ShapeError, ValidationError
+from .core import DomainError, ShapeError, ValidationError, check_number
 
 __all__ = [
     "Interpolation",
@@ -52,12 +53,18 @@ class MatchPolicy:
     interpolation: Interpolation = Interpolation.ALL_POINT
 
     def __post_init__(self):
+        check_number(self, "iou_threshold", numbers.Real, "a real number")
         if not 0.0 < self.iou_threshold <= 1.0:
             raise DomainError(
                 f"iou_threshold must lie in (0, 1], got {self.iou_threshold}"
             )
-        if not isinstance(self.interpolation, Interpolation):
+        try:
             object.__setattr__(self, "interpolation", Interpolation(self.interpolation))
+        except ValueError:
+            valid = [mode.value for mode in Interpolation]
+            raise DomainError(
+                f"interpolation must be one of {valid}, got {self.interpolation!r}"
+            ) from None
 
 
 def iou(a, b):

@@ -105,10 +105,17 @@ class TestCellStorage:
             self.cell_map().data[0, 0, 0] = 1.0
 
     def test_take_bounds(self):
+        fmap = self.cell_map()
         with pytest.raises(BoundsError, match="row index 2 out of range"):
-            self.cell_map().take([0, 2], [0, 0])
+            fmap.take([0, 2], [0, 0])
         with pytest.raises(BoundsError, match="col index -1 out of range"):
-            self.cell_map().take([0], [-1])
+            fmap.take([0], [-1])
+        for rows, cols, axis in (([1.9], [1], "row"), ([1], [1.2], "col"), ([True], [1], "row")):
+            with pytest.raises(DomainError, match=f"{axis} indices must be integers"):
+                fmap.take(rows, cols)
+        with pytest.raises(DomainError, match="channel indices must be integers"):
+            fmap.get(1, 1, True)
+        assert fmap.take([], []).shape == (0, 2)
 
     @pytest.mark.parametrize(
         "cells, values, error",

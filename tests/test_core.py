@@ -52,6 +52,23 @@ class TestFeatureMap:
         with pytest.raises(BoundsError, match=axis):
             fm.get(*index)
 
+    @pytest.mark.parametrize(
+        "method,args,axis",
+        [
+            ("get", (1.9, 0, 0), "row"),
+            ("take", ([1.9], [2.7]), "row"),
+            ("take", ([1], [2.7]), "col"),
+            ("take", ([True], [False]), "row"),
+            ("get", (0, 0, True), "channel"),
+            ("channel_plane", (True,), "channel"),
+            ("channel_plane", (1.0,), "channel"),
+        ],
+    )
+    def test_non_integer_index_names_axis(self, method, args, axis):
+        fm = FeatureMap(np.zeros((2, 3, 2)))
+        with pytest.raises(DomainError, match=f"{axis} indices must be integers"):
+            getattr(fm, method)(*args)
+
     def test_get_total_over_declared_bounds(self):
         rng = np.random.default_rng(0)
         fm = FeatureMap(rng.normal(size=(5, 7, 3)))

@@ -1,7 +1,8 @@
-"""Property tests of the 3D lift: it gives the boxes or the error of the
-one-detection-at-a-time `lift_oracle` wherever passing and failing heads
-sit in a frame, as does `lift_detection` on each detection alone, and the
-angle wrap it relies on is idempotent bit for bit.
+"""Property tests of the 3D lift: wherever passing and failing heads sit
+in a frame, and with or without a camera that is rank-deficient at one
+detection, it gives the boxes or the error of the one-detection-at-a-time
+`lift_oracle`, as does `lift_detection` on each detection alone. The angle
+wrap it relies on is idempotent bit for bit.
 
 Kept apart from test_geometry3d.py so that the other lift tests still run
 where the optional `hypothesis` package is not installed.
@@ -18,7 +19,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from det3d.core import SuperCategory, normalize_angle
+from det3d.core import CameraIntrinsics, SuperCategory, normalize_angle
 from det3d.geometry3d import lift_detection, lift_detections
 from oracles import lift_oracle
 from test_geometry3d import decoded_frames, outcome, with_heads
@@ -57,6 +58,14 @@ def frames(draw):
         det = detections[outside]
         moved = replace(det, center=replace(det.center, row=bundle.height + 3))
         detections = [*detections[:outside], moved, *detections[outside + 1 :]]
+    # A camera whose back-projection determinant is exactly 0 at one
+    # detection's center column, so that error can meet bad heads there.
+    singular = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if singular is not None:
+        u = detections[singular].box.center[0]
+        p = camera.p.copy()
+        p[0, 0], p[2, 0] = u / 1024.0, 1.0 / 1024.0
+        camera = CameraIntrinsics(p)
     return detections, bundle, camera
 
 

@@ -125,6 +125,21 @@ class TestScaleInvariantError:
             scale_invariant_error([], [])
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("iou_threshold", True, "iou_threshold must be a real number"),
+        ("iou_threshold", "0.5", "iou_threshold must be a real number"),
+        ("iou_threshold", None, "iou_threshold must be a real number"),
+        ("iou_threshold", 0.0, r"iou_threshold must lie in \(0, 1\]"),
+        ("interpolation", "x", "interpolation must be one of .'all_point', 'eleven_point'."),
+    ],
+)
+def test_match_policy_rejects_bad_fields(field, value, message):
+    with pytest.raises(DomainError, match=message):
+        MatchPolicy(**{field: value})
+
+
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
         truth = [box(0, 0, 10, 10)]
