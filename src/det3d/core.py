@@ -555,9 +555,10 @@ class MapBundle:
 
     Required: one heatmap per keypoint kind (C class channels each), one
     1-channel embedding per corner kind, and one 2-channel offset map per
-    kind. Optionally carries per-center 3D head maps: log-depth
-    (1 channel), box dims (3 channels), and multibin orientation
-    (3 angles x N bins x (confidence, cos, sin) = 9N channels).
+    kind. Optionally carries the three per-center 3D head maps, all
+    three or none: log-depth (1 channel), box dims (3 channels), and
+    multibin orientation (3 angles x N bins x (confidence, cos, sin) =
+    9N channels).
     """
 
     heatmaps: Mapping[KeypointKind, FeatureMap]
@@ -602,11 +603,14 @@ class MapBundle:
         for kind in CORNER_KINDS:
             check(embeddings[kind], f"embedding[{kind.value}]", 1, MapRole.EMBEDDING)
 
-        if self.aux_depth is not None:
+        heads = (self.aux_depth, self.aux_dims, self.aux_orientation)
+        if sum(head is None for head in heads) not in (0, 3):
+            raise ConfigurationError(
+                "bundle needs all three 3D heads (aux_depth, aux_dims, aux_orientation) or none"
+            )
+        if self.has_aux:
             check(self.aux_depth, "aux_depth", 1, MapRole.GENERIC)
-        if self.aux_dims is not None:
             check(self.aux_dims, "aux_dims", 3, MapRole.GENERIC)
-        if self.aux_orientation is not None:
             check(self.aux_orientation, "aux_orientation", None, MapRole.GENERIC)
             if self.aux_orientation.channels % 9 != 0 or self.aux_orientation.channels < 9:
                 raise ConfigurationError(
@@ -632,8 +636,4 @@ class MapBundle:
 
     @property
     def has_aux(self):
-        return (
-            self.aux_depth is not None
-            and self.aux_dims is not None
-            and self.aux_orientation is not None
-        )
+        return self.aux_depth is not None

@@ -35,7 +35,6 @@ __all__ = [
     "extract_peaks",
     "attach_tags",
     "group_corners",
-    "refine_with_offsets",
     "assemble_boxes",
     "decode_frame",
     "decode_frame_3d",
@@ -383,12 +382,6 @@ def _refined(rows, cols, offsets, stride):
         raise DomainError(f"stride must be a positive integer, got {stride!r}")
     o = offsets.take(rows, cols).astype(np.float64)
     return (cols + o[:, 0]) * stride, (rows + o[:, 1]) * stride
-
-
-def refine_with_offsets(keypoint, offsets, stride=1):
-    """Grid cell -> image pixels: (col + o_x, row + o_y) * stride."""
-    x, y = _refined(np.array([keypoint.row]), np.array([keypoint.col]), offsets, stride)
-    return (float(x[0]), float(y[0]))
 
 
 def assemble_boxes(pairs, centers, offsets, stride):

@@ -1,6 +1,6 @@
-"""Binary tensor dump format for feature maps, and on-disk map bundles.
+"""Binary tensor dump format for feature maps, and the one-file frame bundle.
 
-Layout (little-endian), a 21-byte header:
+A record (little-endian) is a 21-byte header:
   magic   4 bytes  b"FMAP"
   version u32      1 (dense) or 2 (cells)
   height  u32
@@ -20,16 +20,26 @@ A version-2 map reads 0.0 at every cell it does not list. `dump_fmap`
 writes a map in the storage it has, so every map of a bundle from
 `render_ideal_maps` is version 2, while a dense map, such as a
 `corrupt_maps` one, is version 1. Both versions load.
+
+A frame bundle is one file, `<frame directory>/bundle.fmap`: the records
+of its maps with nothing between them, in a fixed order. The 8 maps every
+bundle has come first: heatmap_tl, heatmap_br, heatmap_center,
+embedding_tl, embedding_br, offset_tl, offset_br, offset_center. The 3D
+heads aux_depth, aux_dims and aux_orientation follow, all three or none.
+A record's length comes from its own header (H*W*C values for version 1,
+the cell count for version 2), so the file needs no index.
 """
 
 import os
 import struct
+from collections import namedtuple
 
 import numpy as np
 
 from .core import (
     ALL_KINDS,
     CORNER_KINDS,
+    ConfigurationError,
     Det3DError,
     FeatureMap,
     MapBundle,
@@ -44,9 +54,6 @@ __all__ = [
     "VERSION_CELLS",
     "dump_fmap",
     "parse_fmap",
-    "save_fmap",
-    "load_fmap",
-    "bundle_filenames",
     "save_bundle",
     "load_bundle",
 ]
@@ -67,6 +74,22 @@ _OFF_HEIGHT = 8
 _OFF_WIDTH = 12
 _OFF_CHANNELS = 16
 _OFF_ROLE = 20
+
+_BUNDLE_FILE = "bundle.fmap"
+# (name, role) of each record of a bundle file, in file order.
+_RECORDS = (
+    *((f"heatmap_{kind.value}", MapRole.HEATMAP) for kind in ALL_KINDS),
+    *((f"embedding_{kind.value}", MapRole.EMBEDDING) for kind in CORNER_KINDS),
+    *((f"offset_{kind.value}", MapRole.OFFSET) for kind in ALL_KINDS),
+    ("aux_depth", MapRole.GENERIC),
+    ("aux_dims", MapRole.GENERIC),
+    ("aux_orientation", MapRole.GENERIC),
+)
+_REQUIRED = 8  # records before the 3D heads
+
+# A checked header: count is the version-2 cell count (None for version
+# 1), and end the byte offset where the record stops.
+_Header = namedtuple("_Header", "height width channels role count end")
 
 
 def dump_fmap(fmap):
@@ -98,166 +121,173 @@ def _first(mask):
     return int(hits[0]) if hits.size else None
 
 
-def _parse_cells(blob, height, width, channels, role):
-    """The version-2 body after the header; every malformed field raises
-    ParseError at its own byte offset."""
-    if len(blob) < _CELLS_OFFSET:
+def _header(blob, start):
+    """Check the header of the record at byte `start` of blob, and find
+    where the record ends from the header alone: it is 21 + 4*H*W*C
+    bytes long for version 1, and 25 + 4*n*(1 + C) for version 2 with n
+    cells. Every ParseError names its byte offset into blob."""
+    got = len(blob) - start
+    if got < _PAYLOAD_OFFSET:
         raise ParseError(
-            f"truncated cell count: need 4 bytes, got {len(blob) - _PAYLOAD_OFFSET}",
-            offset=_PAYLOAD_OFFSET,
+            f"truncated header: need {_PAYLOAD_OFFSET} bytes, got {got}", offset=len(blob)
         )
-    (count,) = _COUNT.unpack_from(blob, _PAYLOAD_OFFSET)
+    magic, version, height, width, channels, role = _HEADER.unpack_from(blob, start)
+    if magic != MAGIC:
+        raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=start + _OFF_MAGIC)
+    if version not in (VERSION, VERSION_CELLS):
+        raise ParseError(f"unsupported version {version}", offset=start + _OFF_VERSION)
+    if height < 1:
+        raise ParseError(f"height must be >= 1, got {height}", offset=start + _OFF_HEIGHT)
+    if width < 1:
+        raise ParseError(f"width must be >= 1, got {width}", offset=start + _OFF_WIDTH)
+    if channels < 1:
+        raise ParseError(f"channels must be >= 1, got {channels}", offset=start + _OFF_CHANNELS)
+    try:
+        role = MapRole(role)
+    except ValueError:
+        raise ParseError(f"unknown role tag {role}", offset=start + _OFF_ROLE) from None
+    if version == VERSION:
+        end = start + _PAYLOAD_OFFSET + 4 * height * width * channels
+        return _Header(height, width, channels, role, None, end)
+    if got < _CELLS_OFFSET:
+        raise ParseError(
+            f"truncated cell count: need 4 bytes, got {got - _PAYLOAD_OFFSET}",
+            offset=start + _PAYLOAD_OFFSET,
+        )
+    (count,) = _COUNT.unpack_from(blob, start + _PAYLOAD_OFFSET)
     n_cells = height * width
     if count > n_cells:
         raise ParseError(
             f"cell count {count} exceeds the {n_cells} cells of a {height}x{width} map",
-            offset=_PAYLOAD_OFFSET,
+            offset=start + _PAYLOAD_OFFSET,
         )
-    expected = count * 4 * (1 + channels)
-    actual = len(blob) - _CELLS_OFFSET
-    if actual != expected:
-        raise ParseError(
-            f"cell table holds {actual} bytes, expected {expected} "
-            f"for {count} cells of {channels} channels",
-            offset=_CELLS_OFFSET,
-        )
-    cells = np.frombuffer(blob, dtype="<u4", count=count, offset=_CELLS_OFFSET)
-    values_offset = _CELLS_OFFSET + 4 * count
+    end = start + _CELLS_OFFSET + 4 * count * (1 + channels)
+    return _Header(height, width, channels, role, count, end)
+
+
+def _parse_cells(blob, body, header):
+    """The version-2 cell table from byte `body` of blob to its end, which
+    holds exactly the table; every malformed field raises ParseError at
+    its own byte offset."""
+    count = header.count
+    n_cells = header.height * header.width
+    cells = np.frombuffer(blob, dtype="<u4", count=count, offset=body)
+    values_offset = body + 4 * count
     values = np.frombuffer(blob, dtype="<f4", offset=values_offset)
     k = _first(cells >= n_cells)
     if k is not None:
-        raise ParseError(
-            f"cell index {cells[k]} out of range [0, {n_cells})", offset=_CELLS_OFFSET + 4 * k
-        )
+        raise ParseError(f"cell index {cells[k]} out of range [0, {n_cells})", offset=body + 4 * k)
     k = _first(cells[1:] <= cells[:-1])
     if k is not None:
         raise ParseError(
             f"cell indices must be strictly increasing, got {cells[k]} then {cells[k + 1]}",
-            offset=_CELLS_OFFSET + 4 * (k + 1),
+            offset=body + 4 * (k + 1),
         )
     k = _first(~np.isfinite(values))
     if k is not None:
         raise ParseError(f"non-finite value {values[k]}", offset=values_offset + 4 * k)
-    if role is MapRole.HEATMAP:
+    if header.role is MapRole.HEATMAP:
         k = _first((values < 0.0) | (values > 1.0))
         if k is not None:
             raise ParseError(
                 f"heatmap value {values[k]:g} outside [0, 1]", offset=values_offset + 4 * k
             )
     return FeatureMap.from_cells(
-        cells, values.reshape(count, channels), height, width, role=role
+        cells, values.reshape(count, header.channels), header.height, header.width, role=header.role
     )
+
+
+def _parse_record(blob, start, header):
+    """The map of the record at byte `start` of blob, whose checked header
+    is `header`; the record must fill blob to its end."""
+    height, width, channels, role, count, end = header
+    body = start + (_PAYLOAD_OFFSET if count is None else _CELLS_OFFSET)
+    if len(blob) != end:
+        actual, expected = len(blob) - body, end - body
+        if count is None:
+            message = (
+                f"payload holds {actual} bytes, expected {expected} "
+                f"for a {height}x{width}x{channels} map"
+            )
+        else:
+            message = (
+                f"cell table holds {actual} bytes, expected {expected} "
+                f"for {count} cells of {channels} channels"
+            )
+        raise ParseError(message, offset=body)
+    if count is not None:
+        return _parse_cells(blob, body, header)
+    values = np.frombuffer(blob, dtype="<f4", offset=body)
+    try:
+        return FeatureMap(values.reshape(height, width, channels), role=role)
+    except Det3DError as exc:
+        raise ParseError(f"invalid payload: {exc}", offset=body) from exc
 
 
 def parse_fmap(blob):
     """Parse bytes produced by :func:`dump_fmap` back into a feature map
     stored as the bytes were: dense from version 1, as cells from 2."""
-    if len(blob) < _PAYLOAD_OFFSET:
-        raise ParseError(
-            f"truncated header: need {_PAYLOAD_OFFSET} bytes, got {len(blob)}",
-            offset=len(blob),
-        )
-    magic, version, height, width, channels, role = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=_OFF_MAGIC)
-    if version not in (VERSION, VERSION_CELLS):
-        raise ParseError(f"unsupported version {version}", offset=_OFF_VERSION)
-    if height < 1:
-        raise ParseError(f"height must be >= 1, got {height}", offset=_OFF_HEIGHT)
-    if width < 1:
-        raise ParseError(f"width must be >= 1, got {width}", offset=_OFF_WIDTH)
-    if channels < 1:
-        raise ParseError(f"channels must be >= 1, got {channels}", offset=_OFF_CHANNELS)
-    try:
-        role = MapRole(role)
-    except ValueError:
-        raise ParseError(f"unknown role tag {role}", offset=_OFF_ROLE) from None
-    if version == VERSION_CELLS:
-        return _parse_cells(blob, height, width, channels, role)
-
-    expected = height * width * channels * 4
-    actual = len(blob) - _PAYLOAD_OFFSET
-    if actual != expected:
-        raise ParseError(
-            f"payload holds {actual} bytes, expected {expected} "
-            f"for a {height}x{width}x{channels} map",
-            offset=_PAYLOAD_OFFSET,
-        )
-    values = np.frombuffer(blob, dtype="<f4", offset=_PAYLOAD_OFFSET)
-    try:
-        return FeatureMap(values.reshape(height, width, channels), role=role)
-    except Det3DError as exc:
-        raise ParseError(f"invalid payload: {exc}", offset=_PAYLOAD_OFFSET) from exc
+    return _parse_record(blob, 0, _header(blob, 0))
 
 
-def save_fmap(path, fmap):
-    atomic_write_bytes(path, dump_fmap(fmap))
+def save_bundle(directory, bundle):
+    """Write a bundle as one file, `<directory>/bundle.fmap`, with one
+    atomic write: the records of its maps in the module's fixed order."""
+    maps = [
+        *(bundle.heatmaps[kind] for kind in ALL_KINDS),
+        *(bundle.embeddings[kind] for kind in CORNER_KINDS),
+        *(bundle.offsets[kind] for kind in ALL_KINDS),
+    ]
+    if bundle.has_aux:
+        maps += [bundle.aux_depth, bundle.aux_dims, bundle.aux_orientation]
+    os.makedirs(directory, exist_ok=True)
+    atomic_write_bytes(
+        os.path.join(directory, _BUNDLE_FILE), b"".join(dump_fmap(fmap) for fmap in maps)
+    )
 
 
-def load_fmap(path):
-    """Load a tensor dump from disk; a malformed one raises ParseError
-    naming the file, at the offset parse_fmap gives.
+def load_bundle(directory):
+    """Load a bundle saved by :func:`save_bundle`, reading its file once.
 
-    The file is read whole into one bytes object, which parse_fmap checks
-    and FeatureMap copies; the dumps of a rendered bundle are cell tables
-    of a few kilobytes each.
+    A missing file raises ParseError naming it. A malformed record, a
+    record with another role than its place in the order, a file that
+    ends after 9 or 10 records, and bytes after the last record raise
+    ParseError naming the file, the map and a byte offset into the file.
     """
-    name = os.fspath(path)
+    path = os.path.join(os.fspath(directory), _BUNDLE_FILE)
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
-        raise ParseError(f"missing tensor dump {name!r}") from None
+        raise ParseError(f"missing tensor dump {path!r}") from None
+    view = memoryview(blob)
+    maps = []
+    start = 0
+    for name, role in _RECORDS:
+        if start == len(blob) and len(maps) == _REQUIRED:
+            break
+        try:
+            header = _header(view, start)
+            if header.role is not role:
+                raise ParseError(
+                    f"role {header.role.name}, expected {role.name}", offset=start + _OFF_ROLE
+                )
+            maps.append(_parse_record(view[: header.end], start, header))
+        except ParseError as exc:
+            error = ParseError(f"{path}: {name}: {exc}")
+            error.offset = exc.offset
+            raise error from exc
+        start = header.end
+    if start != len(blob):
+        raise ParseError(
+            f"{path}: {name}: {len(blob) - start} bytes after the last record", offset=start
+        )
     try:
-        return parse_fmap(blob)
-    except ParseError as exc:
-        error = ParseError(f"{name}: {exc}")
-        error.offset = exc.offset
-        raise error from exc
-
-
-_AUX_HEADS = ("depth", "dims", "orientation")
-# MapBundle field of each required group of bundle_filenames.
-_GROUP_FIELDS = {"heatmap": "heatmaps", "offset": "offsets", "embedding": "embeddings"}
-
-
-def bundle_filenames():
-    """Canonical file names for a per-frame bundle directory, keyed by
-    (group, kind) for the required maps and ("aux", head) for the
-    optional 3D head maps."""
-    names = {}
-    for kind in ALL_KINDS:
-        names[("heatmap", kind)] = f"heatmap_{kind.value}.fmap"
-        names[("offset", kind)] = f"offset_{kind.value}.fmap"
-    for kind in CORNER_KINDS:
-        names[("embedding", kind)] = f"embedding_{kind.value}.fmap"
-    for head in _AUX_HEADS:
-        names[("aux", head)] = f"aux_{head}.fmap"
-    return names
-
-
-def save_bundle(directory, bundle):
-    """Write every map of a bundle into a directory with canonical names."""
-    os.makedirs(directory, exist_ok=True)
-    for (group, key), name in bundle_filenames().items():
-        if group == "aux":
-            fmap = getattr(bundle, f"aux_{key}")
-        else:
-            fmap = getattr(bundle, _GROUP_FIELDS[group])[key]
-        if fmap is not None:
-            save_fmap(os.path.join(directory, name), fmap)
-
-
-def load_bundle(directory):
-    """Load a bundle saved by :func:`save_bundle`. The three aux maps are
-    optional together: when any of them exists, a missing one is an error."""
-    names = bundle_filenames()
-    aux = any(os.path.exists(os.path.join(directory, names[("aux", h)])) for h in _AUX_HEADS)
-    fields = {field: {} for field in _GROUP_FIELDS.values()}
-    for (group, key), name in names.items():
-        path = os.path.join(directory, name)
-        if group == "aux":
-            fields[f"aux_{key}"] = load_fmap(path) if aux else None
-        else:
-            fields[_GROUP_FIELDS[group]][key] = load_fmap(path)
-    return MapBundle(**fields)
+        return MapBundle(
+            dict(zip(ALL_KINDS, maps[0:3])),
+            dict(zip(CORNER_KINDS, maps[3:5])),
+            dict(zip(ALL_KINDS, maps[5:8])),
+            *maps[8:],
+        )
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

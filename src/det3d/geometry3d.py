@@ -1,8 +1,8 @@
 """Lifting validated 2D detections to full 3D boxes.
 
-Covers log-depth decoding, the dims regression target, multibin
-orientation decoding, pinhole projection/back-projection, 3D box corner
-generation, and recovery of the 3D center constrained by the 2D box.
+Covers log-depth decoding, multibin orientation decoding, pinhole
+projection/back-projection, 3D box corner generation, and recovery of
+the 3D center constrained by the 2D box.
 """
 
 import math
@@ -30,8 +30,6 @@ __all__ = [
     "encode_multibin",
     "decode_multibin",
     "decode_depth",
-    "dims_mse",
-    "box3d_corners",
     "project_point",
     "back_project_point",
     "project_box3d",
@@ -157,25 +155,6 @@ def decode_depth(out):
     return depth
 
 
-def dims_mse(pred, truth):
-    """Squared (w, h, l) error; a batch averages the per-sample sums."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeError(f"pred shape {p.shape} != truth shape {t.shape}")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
-        raise DomainError("dims must be finite")
-    if p.ndim == 1:
-        if p.shape != (3,):
-            raise ShapeError(f"a single sample must have 3 dims, got shape {p.shape}")
-        return float(((p - t) ** 2).sum())
-    if p.ndim == 2 and p.shape[1] == 3:
-        if p.shape[0] == 0:
-            raise ShapeError("batch must hold at least one sample")
-        return float(((p - t) ** 2).sum(axis=1).mean())
-    raise ShapeError(f"expected shape (3,) or (n, 3), got {p.shape}")
-
-
 def _rotations(orientations):
     """Stacked (n, 3, 3) camera-frame rotations Rz(roll) @ Rx(elevation) @
     Ry(azimuth) of an (n, 3) array of (azimuth, elevation, roll) degrees."""
@@ -214,12 +193,6 @@ def _corners(dims, centers, orientations):
     """
     local = _CORNER_SIGNS * (0.5 * dims[:, None, :])
     return local @ _rotations(orientations).transpose(0, 2, 1) + centers[:, None, :]
-
-
-def box3d_corners(box):
-    """The 8 corners (metres, camera frame) of a 3D box, in the fixed
-    bit-pattern order documented on `_CORNER_SIGNS`."""
-    return _corners(*_columns([box]))[0]
 
 
 def project_point(camera, point):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Box2D, Box3D, CameraIntrinsics, DomainError, ParseError, normalize_angle
+from .core import CameraIntrinsics, DomainError, ParseError, normalize_angle
 
 __all__ = [
     "KittiLabelRecord",
@@ -25,7 +25,6 @@ __all__ = [
     "write_kitti_label_file",
     "parse_kitti_calib",
     "write_kitti_calib",
-    "record_to_boxes",
     "boxes_to_record",
     "scene_to_kitti",
 ]
@@ -191,21 +190,6 @@ def write_kitti_calib(camera):
 
 def _wrap_rad(angle):
     return math.radians(normalize_angle(math.degrees(angle)))
-
-
-def record_to_boxes(record):
-    """Record -> (Box2D, Box3D) of class 0; azimuth from rotation_y, other angles 0."""
-    left, top, right, bottom = record.bbox
-    score = record.score if record.score is not None else 1.0
-    box2d = Box2D(left, top, right, bottom, score=score)
-    h, w, l = record.dimensions
-    box3d = Box3D(
-        center=record.location,
-        dims=(w, h, l),
-        orientation=(math.degrees(record.rotation_y), 0.0, 0.0),
-        score=score,
-    )
-    return box2d, box3d
 
 
 def boxes_to_record(label, box2d, box3d, score=None):

@@ -1,4 +1,4 @@
-"""Evaluation math: IoU/DIoU and their losses, scale-invariant depth
+"""Evaluation math: IoU, DIoU and the DIoU loss, scale-invariant depth
 error, per-class average precision, mAP, and confusion matrices.
 
 Matching is greedy in score order against the unmatched ground truth with
@@ -27,14 +27,12 @@ __all__ = [
     "iou",
     "iou_matrix",
     "match_frame",
-    "loss_iou",
     "diou",
     "loss_diou",
     "scale_invariant_error",
     "average_precision",
     "average_precision_frames",
     "mean_average_precision",
-    "confusion_matrix",
     "confusion_matrix_frames",
     "evaluate",
 ]
@@ -76,11 +74,6 @@ def iou(a, b):
     if union <= 0.0:
         return 0.0
     return inter / union
-
-
-def loss_iou(a, b):
-    """1 - IoU, in [0, 1]."""
-    return 1.0 - iou(a, b)
 
 
 def diou(a, b):
@@ -273,11 +266,6 @@ def confusion_matrix_frames(dets_by_frame, truths_by_frame, policy=None, n_class
     counts = np.zeros((n_classes + 1, n_classes + 1), dtype=np.int64)
     np.add.at(counts, np.ix_(index, index), report.confusion)
     return counts
-
-
-def confusion_matrix(dets, truths, policy=None, n_classes=None):
-    """Single-frame confusion matrix; see :func:`confusion_matrix_frames`."""
-    return confusion_matrix_frames({"_": list(dets)}, {"_": list(truths)}, policy, n_classes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -562,7 +562,7 @@ def write_dataset(out_dir, spec, repeats=1, n_objects=1, stride=1, sigma=1.5):
     """Materialize a full sweep on disk.
 
     Layout: manifest.json, truth.json, scenes/<id>.json, and one tensor
-    bundle directory per frame under frames/<id>/. Each frame is a
+    bundle file per frame, frames/<id>/bundle.fmap. Each frame is a
     `DEFAULT_IMAGE_SIZE` scene of the default taxonomy, rendered with its
     3D head maps; the manifest records the sensor constants (`image_size`,
     `focal`, `orientation_bins`). Every write is atomic and the output is

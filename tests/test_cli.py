@@ -10,14 +10,51 @@ import pytest
 
 from det3d import cli
 from det3d.cli import main
-from det3d.core import CameraIntrinsics, FeatureMap, ParseError
-from det3d.fmap import dump_fmap, load_bundle, load_fmap, parse_fmap, save_fmap
+from det3d.core import CameraIntrinsics, FeatureMap, KeypointKind, ParseError
+from det3d.fmap import dump_fmap, load_bundle, parse_fmap
 from det3d.kitti import parse_kitti_calib, parse_kitti_label_file
+
+# The records of a frame's bundle.fmap, in the order the format documents.
+RECORDS = (
+    "heatmap_tl", "heatmap_br", "heatmap_center", "embedding_tl", "embedding_br",
+    "offset_tl", "offset_br", "offset_center", "aux_depth", "aux_dims", "aux_orientation",
+)
 
 
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def records(frame):
+    """{record name: dump_fmap of the map} of a frame's bundle, in file order."""
+    bundle = load_bundle(frame)
+    maps = {"aux_depth": bundle.aux_depth, "aux_dims": bundle.aux_dims,
+            "aux_orientation": bundle.aux_orientation}
+    for group, field in (("heatmap", bundle.heatmaps), ("embedding", bundle.embeddings),
+                         ("offset", bundle.offsets)):
+        maps.update({f"{group}_{kind.value}": fmap for kind, fmap in field.items()})
+    return {name: dump_fmap(maps[name]) for name in RECORDS if maps[name] is not None}
+
+
+def rewrite(frame, **replaced):
+    """Write frame/bundle.fmap anew from the frame's records with each named
+    one replaced by the given bytes (b"" cuts it); return the file's path
+    and the byte offset at which each record starts."""
+    blobs = {**records(frame), **replaced}
+    starts, offset = {}, 0
+    for name, blob in blobs.items():
+        starts[name] = offset
+        offset += len(blob)
+    path = frame / "bundle.fmap"
+    path.write_bytes(b"".join(blobs.values()))
+    return path, starts
+
+
+def zero_dims(frame):
+    """Rewrite a frame with every 3D dims head 0, which its decode rejects."""
+    dims = parse_fmap(records(frame)["aux_dims"])
+    rewrite(frame, aux_dims=dump_fmap(FeatureMap(np.zeros(dims.shape), role=dims.role)))
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +101,10 @@ class TestSynth:
         assert code == 0
         assert read(dataset / "manifest.json") == read(again / "manifest.json")
         assert read(dataset / "truth.json") == read(again / "truth.json")
-        assert read(dataset / "frames" / "000000" / "heatmap_tl.fmap") == read(
-            again / "frames" / "000000" / "heatmap_tl.fmap"
-        )
+        for frame in ("000000", "000001"):
+            assert read(dataset / "frames" / frame / "bundle.fmap") == read(
+                again / "frames" / frame / "bundle.fmap"
+            )
 
     def test_unwritable_out_dir_exits_2(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -109,10 +147,11 @@ class TestSynth:
         argv = ["synth", "--category", "sensor", "--super", "air", "--stride", "4",
                 "--sigma", "1e30", "--out", str(out)]
         assert main(argv) == 0
-        for path in sorted((out / "frames").glob("*/heatmap_*.fmap")):
-            heat = load_fmap(path)
-            assert heat.shape == (60, 80, 2)
-            assert (heat.data[..., 0] == 1.0).all() and not heat.data[..., 1].any(), path
+        for frame in sorted((out / "frames").iterdir()):
+            for kind, heat in load_bundle(frame).heatmaps.items():
+                assert heat.shape == (60, 80, 2)
+                data = heat.data
+                assert (data[..., 0] == 1.0).all() and not data[..., 1].any(), (frame, kind)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sigma", ["1e-155", "1e-200"])
@@ -132,8 +171,9 @@ class TestSynth:
                 "br": (box["x_max"], box["y_max"]),
                 "center": ((box["x_min"] + box["x_max"]) / 2, (box["y_min"] + box["y_max"]) / 2),
             }
+            heatmaps = load_bundle(out / "frames" / frame_id).heatmaps
             for kind, (x, y) in anchors.items():
-                heat = load_fmap(out / "frames" / frame_id / f"heatmap_{kind}.fmap").data
+                heat = heatmaps[KeypointKind(kind)].data
                 expected = np.zeros_like(heat)
                 expected[int(y), int(x), truth["classes"].index(obj["class"])] = 1.0
                 assert (heat == expected).all(), (frame_id, kind)
@@ -148,7 +188,7 @@ class TestSynth:
         scenes = sorted((dataset / "scenes").iterdir())
         assert len(frames) == len(scenes) == len(manifest["samples"])
         for frame in frames:
-            assert load_fmap(frame / "aux_orientation.fmap").channels == 36
+            assert load_bundle(frame).aux_orientation.channels == 36
         for scene in scenes:
             camera = CameraIntrinsics(json.loads(read(scene))["camera"]["p"])
             assert camera == CameraIntrinsics.simple(260, 160, 120)
@@ -215,24 +255,15 @@ class TestDecode:
 
     def test_truncated_fmap_exits_3(self, dataset, tmp_path):
         broken = tmp_path / "broken"
-        os.makedirs(broken)
-        src = dataset / "frames" / "000000"
-        for name in os.listdir(src):
-            data = read(src / name)
-            (broken / name).write_bytes(data)
-        (broken / "heatmap_tl.fmap").write_bytes(read(src / "heatmap_tl.fmap")[:-7])
+        shutil.copytree(dataset / "frames" / "000000", broken)
+        rewrite(broken, heatmap_tl=records(broken)["heatmap_tl"][:-7])
         code = main(["decode", "--bundle", str(broken), "--out", str(tmp_path / "x.json")])
         assert code == 3
 
     def test_failing_frame_names_itself(self, dataset, tmp_path, capsys):
-        def zero_dims(root, fid):
-            dims_path = root / "frames" / fid / "aux_dims.fmap"
-            dims = load_fmap(dims_path)
-            save_fmap(dims_path, FeatureMap(np.zeros(dims.shape), role=dims.role))
-
-        def truncate_heatmap(root, fid):
-            path = root / "frames" / fid / "heatmap_tl.fmap"
-            path.write_bytes(read(path)[:-7])
+        def truncate_orientation(root, fid):
+            frame = root / "frames" / fid
+            rewrite(frame, aux_orientation=records(frame)["aux_orientation"][:-7])
 
         def messages(root):
             found = []
@@ -245,7 +276,7 @@ class TestDecode:
 
         broken = tmp_path / "broken"
         shutil.copytree(dataset, broken)
-        zero_dims(broken, "000001")
+        zero_dims(broken / "frames" / "000001")
         assert messages(broken).startswith("error: frame 000001: box dims must be positive")
 
         # The first failing frame in id order names itself, whether the
@@ -256,15 +287,16 @@ class TestDecode:
                      "--repeats", "2", "--out", str(four)]) == 0
         decode_first = tmp_path / "decode_first"
         shutil.copytree(four, decode_first)
-        zero_dims(decode_first, "000001")
-        truncate_heatmap(decode_first, "000002")
+        zero_dims(decode_first / "frames" / "000001")
+        truncate_orientation(decode_first, "000002")
         assert messages(decode_first).startswith("error: frame 000001: box dims must be positive")
         load_first = tmp_path / "load_first"
         shutil.copytree(four, load_first)
-        truncate_heatmap(load_first, "000001")
-        zero_dims(load_first, "000002")
+        truncate_orientation(load_first, "000001")
+        zero_dims(load_first / "frames" / "000002")
         message = messages(load_first)
-        assert message.startswith("error: frame 000001: ") and "heatmap_tl.fmap: cell table holds" in message
+        assert message.startswith("error: frame 000001: ")
+        assert "bundle.fmap: aux_orientation: cell table holds" in message
 
     def test_serial_decode_loads_no_frame_after_the_failing_one(
         self, tmp_path, monkeypatch, capsys
@@ -276,11 +308,9 @@ class TestDecode:
                      "--repeats", "2", "--out", str(four)]) == 0
         fids = sorted(os.listdir(four / "frames"))
         assert len(fids) == 4
-        dims = load_fmap(four / "frames" / fids[0] / "aux_dims.fmap")
         failures = (
-            ("aux_dims.fmap", dump_fmap(FeatureMap(np.zeros(dims.shape), role=dims.role)),
-             "box dims must be positive"),
-            ("heatmap_tl.fmap", b"", "truncated header"),
+            ("zero_dims", zero_dims, "box dims must be positive"),
+            ("empty", lambda frame: (frame / "bundle.fmap").write_bytes(b""), "truncated header"),
         )
         loads = []
 
@@ -290,10 +320,10 @@ class TestDecode:
 
         monkeypatch.setattr(cli, "load_bundle", counting_load)
         for k, fid in enumerate(fids):
-            for name, blob, fragment in failures:
+            for name, corrupt, fragment in failures:
                 root = tmp_path / f"{fid}_{name}"
                 shutil.copytree(four, root)
-                (root / "frames" / fid / name).write_bytes(blob)
+                corrupt(root / "frames" / fid)
                 out = tmp_path / "x.json"
                 for jobs in ("1", "2"):
                     loads.clear()
@@ -534,34 +564,45 @@ class TestEval:
 
 class TestMappedLoad:
     def test_equals_parse_of_file_bytes(self, dataset):
-        paths = sorted((dataset / "frames").glob("*/*.fmap"))
-        assert len(paths) == 2 * 11
-        for path in paths:
-            assert load_fmap(path) == parse_fmap(read(path))
+        frames = sorted((dataset / "frames").iterdir())
+        assert len(frames) == 2
+        for frame in frames:
+            assert os.listdir(frame) == ["bundle.fmap"]
+            blob = read(frame / "bundle.fmap")
+            blobs = records(frame)
+            assert list(blobs) == list(RECORDS)
+            assert blob == b"".join(blobs.values())
+            bundle = load_bundle(frame)
+            start = len(b"".join(list(blobs.values())[:2]))
+            end = start + len(blobs["heatmap_center"])
+            assert bundle.heatmaps[KeypointKind.CENTER] == parse_fmap(blob[start:end])
+            assert bundle.aux_orientation == parse_fmap(blob[-len(blobs["aux_orientation"]):])
 
     def test_dense_rewrite_equals_parse_of_file_bytes(self, dataset, tmp_path):
-        heatmap = load_fmap(dataset / "frames" / "000000" / "heatmap_tl.fmap")
-        path = tmp_path / "heatmap_tl.fmap"
-        save_fmap(path, FeatureMap(heatmap.data, role=heatmap.role))
+        frame = tmp_path / "frame"
+        shutil.copytree(dataset / "frames" / "000000", frame)
+        heatmap = parse_fmap(records(frame)["heatmap_br"])
+        dense = dump_fmap(FeatureMap(heatmap.data, role=heatmap.role))
+        path, starts = rewrite(frame, heatmap_br=dense)
         blob = read(path)
-        assert struct.unpack_from("<I", blob, 4) == (1,)  # dense: version 1
-        assert load_fmap(path) == parse_fmap(blob) == heatmap
+        assert struct.unpack_from("<I", blob, starts["heatmap_br"] + 4) == (1,)  # dense: version 1
+        assert blob[starts["heatmap_br"] : starts["heatmap_center"]] == dense
+        loaded = load_bundle(frame).heatmaps[KeypointKind.BOTTOM_RIGHT]
+        assert loaded == parse_fmap(dense) == heatmap
 
     def test_out_of_range_heatmap_is_a_parse_error(self, dataset, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(dataset / "frames" / "000000", bundle)
-        path = bundle / "heatmap_tl.fmap"
-        heatmap = load_fmap(path)
-        save_fmap(path, FeatureMap(heatmap.data, role=heatmap.role))  # dense: version 1
-        blob = bytearray(read(path))
-        blob[21:25] = np.array([2.0], dtype="<f4").tobytes()
-        path.write_bytes(bytes(blob))
+        heatmap = parse_fmap(records(bundle)["heatmap_tl"])
+        dense = bytearray(dump_fmap(FeatureMap(heatmap.data, role=heatmap.role)))  # version 1
+        dense[21:25] = np.array([2.0], dtype="<f4").tobytes()
+        path, _ = rewrite(bundle, heatmap_tl=bytes(dense))
         # The parse fails in FeatureMap, after the payload view exists; it
-        # still leaves load_fmap as a ParseError naming the file (exit 3).
+        # still leaves load_bundle as a ParseError naming the file (exit 3).
         with pytest.raises(ParseError) as info:
-            load_fmap(path)
+            load_bundle(bundle)
         assert str(info.value) == (
-            f"{path}: invalid payload: heatmap values must lie in [0, 1], "
+            f"{path}: heatmap_tl: invalid payload: heatmap values must lie in [0, 1], "
             "got range [0, 2] (at byte offset 21)"
         )
         assert info.value.offset == 21
@@ -570,13 +611,86 @@ class TestMappedLoad:
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
     def test_empty_file_is_a_truncated_header(self, tmp_path):
-        path = tmp_path / "empty.fmap"
+        path = tmp_path / "bundle.fmap"
         path.write_bytes(b"")
         with pytest.raises(ParseError) as info:
-            load_fmap(path)
+            load_bundle(tmp_path)
         assert str(info.value) == (
-            f"{path}: truncated header: need 21 bytes, got 0 (at byte offset 0)"
+            f"{path}: heatmap_tl: truncated header: need 21 bytes, got 0 (at byte offset 0)"
         )
+
+
+def _truncated(frame):
+    path, starts = rewrite(frame)
+    path.write_bytes(read(path)[: starts["offset_tl"] + 30])
+    return "offset_tl", "cell table holds 5 bytes, expected ", starts["offset_tl"] + 25
+
+
+def _heatmap_above_one(frame):
+    blob = bytearray(records(frame)["heatmap_br"])
+    count = int.from_bytes(blob[21:25], "little")
+    blob[25 + 4 * count : 29 + 4 * count] = struct.pack("<f", 1.5)
+    _, starts = rewrite(frame, heatmap_br=bytes(blob))
+    return "heatmap_br", "heatmap value 1.5 outside [0, 1]", starts["heatmap_br"] + 25 + 4 * count
+
+
+def _flipped_role(frame):
+    blob = bytearray(records(frame)["embedding_br"])
+    blob[20] ^= 1
+    _, starts = rewrite(frame, embedding_br=bytes(blob))
+    return "embedding_br", "role HEATMAP, expected EMBEDDING", starts["embedding_br"] + 20
+
+
+def _nine_records(frame):
+    path, _ = rewrite(frame, aux_dims=b"", aux_orientation=b"")
+    return "aux_dims", "truncated header: need 21 bytes, got 0", path.stat().st_size
+
+
+def _ten_records(frame):
+    path, _ = rewrite(frame, aux_orientation=b"")
+    return "aux_orientation", "truncated header: need 21 bytes, got 0", path.stat().st_size
+
+
+def _trailing_bytes(frame):
+    path, _ = rewrite(frame)
+    size = path.stat().st_size
+    path.write_bytes(read(path) + bytes(5))
+    return "aux_orientation", "5 bytes after the last record", size
+
+
+def _empty(frame):
+    (frame / "bundle.fmap").write_bytes(b"")
+    return "heatmap_tl", "truncated header: need 21 bytes, got 0", 0
+
+
+class TestMalformedBundle:
+    """A malformed bundle.fmap exits 3, naming the file, the map and a byte
+    offset into the file."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_truncated, _heatmap_above_one, _flipped_role, _nine_records, _ten_records,
+         _trailing_bytes, _empty],
+    )
+    def test_exits_3_naming_file_map_and_offset(self, dataset, tmp_path, capsys, corrupt):
+        frame = tmp_path / "frame"
+        shutil.copytree(dataset / "frames" / "000000", frame)
+        name, fragment, offset = corrupt(frame)
+        assert main(["decode", "--bundle", str(frame), "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {frame / 'bundle.fmap'}: {name}: {fragment}"), err
+        assert err.endswith(f" (at byte offset {offset})\n") and err.count("\n") == 1, err
+
+    def test_eleven_file_layout_exits_3(self, dataset, tmp_path, capsys):
+        """A frame directory of one `.fmap` file per map, the layout before
+        bundle.fmap, is not read: its bundle file is missing."""
+        frame = tmp_path / "frame"
+        os.makedirs(frame)
+        for name, blob in records(dataset / "frames" / "000000").items():
+            (frame / f"{name}.fmap").write_bytes(blob)
+        assert main(["decode", "--bundle", str(frame), "--out", str(tmp_path / "x.json")]) == 3
+        missing = str(frame / "bundle.fmap")
+        assert capsys.readouterr().err == f"error: missing tensor dump {missing!r}\n"
 
 
 class TestConvert:
@@ -778,49 +892,54 @@ class TestCellBundles:
     """Bundles whose every map is `.fmap` version 2."""
 
     def test_versions_on_disk(self, dataset):
-        for path in sorted((dataset / "frames").glob("*/*.fmap")):
-            version = int.from_bytes(read(path)[4:8], "little")
-            assert version == 2, path.name
+        for frame in sorted((dataset / "frames").iterdir()):
+            for name, blob in records(frame).items():
+                version = int.from_bytes(blob[4:8], "little")
+                assert version == 2, (frame.name, name)
 
     def test_v2_heatmap_above_one_exits_3(self, dataset, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(dataset / "frames" / "000000", bundle)
-        path = bundle / "heatmap_center.fmap"
-        blob = bytearray(read(path))
+        blob = bytearray(records(bundle)["heatmap_center"])
         count = int.from_bytes(blob[21:25], "little")
-        offset = 25 + 4 * count + 4 * 5
-        blob[offset : offset + 4] = struct.pack("<f", 1.5)
-        path.write_bytes(bytes(blob))
+        value = 25 + 4 * count + 4 * 5
+        blob[value : value + 4] = struct.pack("<f", 1.5)
+        path, starts = rewrite(bundle, heatmap_center=bytes(blob))
+        offset = starts["heatmap_center"] + value
         code = main(["decode", "--bundle", str(bundle), "--out", str(tmp_path / "x.json")])
         assert code == 3
         assert capsys.readouterr().err == (
-            f"error: {path}: heatmap value 1.5 outside [0, 1] (at byte offset {offset})\n"
+            f"error: {path}: heatmap_center: heatmap value 1.5 outside [0, 1] "
+            f"(at byte offset {offset})\n"
         )
 
     def test_truncated_v2_exits_3(self, dataset, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(dataset / "frames" / "000000", bundle)
-        path = bundle / "aux_orientation.fmap"
-        path.write_bytes(read(path)[:-3])
+        path, starts = rewrite(bundle, aux_orientation=records(bundle)["aux_orientation"][:-3])
         code = main(["decode", "--bundle", str(bundle), "--out", str(tmp_path / "x.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: cell table holds ") and "(at byte offset 25)" in err
+        assert err.startswith(f"error: {path}: aux_orientation: cell table holds ")
+        assert f"(at byte offset {starts['aux_orientation'] + 25})" in err
 
     @pytest.mark.parametrize("head", ["depth", "dims", "orientation"])
     def test_partial_3d_heads_exit_3(self, dataset, tmp_path, capsys, head):
         broken = tmp_path / "broken"
         shutil.copytree(dataset, broken)
-        path = broken / "frames" / "000001" / f"aux_{head}.fmap"
-        path.unlink()
+        frame = broken / "frames" / "000001"
+        path, _ = rewrite(frame, **{f"aux_{head}": b""})
         out = tmp_path / "x.json"
         assert main(["decode", "--dataset", str(broken), "--out", str(out)]) == 3
+        # The file ends where its eleventh record would start.
+        size = path.stat().st_size
         assert capsys.readouterr().err == (
-            f"error: frame 000001: missing tensor dump {str(path)!r}\n"
+            f"error: frame 000001: {path}: aux_orientation: truncated header: "
+            f"need 21 bytes, got 0 (at byte offset {size})\n"
         )
         # Without any of the three, the frame decodes in 2D only.
-        for other in (broken / "frames" / "000001").glob("aux_*.fmap"):
-            other.unlink()
+        shutil.copytree(dataset / "frames" / "000001", frame, dirs_exist_ok=True)
+        rewrite(frame, aux_depth=b"", aux_dims=b"", aux_orientation=b"")
         assert main(["decode", "--dataset", str(broken), "--out", str(out)]) == 0
         frames = json.loads(read(out))["frames"]
         assert frames["000001"] and all(obj["box3d"] is None for obj in frames["000001"])
@@ -829,10 +948,13 @@ class TestCellBundles:
     def test_v1_rewrite_decodes_identically(self, dataset, tmp_path):
         dense = tmp_path / "dense"
         shutil.copytree(dataset, dense)
-        for path in sorted((dense / "frames").glob("*/*.fmap")):
-            m = load_fmap(path)
-            save_fmap(path, FeatureMap(m.data, role=m.role))
-            assert int.from_bytes(read(path)[4:8], "little") == 1
+        for frame in sorted((dense / "frames").iterdir()):
+            maps = {name: parse_fmap(blob) for name, blob in records(frame).items()}
+            v1 = {name: dump_fmap(FeatureMap(m.data, role=m.role)) for name, m in maps.items()}
+            path, starts = rewrite(frame, **v1)
+            blob = read(path)
+            for name, start in starts.items():
+                assert int.from_bytes(blob[start + 4 : start + 8], "little") == 1, name
         outputs = []
         for root in (dataset, dense):
             for jobs in ("1", "2"):

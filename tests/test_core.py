@@ -1,27 +1,35 @@
 """Core type invariants, the angle normalizer, and the binary dump format."""
 
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
 from det3d.core import (
+    ALL_KINDS,
+    CORNER_KINDS,
     BoundsError,
     Box2D,
     Box3D,
     CameraIntrinsics,
     ClassTaxonomy,
+    ConfigurationError,
     DomainError,
     FeatureMap,
     Keypoint,
     KeypointKind,
+    MapBundle,
     MapRole,
     ParseError,
     ShapeError,
     SuperCategory,
     normalize_angle,
 )
-from det3d.fmap import dump_fmap, load_fmap, parse_fmap, save_fmap
+from det3d import fmap
+from det3d.fmap import dump_fmap, load_bundle, parse_fmap, save_bundle
+from det3d.ioutil import atomic_write_bytes
 
 
 class TestFeatureMap:
@@ -238,6 +246,40 @@ class TestClassTaxonomy:
             ClassTaxonomy(names=("a", "b"), grouping={"a": SuperCategory.AIR})
 
 
+def dense_bundle(rng, heads=()):
+    """A 3x3 bundle of dense random maps, carrying the named 3D heads."""
+    channels = {"aux_depth": 1, "aux_dims": 3, "aux_orientation": 9}
+    return MapBundle(
+        heatmaps={
+            kind: FeatureMap(rng.uniform(0, 1, size=(3, 3, 2)), role=MapRole.HEATMAP)
+            for kind in ALL_KINDS
+        },
+        embeddings={
+            kind: FeatureMap(rng.normal(size=(3, 3, 1)), role=MapRole.EMBEDDING)
+            for kind in CORNER_KINDS
+        },
+        offsets={
+            kind: FeatureMap(rng.normal(size=(3, 3, 2)), role=MapRole.OFFSET)
+            for kind in ALL_KINDS
+        },
+        **{head: FeatureMap(rng.normal(size=(3, 3, channels[head]))) for head in heads},
+    )
+
+
+HEADS = ("aux_depth", "aux_dims", "aux_orientation")
+
+
+class TestMapBundle:
+    def test_all_or_no_3d_heads(self):
+        assert dense_bundle(np.random.default_rng(0), HEADS).has_aux
+        assert not dense_bundle(np.random.default_rng(0)).has_aux
+
+    @pytest.mark.parametrize("heads", [h for n in (1, 2) for h in itertools.combinations(HEADS, n)])
+    def test_some_3d_heads_rejected(self, heads):
+        with pytest.raises(ConfigurationError, match="all three 3D heads"):
+            dense_bundle(np.random.default_rng(0), heads)
+
+
 class TestFmapFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -245,10 +287,24 @@ class TestFmapFormat:
         assert parse_fmap(dump_fmap(fm)) == fm
 
     def test_file_round_trip(self, tmp_path):
-        fm = FeatureMap(np.random.default_rng(4).uniform(0, 1, size=(3, 3, 2)), role=MapRole.HEATMAP)
-        path = tmp_path / "map.fmap"
-        save_fmap(path, fm)
-        assert load_fmap(path) == fm
+        bundle = dense_bundle(np.random.default_rng(4))
+        save_bundle(tmp_path, bundle)
+        assert os.listdir(tmp_path) == ["bundle.fmap"]
+        assert load_bundle(tmp_path) == bundle
+
+    def test_save_writes_one_file_once(self, tmp_path, monkeypatch):
+        writes = []
+
+        def counting(path, data):
+            writes.append(os.path.relpath(path, tmp_path))
+            atomic_write_bytes(path, data)
+
+        monkeypatch.setattr(fmap, "atomic_write_bytes", counting)
+        bundle = dense_bundle(np.random.default_rng(5), HEADS)
+        save_bundle(tmp_path / "frame", bundle)
+        assert writes == [os.path.join("frame", "bundle.fmap")]
+        assert os.listdir(tmp_path / "frame") == ["bundle.fmap"]
+        assert load_bundle(tmp_path / "frame") == bundle
 
     def test_header_layout(self):
         fm = FeatureMap(np.zeros((2, 3, 4)), role=MapRole.OFFSET)

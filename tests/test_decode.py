@@ -26,7 +26,6 @@ from det3d.decode import (
     decode_frame,
     extract_peaks,
     group_corners,
-    refine_with_offsets,
 )
 from det3d.synthgen import (
     Category,
@@ -228,26 +227,33 @@ class TestGroupCorners:
         )
 
 
+def refine(point, offsets, stride):
+    """The image pixel of one keypoint, through the refinement box
+    assembly runs on keypoint columns."""
+    x, y = decode._refined(np.array([point.row]), np.array([point.col]), offsets, stride)
+    return (float(x[0]), float(y[0]))
+
+
 class TestRefineWithOffsets:
     def test_zero_offsets(self):
         maps = offsets_map(5, 5)
         point = kp(CENTER, 0.0, row=3, col=4)
-        assert refine_with_offsets(point, maps, stride=1) == (4.0, 3.0)
+        assert refine(point, maps, stride=1) == (4.0, 3.0)
 
     def test_substitution_with_stride(self):
         maps = offsets_map(4, 4, [(2, 2, 0.5, 0.25)])
         point = kp(CENTER, 0.0, row=2, col=2)
-        assert refine_with_offsets(point, maps, stride=4) == (10.0, 9.0)
+        assert refine(point, maps, stride=4) == (10.0, 9.0)
 
     def test_negative_offset(self):
         maps = offsets_map(2, 2, [(0, 1, -0.5, 0.0)])
         point = kp(CENTER, 0.0, row=0, col=1)
-        assert refine_with_offsets(point, maps, stride=1) == (0.5, 0.0)
+        assert refine(point, maps, stride=1) == (0.5, 0.0)
 
     def test_wrong_channel_count(self):
         bad = FeatureMap(np.zeros((2, 2, 3)), role=MapRole.OFFSET)
         with pytest.raises(ConfigurationError, match="2 channels"):
-            refine_with_offsets(kp(CENTER, 0.0), bad, stride=1)
+            refine(kp(CENTER, 0.0), bad, stride=1)
 
 
 class TestAssembleBoxes:

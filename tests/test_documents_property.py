@@ -1,5 +1,6 @@
 """Property tests of det3d's serialized formats: the JSON documents (scene,
-manifest, truth and detections), `.fmap` blobs and KITTI label lines.
+manifest, truth and detections), `.fmap` blobs and bundle files, and KITTI
+label lines.
 
 Kept apart from the example-based tests so that those still run where the
 optional `hypothesis` package is not installed.
@@ -23,8 +24,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from det3d.cli import main
-from det3d.core import FeatureMap, GenerationError, MapRole, ParseError, SuperCategory
-from det3d.fmap import dump_fmap, parse_fmap
+from det3d.core import (
+    ALL_KINDS,
+    CORNER_KINDS,
+    FeatureMap,
+    GenerationError,
+    MapBundle,
+    MapRole,
+    ParseError,
+    SuperCategory,
+)
+from det3d.fmap import dump_fmap, load_bundle, parse_fmap, save_bundle
 from det3d.ioutil import stable_json_dumps
 from det3d.kitti import KittiLabelRecord, parse_kitti_label, write_kitti_label
 from det3d.synthgen import (
@@ -135,6 +145,78 @@ def test_parse_fmap_raises_only_parse_error(blob):
         parse_fmap(blob)
     except ParseError:
         pass
+
+
+@st.composite
+def bundles(draw):
+    """Small bundles whose every map is dense or cell-stored, each drawn on
+    its own, with or without the 3D heads."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def fmap(channels, role=MapRole.GENERIC):
+        if role is MapRole.HEATMAP:
+            elements = st.floats(0, 1, width=32)
+        else:
+            elements = st.floats(allow_nan=False, allow_infinity=False, width=32)
+        size = height * width * channels
+        values = np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=np.float32)
+        values = values.reshape(height, width, channels)
+        if draw(st.booleans()):
+            return FeatureMap(values, role=role)
+        cells = sorted(draw(st.sets(st.integers(0, height * width - 1))))
+        table = values.reshape(-1, channels)[: len(cells)]
+        return FeatureMap.from_cells(cells, table, height, width, role=role)
+
+    classes = draw(st.integers(1, 3))
+    heads = {}
+    if draw(st.booleans()):
+        heads = {"aux_depth": fmap(1), "aux_dims": fmap(3),
+                 "aux_orientation": fmap(9 * draw(st.integers(1, 2)))}
+    return MapBundle(
+        heatmaps={kind: fmap(classes, MapRole.HEATMAP) for kind in ALL_KINDS},
+        embeddings={kind: fmap(1, MapRole.EMBEDDING) for kind in CORNER_KINDS},
+        offsets={kind: fmap(2, MapRole.OFFSET) for kind in ALL_KINDS},
+        **heads,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(bundle=bundles())
+def test_bundle_file_round_trip_is_identity(bundle):
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        save_bundle(first, bundle)
+        loaded = load_bundle(first)
+        assert loaded == bundle
+        # Saved again, the loaded bundle gives the same bytes: every map
+        # keeps its storage and its bits.
+        save_bundle(second, loaded)
+        assert os.listdir(second) == ["bundle.fmap"]
+        saved, again = (pathlib.Path(root, "bundle.fmap").read_bytes() for root in (first, second))
+        assert saved == again
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=bundles(), data=st.data())
+def test_load_bundle_raises_only_parse_error(bundle, data):
+    """A byte flip, a cut or bytes appended to a saved bundle file either
+    load as a valid bundle or raise ParseError, and nothing else."""
+    with tempfile.TemporaryDirectory() as directory:
+        save_bundle(directory, bundle)
+        path = pathlib.Path(directory, "bundle.fmap")
+        blob = bytearray(path.read_bytes())
+        edit = data.draw(st.sampled_from(["flip", "cut", "append"]))
+        if edit == "flip":
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        elif edit == "cut":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        else:
+            blob += data.draw(st.binary(min_size=1, max_size=64))
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = load_bundle(directory)
+        except ParseError:
+            return
+        assert isinstance(loaded, MapBundle)
 
 
 _coord = st.floats(-1e4, 1e4)

@@ -25,15 +25,14 @@ from det3d.core import (
     SuperCategory,
     normalize_angle,
 )
+from det3d import geometry3d
 from det3d.decode import decode_frame
 from det3d.geometry3d import (
     DepthOutput,
     MultiBinOutput,
     back_project_point,
-    box3d_corners,
     decode_depth,
     decode_multibin,
-    dims_mse,
     encode_multibin,
     fit_center_from_2d,
     lift_detection,
@@ -147,28 +146,6 @@ class TestDecodeDepth:
             decode_depth(float("nan"))
 
 
-class TestDimsMse:
-    def test_exact_match_is_zero(self):
-        assert dims_mse((1.5, 1.6, 4.2), (1.5, 1.6, 4.2)) == 0.0
-
-    def test_unit_offsets(self):
-        assert dims_mse((2.0, 2.0, 2.0), (1.0, 1.0, 1.0)) == 3.0
-
-    def test_batch_averages_sample_sums(self):
-        pred = [(2.0, 2.0, 2.0), (1.0, 1.0, 2.0)]
-        truth = [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)]
-        assert dims_mse(pred, truth) == 2.0
-
-    def test_nonnegative_and_zero_iff_equal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            a = rng.uniform(0.1, 5.0, size=3)
-            b = rng.uniform(0.1, 5.0, size=3)
-            v = dims_mse(a, b)
-            assert v >= 0.0
-            assert (v == 0.0) == bool(np.all(a == b))
-
-
 class TestProjectPoint:
     def test_optical_axis(self):
         cam = simple_camera(1.0, 0.0, 0.0)
@@ -210,6 +187,12 @@ class TestProjectPoint:
             pixel = project_point(cam, point)
             recovered = back_project_point(cam, pixel, point[2])
             assert np.allclose(recovered, point, atol=1e-9)
+
+
+def box3d_corners(box):
+    """The 8 corners of one box, through the corner generation that
+    projection runs on box columns."""
+    return geometry3d._corners(*geometry3d._columns([box]))[0]
 
 
 class TestBox3DCorners:
@@ -420,7 +403,8 @@ class TestLiftMatchesOracle:
     def test_no_detections(self, ground_frame):
         _, bundle, camera = ground_frame
         assert lift_detections([], bundle, camera) == []
-        assert lift_detections([], replace(bundle, aux_depth=None), camera) == []
+        no_heads = replace(bundle, aux_depth=None, aux_dims=None, aux_orientation=None)
+        assert lift_detections([], no_heads, camera) == []
 
 
 class TestLiftErrorParity:

@@ -12,7 +12,6 @@ from det3d.kitti import (
     parse_kitti_calib,
     parse_kitti_label,
     parse_kitti_label_file,
-    record_to_boxes,
     scene_to_kitti,
     write_kitti_calib,
     write_kitti_label,
@@ -171,18 +170,6 @@ class TestConversion:
         box3d = Box3D(center=(0, 0, 20.0), dims=(1.6, 1.5, 4.0), orientation=(0, 0, 0))
         rec = boxes_to_record("Car", Box2D(0, 0, 10, 10), box3d)
         assert rec.dimensions == (1.5, 1.6, 4.0)  # (h, w, l)
-
-    def test_kitti_internal_kitti_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            rec = random_record(rng)
-            # internal representation keeps only yaw; rebuild a consistent record
-            box2d, box3d = record_to_boxes(rec)
-            back = boxes_to_record(rec.type, box2d, box3d, score=rec.score)
-            assert np.allclose(back.bbox, rec.bbox, atol=1e-6)
-            assert np.allclose(back.dimensions, rec.dimensions, atol=1e-6)
-            assert np.allclose(back.location, rec.location, atol=1e-6)
-            assert back.rotation_y == pytest.approx(rec.rotation_y, abs=1e-6)
 
     def test_scene_export(self):
         point = SweepPoint(

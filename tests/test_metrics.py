@@ -15,14 +15,12 @@ from det3d.metrics import (
     MatchPolicy,
     average_precision,
     average_precision_frames,
-    confusion_matrix,
     confusion_matrix_frames,
     diou,
     evaluate,
     iou,
     iou_matrix,
     loss_diou,
-    loss_iou,
     mean_average_precision,
     scale_invariant_error,
 )
@@ -43,11 +41,6 @@ class TestIoU:
 
     def test_one_third_overlap(self):
         assert iou(box(0, 0, 2, 2), box(1, 0, 3, 2)) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_loss_iou(self):
-        assert loss_iou(box(0, 0, 2, 2), box(0, 0, 2, 2)) == 0.0
-        assert loss_iou(box(0, 0, 1, 1), box(5, 5, 6, 6)) == 1.0
-        assert loss_iou(box(0, 0, 2, 2), box(1, 0, 3, 2)) == pytest.approx(2.0 / 3.0)
 
     def test_degenerate_union(self):
         point = box(1, 1, 1, 1)
@@ -73,7 +66,7 @@ class TestDIoU:
         assert loss_diou(box(0, 0, 1, 1), box(2, 0, 3, 1)) == pytest.approx(1.4, abs=1e-15)
         a = box(-2, -2, 2, 2)
         b = box(-1, -1, 1, 1)
-        assert loss_diou(a, b) == loss_iou(a, b)
+        assert loss_diou(a, b) == 1.0 - iou(a, b)
 
     def test_random_pair_properties(self):
         rng = np.random.default_rng(0)
@@ -236,24 +229,24 @@ class TestConfusionMatrix:
     def test_perfect_detections_are_diagonal(self):
         truths = [box(0, 0, 10, 10, class_id=0), box(20, 20, 30, 30, class_id=1)]
         dets = [(b, 0.9) for b in truths]
-        counts = confusion_matrix(dets, truths, n_classes=2)
+        counts = confusion_matrix_frames({"_": dets}, {"_": truths}, n_classes=2)
         assert counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
 
     def test_cross_class_match(self):
         truths = [box(0, 0, 10, 10, class_id=0)]
         dets = [(box(0, 0, 10, 10, class_id=1), 0.9)]
-        counts = confusion_matrix(dets, truths, n_classes=2)
+        counts = confusion_matrix_frames({"_": dets}, {"_": truths}, n_classes=2)
         assert counts[0, 1] == 1
         assert counts.sum() == 1
 
     def test_unmatched_truth_goes_to_background(self):
         truths = [box(0, 0, 10, 10, class_id=0)]
-        counts = confusion_matrix([], truths, n_classes=1)
+        counts = confusion_matrix_frames({"_": []}, {"_": truths}, n_classes=1)
         assert counts[0, 1] == 1
 
     def test_unmatched_det_goes_to_background(self):
         dets = [(box(0, 0, 10, 10, class_id=0), 0.9)]
-        counts = confusion_matrix(dets, [], n_classes=1)
+        counts = confusion_matrix_frames({"_": dets}, {"_": []}, n_classes=1)
         assert counts[1, 0] == 1
 
     def test_frames_against_hand_counts(self):
