@@ -89,7 +89,7 @@ def build_parser():
     src.add_argument("--bundle", help="a single frame bundle directory")
     decode.add_argument("--scene", help="scene JSON supplying the camera for a --bundle decode")
     decode.add_argument("--classes", help="comma-separated class names for a --bundle decode")
-    decode.add_argument("--stride", type=_positive_int, default=None)
+    decode.add_argument("--stride", type=_positive_int, default=None, help="for a --bundle decode")
     decode.add_argument("--score-threshold", type=_unit_interval, default=0.3)
     decode.add_argument("--nms-window", type=_odd_int, default=3)
     decode.add_argument("--top-k", type=_positive_int, default=100)
@@ -203,10 +203,12 @@ def _cmd_decode(args):
     group_cfg = GroupingConfig(theta=args.theta)
 
     if args.dataset:
+        if args.stride is not None:
+            raise UsageError("argument --stride: not allowed with --dataset, whose manifest sets it")
         manifest_path = os.path.join(args.dataset, "manifest.json")
         manifest = jsondoc.load(manifest_path)
         taxonomy, super_names = jsondoc.read_taxonomy(manifest, manifest_path)
-        stride = args.stride or jsondoc.field(manifest, "stride", manifest_path, jsondoc.count, 1)
+        stride = jsondoc.field(manifest, "stride", manifest_path, jsondoc.count, 1)
         samples = jsondoc.read_samples(manifest, manifest_path, ("frames", "scene"))
         frames = _decode_frames(
             args.dataset, samples,

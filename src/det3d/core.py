@@ -10,7 +10,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "CameraIntrinsics",
     "ClassTaxonomy",
     "Detection",
+    "BUNDLE_MAPS",
     "MapBundle",
     "normalize_angle",
 ]
@@ -549,9 +550,58 @@ class Detection:
         return self.box.score
 
 
+class BundleMap(NamedTuple):
+    """One map of a frame bundle: its name; where `MapBundle` keeps it,
+    `getattr(bundle, field)`, indexed by `kind` unless that is None; its
+    role; and its channel count. `channels` None is the heatmaps' class
+    count, the channels of heatmap_tl; a `per_bin` map has `channels` for
+    each of its N >= 1 orientation bins."""
+
+    name: str
+    field: str
+    kind: Optional[KeypointKind]
+    role: MapRole
+    channels: Optional[int]
+    per_bin: bool = False
+
+    def misfit(self, shape, role, first):
+        """The first way a map of (H, W, C) `shape` and `role` breaks this
+        entry, as (field, reason) with field "height", "width", "channels"
+        or "role"; None if it fits. `first` is the (H, W, C) of the
+        bundle's first map, heatmap_tl."""
+        for field, got, want in (("height", shape[0], first[0]), ("width", shape[1], first[1])):
+            if got != want:
+                return field, f"{field} {got}, expected {want}"
+        channels = shape[2]
+        want = first[2] if self.channels is None else self.channels
+        if self.per_bin:
+            if channels < want or channels % want:
+                return "channels", (
+                    f"{channels} channels, expected {want}N (3 angles x N bins x 3 values)"
+                )
+        elif channels != want:
+            return "channels", f"{channels} channels, expected {want}"
+        if role is not self.role:
+            return "role", f"role {role.name}, expected {self.role.name}"
+        return None
+
+
+# The maps of a frame bundle, in the order of `MapBundle.maps()` and of
+# the bundle file: the 8 every bundle has, then the 3D heads.
+BUNDLE_MAPS = (
+    *(BundleMap(f"heatmap_{k.value}", "heatmaps", k, MapRole.HEATMAP, None) for k in ALL_KINDS),
+    *(BundleMap(f"embedding_{k.value}", "embeddings", k, MapRole.EMBEDDING, 1) for k in CORNER_KINDS),
+    *(BundleMap(f"offset_{k.value}", "offsets", k, MapRole.OFFSET, 2) for k in ALL_KINDS),
+    BundleMap("aux_depth", "aux_depth", None, MapRole.GENERIC, 1),
+    BundleMap("aux_dims", "aux_dims", None, MapRole.GENERIC, 3),
+    BundleMap("aux_orientation", "aux_orientation", None, MapRole.GENERIC, 9, per_bin=True),
+)
+
+
 @dataclass(frozen=True)
 class MapBundle:
-    """The per-frame tensor set an ideal network would emit.
+    """The per-frame tensor set an ideal network would emit, the maps of
+    `BUNDLE_MAPS`.
 
     Required: one heatmap per keypoint kind (C class channels each), one
     1-channel embedding per corner kind, and one 2-channel offset map per
@@ -569,58 +619,49 @@ class MapBundle:
     aux_orientation: Optional[FeatureMap] = None
 
     def __post_init__(self):
-        heatmaps = dict(self.heatmaps)
-        embeddings = dict(self.embeddings)
-        offsets = dict(self.offsets)
-        if set(heatmaps) != set(ALL_KINDS):
-            raise ConfigurationError("bundle needs a heatmap for every keypoint kind")
-        if set(embeddings) != set(CORNER_KINDS):
-            raise ConfigurationError("bundle needs embeddings for exactly the corner kinds")
-        if set(offsets) != set(ALL_KINDS):
-            raise ConfigurationError("bundle needs offsets for every keypoint kind")
-
-        base = heatmaps[KeypointKind.TOP_LEFT]
-        hw = (base.height, base.width)
-        channels = base.channels
-
-        def check(fmap, label, want_channels, want_role):
-            if (fmap.height, fmap.width) != hw:
-                raise ConfigurationError(
-                    f"{label} is {fmap.height}x{fmap.width}, expected {hw[0]}x{hw[1]}"
-                )
-            if want_channels is not None and fmap.channels != want_channels:
-                raise ConfigurationError(
-                    f"{label} has {fmap.channels} channels, expected {want_channels}"
-                )
-            if fmap.role is not want_role:
-                raise ConfigurationError(
-                    f"{label} has role {fmap.role.name}, expected {want_role.name}"
-                )
-
-        for kind in ALL_KINDS:
-            check(heatmaps[kind], f"heatmap[{kind.value}]", channels, MapRole.HEATMAP)
-            check(offsets[kind], f"offsets[{kind.value}]", 2, MapRole.OFFSET)
-        for kind in CORNER_KINDS:
-            check(embeddings[kind], f"embedding[{kind.value}]", 1, MapRole.EMBEDDING)
+        for field in ("heatmaps", "embeddings", "offsets"):
+            by_kind = dict(getattr(self, field))
+            names = {entry.kind: entry.name for entry in BUNDLE_MAPS if entry.field == field}
+            for kind, name in names.items():
+                if kind not in by_kind:
+                    raise ConfigurationError(f"{name} is missing")
+            for kind in by_kind:
+                if kind not in names:
+                    raise ConfigurationError(f"{field}[{kind!r}] is not a bundle map")
+            object.__setattr__(self, field, by_kind)
 
         heads = (self.aux_depth, self.aux_dims, self.aux_orientation)
         if sum(head is None for head in heads) not in (0, 3):
             raise ConfigurationError(
                 "bundle needs all three 3D heads (aux_depth, aux_dims, aux_orientation) or none"
             )
-        if self.has_aux:
-            check(self.aux_depth, "aux_depth", 1, MapRole.GENERIC)
-            check(self.aux_dims, "aux_dims", 3, MapRole.GENERIC)
-            check(self.aux_orientation, "aux_orientation", None, MapRole.GENERIC)
-            if self.aux_orientation.channels % 9 != 0 or self.aux_orientation.channels < 9:
-                raise ConfigurationError(
-                    "aux_orientation needs 9N channels (3 angles x N bins x 3 values), "
-                    f"got {self.aux_orientation.channels}"
-                )
+        maps = self.maps()
+        for entry, fmap in zip(BUNDLE_MAPS, maps):
+            misfit = entry.misfit(fmap.shape, fmap.role, maps[0].shape)
+            if misfit is not None:
+                raise ConfigurationError(f"{entry.name}: {misfit[1]}")
 
-        object.__setattr__(self, "heatmaps", heatmaps)
-        object.__setattr__(self, "embeddings", embeddings)
-        object.__setattr__(self, "offsets", offsets)
+    @classmethod
+    def from_maps(cls, maps):
+        """The bundle whose `maps()` are `maps`: its 8 or 11 maps in
+        `BUNDLE_MAPS` order."""
+        maps = tuple(maps)
+        if len(maps) > len(BUNDLE_MAPS):
+            raise ConfigurationError(f"{len(maps)} maps, a bundle has {len(BUNDLE_MAPS)} at most")
+        fields = {entry.field: {} for entry in BUNDLE_MAPS if entry.kind is not None}
+        for entry, fmap in zip(BUNDLE_MAPS, maps):
+            if entry.kind is None:
+                fields[entry.field] = fmap
+            else:
+                fields[entry.field][entry.kind] = fmap
+        return cls(**fields)
+
+    def maps(self):
+        """The bundle's 8 maps, or 11 with the 3D heads, in `BUNDLE_MAPS`
+        order."""
+        fields = [(getattr(self, entry.field), entry.kind) for entry in BUNDLE_MAPS]
+        maps = (value if kind is None else value[kind] for value, kind in fields)
+        return tuple(fmap for fmap in maps if fmap is not None)
 
     @property
     def height(self):

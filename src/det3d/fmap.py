@@ -22,12 +22,10 @@ writes a map in the storage it has, so every map of a bundle from
 `corrupt_maps` one, is version 1. Both versions load.
 
 A frame bundle is one file, `<frame directory>/bundle.fmap`: the records
-of its maps with nothing between them, in a fixed order. The 8 maps every
-bundle has come first: heatmap_tl, heatmap_br, heatmap_center,
-embedding_tl, embedding_br, offset_tl, offset_br, offset_center. The 3D
-heads aux_depth, aux_dims and aux_orientation follow, all three or none.
-A record's length comes from its own header (H*W*C values for version 1,
-the cell count for version 2), so the file needs no index.
+of its maps with nothing between them, in the order of `core.BUNDLE_MAPS`:
+the 8 maps every bundle has, then all three 3D heads or none. A record's
+length comes from its own header (H*W*C values for version 1, the cell
+count for version 2), so the file needs no index.
 """
 
 import os
@@ -36,16 +34,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import (
-    ALL_KINDS,
-    CORNER_KINDS,
-    ConfigurationError,
-    Det3DError,
-    FeatureMap,
-    MapBundle,
-    MapRole,
-    ParseError,
-)
+from .core import BUNDLE_MAPS, Det3DError, FeatureMap, MapBundle, MapRole, ParseError
 from .ioutil import atomic_write_bytes
 
 __all__ = [
@@ -67,25 +56,11 @@ _PAYLOAD_OFFSET = _HEADER.size  # 21 bytes
 _COUNT = struct.Struct("<I")
 _CELLS_OFFSET = _PAYLOAD_OFFSET + _COUNT.size  # 25 bytes
 
-# Header field offsets, used in parse errors.
-_OFF_MAGIC = 0
-_OFF_VERSION = 4
-_OFF_HEIGHT = 8
-_OFF_WIDTH = 12
-_OFF_CHANNELS = 16
-_OFF_ROLE = 20
+# Header field offsets, used in parse errors; `BundleMap.misfit` names a
+# field by its key here.
+_OFF = {"magic": 0, "version": 4, "height": 8, "width": 12, "channels": 16, "role": 20}
 
 _BUNDLE_FILE = "bundle.fmap"
-# (name, role) of each record of a bundle file, in file order.
-_RECORDS = (
-    *((f"heatmap_{kind.value}", MapRole.HEATMAP) for kind in ALL_KINDS),
-    *((f"embedding_{kind.value}", MapRole.EMBEDDING) for kind in CORNER_KINDS),
-    *((f"offset_{kind.value}", MapRole.OFFSET) for kind in ALL_KINDS),
-    ("aux_depth", MapRole.GENERIC),
-    ("aux_dims", MapRole.GENERIC),
-    ("aux_orientation", MapRole.GENERIC),
-)
-_REQUIRED = 8  # records before the 3D heads
 
 # A checked header: count is the version-2 cell count (None for version
 # 1), and end the byte offset where the record stops.
@@ -133,19 +108,19 @@ def _header(blob, start):
         )
     magic, version, height, width, channels, role = _HEADER.unpack_from(blob, start)
     if magic != MAGIC:
-        raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=start + _OFF_MAGIC)
+        raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=start + _OFF["magic"])
     if version not in (VERSION, VERSION_CELLS):
-        raise ParseError(f"unsupported version {version}", offset=start + _OFF_VERSION)
+        raise ParseError(f"unsupported version {version}", offset=start + _OFF["version"])
     if height < 1:
-        raise ParseError(f"height must be >= 1, got {height}", offset=start + _OFF_HEIGHT)
+        raise ParseError(f"height must be >= 1, got {height}", offset=start + _OFF["height"])
     if width < 1:
-        raise ParseError(f"width must be >= 1, got {width}", offset=start + _OFF_WIDTH)
+        raise ParseError(f"width must be >= 1, got {width}", offset=start + _OFF["width"])
     if channels < 1:
-        raise ParseError(f"channels must be >= 1, got {channels}", offset=start + _OFF_CHANNELS)
+        raise ParseError(f"channels must be >= 1, got {channels}", offset=start + _OFF["channels"])
     try:
         role = MapRole(role)
     except ValueError:
-        raise ParseError(f"unknown role tag {role}", offset=start + _OFF_ROLE) from None
+        raise ParseError(f"unknown role tag {role}", offset=start + _OFF["role"]) from None
     if version == VERSION:
         end = start + _PAYLOAD_OFFSET + 4 * height * width * channels
         return _Header(height, width, channels, role, None, end)
@@ -232,25 +207,21 @@ def parse_fmap(blob):
 
 def save_bundle(directory, bundle):
     """Write a bundle as one file, `<directory>/bundle.fmap`, with one
-    atomic write: the records of its maps in the module's fixed order."""
-    maps = [
-        *(bundle.heatmaps[kind] for kind in ALL_KINDS),
-        *(bundle.embeddings[kind] for kind in CORNER_KINDS),
-        *(bundle.offsets[kind] for kind in ALL_KINDS),
-    ]
-    if bundle.has_aux:
-        maps += [bundle.aux_depth, bundle.aux_dims, bundle.aux_orientation]
+    atomic write: the records of `bundle.maps()`, in `core.BUNDLE_MAPS`
+    order."""
     os.makedirs(directory, exist_ok=True)
     atomic_write_bytes(
-        os.path.join(directory, _BUNDLE_FILE), b"".join(dump_fmap(fmap) for fmap in maps)
+        os.path.join(directory, _BUNDLE_FILE), b"".join(dump_fmap(fmap) for fmap in bundle.maps())
     )
 
 
 def load_bundle(directory):
     """Load a bundle saved by :func:`save_bundle`, reading its file once.
 
-    A missing file raises ParseError naming it. A malformed record, a
-    record with another role than its place in the order, a file that
+    Each record is checked against its `core.BUNDLE_MAPS` entry as it is
+    read: its height and width against the first record's, its channel
+    count and its role. A missing file raises ParseError naming it. A
+    malformed record, a record that does not fit its entry, a file that
     ends after 9 or 10 records, and bytes after the last record raise
     ParseError naming the file, the map and a byte offset into the file.
     """
@@ -262,32 +233,27 @@ def load_bundle(directory):
         raise ParseError(f"missing tensor dump {path!r}") from None
     view = memoryview(blob)
     maps = []
-    start = 0
-    for name, role in _RECORDS:
-        if start == len(blob) and len(maps) == _REQUIRED:
+    start, first = 0, None
+    for index, entry in enumerate(BUNDLE_MAPS):
+        # A bundle without 3D heads (the maps of no keypoint kind) ends
+        # where the first of them would start.
+        if start == len(blob) and entry.kind is None and BUNDLE_MAPS[index - 1].kind is not None:
             break
         try:
             header = _header(view, start)
-            if header.role is not role:
-                raise ParseError(
-                    f"role {header.role.name}, expected {role.name}", offset=start + _OFF_ROLE
-                )
+            first = first or header[:3]
+            misfit = entry.misfit(header[:3], header.role, first)
+            if misfit is not None:
+                field, reason = misfit
+                raise ParseError(reason, offset=start + _OFF[field])
             maps.append(_parse_record(view[: header.end], start, header))
         except ParseError as exc:
-            error = ParseError(f"{path}: {name}: {exc}")
+            error = ParseError(f"{path}: {entry.name}: {exc}")
             error.offset = exc.offset
             raise error from exc
         start = header.end
     if start != len(blob):
         raise ParseError(
-            f"{path}: {name}: {len(blob) - start} bytes after the last record", offset=start
+            f"{path}: {entry.name}: {len(blob) - start} bytes after the last record", offset=start
         )
-    try:
-        return MapBundle(
-            dict(zip(ALL_KINDS, maps[0:3])),
-            dict(zip(CORNER_KINDS, maps[3:5])),
-            dict(zip(ALL_KINDS, maps[5:8])),
-            *maps[8:],
-        )
-    except ConfigurationError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return MapBundle.from_maps(maps)

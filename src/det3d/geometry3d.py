@@ -25,7 +25,6 @@ from .core import (
 
 __all__ = [
     "MultiBinOutput",
-    "DepthOutput",
     "uniform_bin_centers",
     "encode_multibin",
     "decode_multibin",
@@ -67,18 +66,6 @@ class MultiBinOutput:
 
     def __len__(self):
         return len(self.bins)
-
-
-@dataclass(frozen=True)
-class DepthOutput:
-    """Raw network-space depth scalar attached to a center keypoint."""
-
-    raw: float
-
-    def __post_init__(self):
-        if not math.isfinite(float(self.raw)):
-            raise DomainError(f"raw depth must be finite, got {self.raw!r}")
-        object.__setattr__(self, "raw", float(self.raw))
 
 
 def uniform_bin_centers(n):
@@ -141,9 +128,9 @@ def decode_multibin(out):
     return _bin_angles(heads, out.bin_centers)[0]
 
 
-def decode_depth(out):
+def decode_depth(raw):
     """Map the raw log-space regression value to metres: depth = exp(raw)."""
-    raw = out.raw if isinstance(out, DepthOutput) else float(out)
+    raw = float(raw)
     if not math.isfinite(raw):
         raise DomainError(f"raw depth must be finite, got {raw!r}")
     try:

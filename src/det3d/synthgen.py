@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     ALL_KINDS,
+    BUNDLE_MAPS,
     CORNER_KINDS,
     Box2D,
     Box3D,
@@ -407,11 +408,11 @@ def render_ideal_maps(sample, stride=1, sigma=1.5, include_aux=True):
     heat = {kind: np.zeros((height, width, n_classes), dtype=np.float32) for kind in ALL_KINDS}
     stamped = {kind: np.zeros((height, width), dtype=bool) for kind in ALL_KINDS}
     # The other maps are defined only at keypoint cells, so each is built
-    # as a table of flat cell -> that cell's channel values. A later object
-    # overwrites an earlier one's cell, as a dense write would.
-    offset = {kind: {} for kind in ALL_KINDS}
-    embed = {kind: {} for kind in CORNER_KINDS}
-    aux = {"aux_depth": {}, "aux_dims": {}, "aux_orientation": {}} if include_aux else {}
+    # as a table of flat cell -> that cell's channel values, keyed by the
+    # (field, kind) of its BUNDLE_MAPS entry. A later object overwrites an
+    # earlier one's cell, as a dense write would.
+    entries = [entry for entry in BUNDLE_MAPS if include_aux or entry.kind is not None]
+    tables = {(e.field, e.kind): {} for e in entries if e.role is not MapRole.HEATMAP}
     if include_aux:
         bin_centers = uniform_bin_centers(ORIENTATION_BINS)
     # Every bump is a crop of one unit-peak gaussian kernel. Rounding to
@@ -452,38 +453,32 @@ def render_ideal_maps(sample, stride=1, sigma=1.5, include_aux=True):
             np.maximum(window, bump, out=window)
             stamped[kind][r0:r1, c0:c1] = True
             cell = row * width + col
-            offset[kind][cell] = (px / stride - col, py / stride - row)
+            tables["offsets", kind][cell] = (px / stride - col, py / stride - row)
             if kind in CORNER_KINDS:
-                embed[kind][cell] = (tag,)
+                tables["embeddings", kind][cell] = (tag,)
             elif include_aux:
-                aux["aux_depth"][cell] = (math.log(box3d.center[2]),)
-                aux["aux_dims"][cell] = box3d.dims
-                aux["aux_orientation"][cell] = [
+                tables["aux_depth", None][cell] = (math.log(box3d.center[2]),)
+                tables["aux_dims", None][cell] = box3d.dims
+                tables["aux_orientation", None][cell] = [
                     value
                     for angle in box3d.orientation
                     for bin_values in _multibin_bins(angle, bin_centers)
                     for value in bin_values
                 ]
 
-    def cell_map(table, channels, role):
-        cells = sorted(table)
-        values = np.array([table[cell] for cell in cells], dtype=np.float32)
-        return FeatureMap.from_cells(
-            cells, values.reshape(len(cells), channels), height, width, role=role
-        )
+    def build(entry):
+        if entry.role is MapRole.HEATMAP:
+            cells = np.flatnonzero(stamped[entry.kind])
+            values = np.take(heat[entry.kind].reshape(-1, n_classes), cells, axis=0)
+        else:
+            table = tables[entry.field, entry.kind]
+            cells = sorted(table)
+            channels = entry.channels * (ORIENTATION_BINS if entry.per_bin else 1)
+            values = np.array([table[cell] for cell in cells], dtype=np.float32)
+            values = values.reshape(len(cells), channels)
+        return FeatureMap.from_cells(cells, values, height, width, role=entry.role)
 
-    def heat_map(kind):
-        cells = np.flatnonzero(stamped[kind])
-        values = np.take(heat[kind].reshape(-1, n_classes), cells, axis=0)
-        return FeatureMap.from_cells(cells, values, height, width, role=MapRole.HEATMAP)
-
-    aux_channels = {"aux_depth": 1, "aux_dims": 3, "aux_orientation": 9 * ORIENTATION_BINS}
-    return MapBundle(
-        heatmaps={kind: heat_map(kind) for kind in ALL_KINDS},
-        embeddings={kind: cell_map(embed[kind], 1, MapRole.EMBEDDING) for kind in CORNER_KINDS},
-        offsets={kind: cell_map(offset[kind], 2, MapRole.OFFSET) for kind in ALL_KINDS},
-        **{name: cell_map(table, aux_channels[name], MapRole.GENERIC) for name, table in aux.items()},
-    )
+    return MapBundle.from_maps(build(entry) for entry in entries)
 
 
 def corrupt_maps(bundle, noise_level, rng_seed):
@@ -498,36 +493,28 @@ def corrupt_maps(bundle, noise_level, rng_seed):
     if noise_level == 0:
         return bundle
     rng = np.random.default_rng(rng_seed)
+    roles = (MapRole.HEATMAP, MapRole.EMBEDDING, MapRole.OFFSET)
+    sigmas = dict(zip(roles, (noise_level, noise_level / 10.0, noise_level)))
 
-    # The noise array takes the map's values in place: at an unstored cell
-    # the sum 0.0 + n is n exactly, since normal(0.0, sigma) never
-    # returns -0.0. So a cell-stored map is never made dense first.
-    def noisy(fmap, sigma, clamp):
-        data = rng.normal(0.0, sigma, size=fmap.shape)
+    # The maps take their noise in bundle order. The noise array takes the
+    # map's values in place: at an unstored cell the sum 0.0 + n is n
+    # exactly, since normal(0.0, sigma) never returns -0.0. So a
+    # cell-stored map is never made dense first.
+    def noisy(fmap):
+        if fmap.role not in sigmas:
+            return fmap
+        data = rng.normal(0.0, sigmas[fmap.role], size=fmap.shape)
         table = fmap.cell_table
         if table is None:
             data += fmap.data
         else:
             cells, values = table
             data.reshape(-1, fmap.channels)[cells] += values
-        if clamp:
+        if fmap.role is MapRole.HEATMAP:
             np.clip(data, 0.0, 1.0, out=data)
         return FeatureMap(data, role=fmap.role)
 
-    heatmaps = {k: noisy(bundle.heatmaps[k], noise_level, clamp=True) for k in ALL_KINDS}
-    embeddings = {
-        k: noisy(bundle.embeddings[k], noise_level / 10.0, clamp=False)
-        for k in CORNER_KINDS
-    }
-    offsets = {k: noisy(bundle.offsets[k], noise_level, clamp=False) for k in ALL_KINDS}
-    return MapBundle(
-        heatmaps=heatmaps,
-        embeddings=embeddings,
-        offsets=offsets,
-        aux_depth=bundle.aux_depth,
-        aux_dims=bundle.aux_dims,
-        aux_orientation=bundle.aux_orientation,
-    )
+    return MapBundle.from_maps(noisy(fmap) for fmap in bundle.maps())
 
 
 def _objects(sample, score=None):

@@ -236,6 +236,17 @@ class TestDecode:
             outputs.append(read(out))
         assert outputs[1:] == outputs[:1] * 2
 
+    def test_dataset_decode_rejects_stride(self, dataset, tmp_path, capsys):
+        """The manifest gives the stride the maps were rendered at, so a
+        --stride flag could only contradict it."""
+        out = tmp_path / "x.json"
+        argv = ["decode", "--dataset", str(dataset), "--stride", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --stride: not allowed with --dataset, whose manifest sets it\n"
+        )
+        assert not out.exists()
+
     def test_single_bundle_decode(self, dataset, tmp_path):
         out = tmp_path / "one.json"
         code = main(
@@ -641,6 +652,25 @@ def _flipped_role(frame):
     return "embedding_br", "role HEATMAP, expected EMBEDDING", starts["embedding_br"] + 20
 
 
+def _flip(frame, name, field, reason):
+    """Flip the low bit of the header field `field` bytes into the
+    cell-stored record `name`, which then parses alone but no longer fits
+    the bundle."""
+    blob = bytearray(records(frame)[name])
+    assert struct.unpack_from("<I", blob, 4) == (2,)  # cell-stored: version 2
+    blob[field] ^= 1
+    _, starts = rewrite(frame, **{name: bytes(blob)})
+    return name, reason, starts[name] + field
+
+
+def _flipped_height(frame):
+    return _flip(frame, "heatmap_center", 8, "height 241, expected 240")
+
+
+def _flipped_channels(frame):
+    return _flip(frame, "offset_br", 16, "3 channels, expected 2")
+
+
 def _nine_records(frame):
     path, _ = rewrite(frame, aux_dims=b"", aux_orientation=b"")
     return "aux_dims", "truncated header: need 21 bytes, got 0", path.stat().st_size
@@ -670,7 +700,7 @@ class TestMalformedBundle:
     @pytest.mark.parametrize(
         "corrupt",
         [_truncated, _heatmap_above_one, _flipped_role, _nine_records, _ten_records,
-         _trailing_bytes, _empty],
+         _trailing_bytes, _empty, _flipped_height, _flipped_channels],
     )
     def test_exits_3_naming_file_map_and_offset(self, dataset, tmp_path, capsys, corrupt):
         frame = tmp_path / "frame"
@@ -923,19 +953,28 @@ class TestCellBundles:
         assert err.startswith(f"error: {path}: aux_orientation: cell table holds ")
         assert f"(at byte offset {starts['aux_orientation'] + 25})" in err
 
-    @pytest.mark.parametrize("head", ["depth", "dims", "orientation"])
-    def test_partial_3d_heads_exit_3(self, dataset, tmp_path, capsys, head):
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            # The next head moves into the cut one's place, and its channel
+            # count (the header field 16 bytes into the record) misfits.
+            ("depth", "aux_depth: 3 channels, expected 1"),
+            ("dims", "aux_dims: 36 channels, expected 3"),
+            # The file ends where its eleventh record would start.
+            ("orientation", "aux_orientation: truncated header: need 21 bytes, got 0"),
+        ],
+        ids=["depth", "dims", "orientation"],
+    )
+    def test_partial_3d_heads_exit_3(self, dataset, tmp_path, capsys, head, message):
         broken = tmp_path / "broken"
         shutil.copytree(dataset, broken)
         frame = broken / "frames" / "000001"
-        path, _ = rewrite(frame, **{f"aux_{head}": b""})
+        path, starts = rewrite(frame, **{f"aux_{head}": b""})
         out = tmp_path / "x.json"
         assert main(["decode", "--dataset", str(broken), "--out", str(out)]) == 3
-        # The file ends where its eleventh record would start.
-        size = path.stat().st_size
+        offset = path.stat().st_size if head == "orientation" else starts[f"aux_{head}"] + 16
         assert capsys.readouterr().err == (
-            f"error: frame 000001: {path}: aux_orientation: truncated header: "
-            f"need 21 bytes, got 0 (at byte offset {size})\n"
+            f"error: frame 000001: {path}: {message} (at byte offset {offset})\n"
         )
         # Without any of the three, the frame decodes in 2D only.
         shutil.copytree(dataset / "frames" / "000001", frame, dirs_exist_ok=True)

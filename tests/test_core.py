@@ -1,5 +1,6 @@
 """Core type invariants, the angle normalizer, and the binary dump format."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -269,6 +270,30 @@ def dense_bundle(rng, heads=()):
 HEADS = ("aux_depth", "aux_dims", "aux_orientation")
 
 
+# (name, field, kind, channels, role) of each map of a dense_bundle, in
+# bundle order.
+BUNDLE_MAP_SPECS = (
+    ("heatmap_tl", "heatmaps", KeypointKind.TOP_LEFT, 2, MapRole.HEATMAP),
+    ("heatmap_br", "heatmaps", KeypointKind.BOTTOM_RIGHT, 2, MapRole.HEATMAP),
+    ("heatmap_center", "heatmaps", KeypointKind.CENTER, 2, MapRole.HEATMAP),
+    ("embedding_tl", "embeddings", KeypointKind.TOP_LEFT, 1, MapRole.EMBEDDING),
+    ("embedding_br", "embeddings", KeypointKind.BOTTOM_RIGHT, 1, MapRole.EMBEDDING),
+    ("offset_tl", "offsets", KeypointKind.TOP_LEFT, 2, MapRole.OFFSET),
+    ("offset_br", "offsets", KeypointKind.BOTTOM_RIGHT, 2, MapRole.OFFSET),
+    ("offset_center", "offsets", KeypointKind.CENTER, 2, MapRole.OFFSET),
+    ("aux_depth", "aux_depth", None, 1, MapRole.GENERIC),
+    ("aux_dims", "aux_dims", None, 3, MapRole.GENERIC),
+    ("aux_orientation", "aux_orientation", None, 9, MapRole.GENERIC),
+)
+
+
+def with_map(bundle, field, kind, fmap):
+    """The bundle with the map at (field, kind) replaced by fmap."""
+    if kind is not None:
+        fmap = {**getattr(bundle, field), kind: fmap}
+    return dataclasses.replace(bundle, **{field: fmap})
+
+
 class TestMapBundle:
     def test_all_or_no_3d_heads(self):
         assert dense_bundle(np.random.default_rng(0), HEADS).has_aux
@@ -278,6 +303,62 @@ class TestMapBundle:
     def test_some_3d_heads_rejected(self, heads):
         with pytest.raises(ConfigurationError, match="all three 3D heads"):
             dense_bundle(np.random.default_rng(0), heads)
+
+    def test_maps_in_bundle_order(self):
+        bundle = dense_bundle(np.random.default_rng(1), HEADS)
+        expected = [
+            getattr(bundle, field) if kind is None else getattr(bundle, field)[kind]
+            for _, field, kind, _, _ in BUNDLE_MAP_SPECS
+        ]
+        assert list(bundle.maps()) == expected
+        assert list(dense_bundle(np.random.default_rng(1)).maps()) == expected[:8]
+        assert MapBundle.from_maps(expected) == bundle
+
+    def test_from_maps_rejects_a_twelfth_map(self):
+        maps = dense_bundle(np.random.default_rng(1), HEADS).maps()
+        with pytest.raises(ConfigurationError, match="^12 maps, a bundle has 11 at most$"):
+            MapBundle.from_maps(maps + maps[-1:])
+
+    @pytest.mark.parametrize("fault", ["height", "width", "channels", "role"])
+    @pytest.mark.parametrize(
+        "name, field, kind, channels, role", BUNDLE_MAP_SPECS, ids=[m[0] for m in BUNDLE_MAP_SPECS]
+    )
+    def test_misfit_map_rejected_naming_it(self, name, field, kind, channels, role, fault):
+        rng = np.random.default_rng(2)
+        bundle = dense_bundle(rng, HEADS)
+        shapes = {"height": (4, 3, channels), "width": (3, 4, channels), "channels": (3, 3, channels + 1)}
+        shape = shapes.get(fault, (3, 3, channels))
+        if fault == "role":
+            role = MapRole.OFFSET if role is MapRole.GENERIC else MapRole.GENERIC
+        fmap = FeatureMap(rng.uniform(0, 1, size=shape), role=role)
+        # heatmap_tl sets the height, width and class count the other maps
+        # are held to, so a heatmap_tl of another shape is heatmap_br's misfit.
+        blamed = "heatmap_br" if name == "heatmap_tl" and fault != "role" else name
+        with pytest.raises(ConfigurationError, match=rf"^{blamed}: .*{fault}"):
+            with_map(bundle, field, kind, fmap)
+
+    def test_orientation_needs_9n_channels(self):
+        rng = np.random.default_rng(3)
+        bundle = dense_bundle(rng, HEADS)
+        wide = with_map(bundle, "aux_orientation", None, FeatureMap(rng.normal(size=(3, 3, 18))))
+        assert wide.aux_orientation.channels == 18
+        with pytest.raises(ConfigurationError) as info:
+            with_map(bundle, "aux_orientation", None, FeatureMap(rng.normal(size=(3, 3, 10))))
+        assert str(info.value) == (
+            "aux_orientation: 10 channels, expected 9N (3 angles x N bins x 3 values)"
+        )
+
+    def test_missing_keypoint_kind_rejected(self):
+        bundle = dense_bundle(np.random.default_rng(4))
+        offsets = {kind: bundle.offsets[kind] for kind in CORNER_KINDS}
+        with pytest.raises(ConfigurationError, match="^offset_center is missing$"):
+            dataclasses.replace(bundle, offsets=offsets)
+
+    def test_extra_keypoint_kind_rejected(self):
+        bundle = dense_bundle(np.random.default_rng(4))
+        extra = bundle.embeddings[KeypointKind.TOP_LEFT]
+        with pytest.raises(ConfigurationError, match=r"^embeddings\[.*CENTER.*\] is not a bundle map$"):
+            with_map(bundle, "embeddings", KeypointKind.CENTER, extra)
 
 
 class TestFmapFormat:

@@ -183,6 +183,7 @@ def bundles(draw):
 @settings(max_examples=100, deadline=None)
 @given(bundle=bundles())
 def test_bundle_file_round_trip_is_identity(bundle):
+    assert MapBundle.from_maps(bundle.maps()) == bundle
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
         save_bundle(first, bundle)
         loaded = load_bundle(first)

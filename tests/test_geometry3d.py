@@ -28,7 +28,6 @@ from det3d.core import (
 from det3d import geometry3d
 from det3d.decode import decode_frame
 from det3d.geometry3d import (
-    DepthOutput,
     MultiBinOutput,
     back_project_point,
     decode_depth,
@@ -129,7 +128,7 @@ class TestMultiBin:
 
 class TestDecodeDepth:
     def test_zero_maps_to_one_metre(self):
-        assert decode_depth(DepthOutput(0.0)) == 1.0
+        assert decode_depth(0.0) == 1.0
 
     def test_log_seventy(self):
         assert decode_depth(math.log(70.0)) == pytest.approx(70.0, rel=1e-12)
