@@ -203,8 +203,10 @@ def _cmd_decode(args):
     group_cfg = GroupingConfig(theta=args.theta)
 
     if args.dataset:
-        if args.stride is not None:
-            raise UsageError("argument --stride: not allowed with --dataset, whose manifest sets it")
+        # The manifest gives the classes, each frame's scene and the stride.
+        for flag, value in (("--classes", args.classes), ("--scene", args.scene), ("--stride", args.stride)):
+            if value is not None:
+                raise UsageError(f"argument {flag}: not allowed with --dataset, whose manifest sets it")
         manifest_path = os.path.join(args.dataset, "manifest.json")
         manifest = jsondoc.load(manifest_path)
         taxonomy, super_names = jsondoc.read_taxonomy(manifest, manifest_path)

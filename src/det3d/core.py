@@ -40,6 +40,9 @@ __all__ = [
     "BUNDLE_MAPS",
     "MapBundle",
     "normalize_angle",
+    "keyed_uniforms",
+    "keyed_normals",
+    "Z_MAX",
 ]
 
 
@@ -165,22 +168,80 @@ def _check_score(score):
     return score
 
 
+# Keyed gaussian noise, for maps noised where they are read
+# (`FeatureMap.noised`). The uniforms of value index i under a key are the
+# top 53 bits of outputs 2i and 2i+1 of a splitmix64 stream seeded with
+# the key (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014), so any value can be made alone. Every operand
+# is an np.uint64, so the arithmetic wraps mod 2**64 under numpy 1.x and
+# 2.x promotion alike.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9), np.uint64(27),
+        np.uint64(0x94D049BB133111EB), np.uint64(31))
+_DROP = np.uint64(11)  # keeps the top 53 of 64 bits
+_GAMMA2 = np.uint64(0x3C6EF372FE94F82A)  # 2 * gamma mod 2**64
+_ONE = np.uint64(1)
+# The largest |z| Box-Muller gives: its radius at the smallest u1, 2**-53.
+Z_MAX = math.sqrt(-2.0 * math.log(2.0**-53))
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Values per block when `data` noises a whole map, so its temporaries
+# stay small.
+_NOISE_BLOCK = 1 << 14
+
+
+def _splitmix64(state):
+    """splitmix64's output function of each np.uint64 in `state`."""
+    shift1, mult1, shift2, mult2, shift3 = _MIX
+    state = (state ^ (state >> shift1)) * mult1
+    state = (state ^ (state >> shift2)) * mult2
+    return state ^ (state >> shift3)
+
+
+def keyed_uniforms(key, index):
+    """(u1, u2), float64 arrays of the shape of `index`: for each value
+    index i >= 0, u1 = (top53(out[2i]) + 1) / 2**53 in (0, 1] and
+    u2 = top53(out[2i + 1]) / 2**53 in [0, 1), where out[n] is output n
+    (from 0) of splitmix64 seeded with `key`: mix(key + (n + 1) * gamma)."""
+    index = np.asarray(index).astype(np.uint64)
+    with np.errstate(over="ignore"):  # the mod 2**64 wrap is the hash
+        first = index * _GAMMA2 + (np.uint64(key) + _GAMMA)  # key + (2i + 1) * gamma
+        u1 = ((_splitmix64(first) >> _DROP) + _ONE).astype(np.float64)
+        u2 = (_splitmix64(first + _GAMMA) >> _DROP).astype(np.float64)
+    return u1 * 2.0**-53, u2 * 2.0**-53
+
+
+def keyed_normals(key, index):
+    """Standard normal of each value index under `key`, by Box-Muller on
+    `keyed_uniforms`; |z| <= Z_MAX. A pure function: the same (key, i)
+    gives the same bits whatever else is computed with it."""
+    u1, u2 = keyed_uniforms(key, index)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * math.pi) * u2)
+
+
+def _noised_values(values, key, sigma, index):
+    """float32(values + sigma * z(key, index)), the sum taken in float64."""
+    return (values.astype(np.float64) + sigma * keyed_normals(key, index)).astype(np.float32)
+
+
 class FeatureMap:
     """Immutable (height, width, channels) grid of real values.
 
-    A map is stored in one of two ways, fixed by what built it. Dense
+    A map is stored in one of three ways, fixed by what built it. Dense
     storage holds every value, row-major float32 in (row, col, channel)
     order, matching the binary dump layout. Cell storage (`from_cells`)
     holds a strictly increasing array of flat cell indices
     (row * width + col) and an (n, channels) float32 value table, and reads
     exactly 0.0 at every other cell; it suits maps that are zero almost
-    everywhere, such as keypoint-cell maps and ideal heatmaps. Both read
+    everywhere, such as keypoint-cell maps and ideal heatmaps. Noised
+    storage (`noised`) holds a dense or cell-stored base map plus a noise
+    key and sigma, and makes each value's noise when the value is read,
+    so a reader of a few cells never pays for the rest. All three read
     alike through `take`, `get` and `data`.
     Heatmap-role maps must lie in [0, 1]; other roles only need finite
     values.
     """
 
-    __slots__ = ("_data", "_role", "_shape", "_cells", "_values")
+    __slots__ = ("_data", "_role", "_shape", "_cells", "_values", "_noise")
 
     def __init__(self, data, role=MapRole.GENERIC):
         arr = np.array(data, dtype=np.float32, copy=True, order="C")
@@ -203,6 +264,7 @@ class FeatureMap:
         data.setflags(write=False)
         self._role = role
         self._shape = tuple(shape)
+        self._noise = None
         if cells is None:
             self._data, self._cells, self._values = data, None, None
         else:
@@ -248,14 +310,57 @@ class FeatureMap:
         fmap._init(table, (height, width, table.shape[1]), cells, role)
         return fmap
 
+    def noised(self, key, sigma):
+        """This map plus gaussian noise made where it is read: value i, in
+        row-major (row, col, channel) order, reads float32(v + sigma * z),
+        where v is this map's value and z is `keyed_normals(key, i)`, the
+        sum taken in float64. `key` is an integer in [0, 2**64), `sigma` a
+        finite real >= 0. The result is never cell-stored (`cell_table` is
+        None). A heatmap cannot be noised so, since its clip to [0, 1]
+        would have to follow the noise, and neither can a noised map.
+        Every value stays finite: sigma must keep max|v| + sigma * Z_MAX
+        within float32's range."""
+        if self._noise is not None:
+            raise DomainError("a noised map cannot be noised again")
+        if self._role is MapRole.HEATMAP:
+            raise DomainError("a heatmap cannot be noised on read: its clip must follow the noise")
+        if isinstance(key, bool) or not isinstance(key, numbers.Integral):
+            raise DomainError(f"noise key must be an integer, got {key!r}")
+        if not 0 <= int(key) < 2**64:
+            raise DomainError(f"noise key must lie in [0, 2**64), got {key!r}")
+        if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real):
+            raise DomainError(f"noise sigma must be a real number, got {sigma!r}")
+        if not (sigma >= 0.0 and math.isfinite(sigma)):
+            raise DomainError(f"noise sigma must be finite and >= 0, got {sigma!r}")
+        stored = self._data if self._cells is None else self._values
+        bound = max(-float(stored.min()), float(stored.max()), 0.0) if stored.size else 0.0
+        if not bound + float(sigma) * Z_MAX <= _FLOAT32_MAX:
+            raise DomainError(
+                f"noise sigma {sigma!r} can push values of magnitude {bound:g} "
+                "past float32's range"
+            )
+        fmap = FeatureMap.__new__(FeatureMap)
+        fmap._role, fmap._shape = self._role, self._shape
+        fmap._data = fmap._cells = fmap._values = None
+        fmap._noise = (self, np.uint64(key), float(sigma))
+        return fmap
+
     @property
     def data(self):
-        """Read-only (H, W, C) float32 array; a cell-stored map builds it
-        on every call."""
-        if self._cells is None:
+        """Read-only (H, W, C) float32 array; a cell-stored or noised map
+        builds it on every call."""
+        if self._data is not None:
             return self._data
         dense = np.zeros(self._shape, dtype=np.float32)
-        dense.reshape(-1, self.channels)[self._cells] = self._values
+        if self._noise is None:
+            dense.reshape(-1, self.channels)[self._cells] = self._values
+        else:
+            base, key, sigma = self._noise
+            values, out = base.data.reshape(-1), dense.reshape(-1)
+            for start in range(0, out.size, _NOISE_BLOCK):
+                block = values[start:start + _NOISE_BLOCK]
+                index = np.arange(start, start + block.size)
+                out[start:start + block.size] = _noised_values(block, key, sigma, index)
         dense.setflags(write=False)
         return dense
 
@@ -290,6 +395,14 @@ class FeatureMap:
         as `data[rows, cols]`; every index must be an integer inside the map."""
         rows = _indices("row", rows, self.height)
         cols = _indices("col", cols, self.width)
+        return self._take(rows, cols)
+
+    def _take(self, rows, cols):
+        if self._noise is not None:
+            base, key, sigma = self._noise
+            flat = (rows * self.width + cols)[..., None]
+            index = flat * self.channels + np.arange(self.channels)
+            return _noised_values(base._take(rows, cols), key, sigma, index)
         if self._cells is None:
             return self._data[rows, cols]
         out = np.zeros(rows.shape + (self.channels,), dtype=np.float32)
@@ -597,6 +710,12 @@ BUNDLE_MAPS = (
     BundleMap("aux_orientation", "aux_orientation", None, MapRole.GENERIC, 9, per_bin=True),
 )
 
+# field -> {kind: name} of the maps `MapBundle` keeps by keypoint kind.
+_KIND_NAMES = {
+    field: {entry.kind: entry.name for entry in BUNDLE_MAPS if entry.field == field}
+    for field in ("heatmaps", "embeddings", "offsets")
+}
+
 
 @dataclass(frozen=True)
 class MapBundle:
@@ -619,9 +738,8 @@ class MapBundle:
     aux_orientation: Optional[FeatureMap] = None
 
     def __post_init__(self):
-        for field in ("heatmaps", "embeddings", "offsets"):
+        for field, names in _KIND_NAMES.items():
             by_kind = dict(getattr(self, field))
-            names = {entry.kind: entry.name for entry in BUNDLE_MAPS if entry.field == field}
             for kind, name in names.items():
                 if kind not in by_kind:
                     raise ConfigurationError(f"{name} is missing")

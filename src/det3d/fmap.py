@@ -17,9 +17,12 @@ or, for version 2 (a cell-stored map, see FeatureMap.from_cells):
   values  n*C float32, the channels of each cell in turn
 
 A version-2 map reads 0.0 at every cell it does not list. `dump_fmap`
-writes a map in the storage it has, so every map of a bundle from
-`render_ideal_maps` is version 2, while a dense map, such as a
-`corrupt_maps` one, is version 1. Both versions load.
+writes a cell-stored map as version 2 and any other as version 1, so
+every map of a bundle from `render_ideal_maps` is version 2. A
+`corrupt_maps` bundle holds dense heatmaps and offset and embedding maps
+noised on read (`FeatureMap.noised`), all written as version 1, whose
+values are the noised map's `data`; its 3D heads stay version 2. Both
+versions load.
 
 A frame bundle is one file, `<frame directory>/bundle.fmap`: the records
 of its maps with nothing between them, in the order of `core.BUNDLE_MAPS`:
@@ -68,8 +71,8 @@ _Header = namedtuple("_Header", "height width channels role count end")
 
 
 def dump_fmap(fmap):
-    """Serialize a feature map to bytes: version 1 when it is dense,
-    version 2 when it is cell-stored."""
+    """Serialize a feature map to bytes: version 2 when it is cell-stored,
+    version 1 (its `data`) otherwise."""
     table = fmap.cell_table
     header = _HEADER.pack(
         MAGIC,

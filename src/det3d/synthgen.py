@@ -12,6 +12,7 @@ synthesized directly in the camera frame, with the camera orbit
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -486,35 +487,49 @@ def corrupt_maps(bundle, noise_level, rng_seed):
 
     Heatmaps take noise of the given sigma and are clamped back to [0, 1];
     offsets take the same sigma, embeddings a tenth of it. The 3D head
-    maps are left untouched. Noise level 0 returns the bundle unchanged.
+    maps are left untouched. Noise level 0 returns the bundle unchanged;
+    a bool, non-real, non-finite or negative level raises DomainError
+    before anything is drawn.
+
+    One `np.random.default_rng(rng_seed)` makes all the noise. It first
+    draws each heatmap's noise at full size, in `BUNDLE_MAPS` order,
+    since peak extraction reads every heatmap cell. Then one `integers`
+    call draws a uint64 key for each embedding and offset map, in the
+    same order, and each of those maps is noised on read
+    (`FeatureMap.noised`): decode reads them only at peak cells, so only
+    those cells' noise is ever made.
     """
+    if isinstance(noise_level, bool) or not isinstance(noise_level, numbers.Real):
+        raise DomainError(f"noise_level must be a real number, got {noise_level!r}")
+    if not math.isfinite(noise_level):
+        raise DomainError(f"noise_level must be finite, got {noise_level!r}")
     if noise_level < 0:
         raise DomainError(f"noise_level must be >= 0, got {noise_level}")
     if noise_level == 0:
         return bundle
     rng = np.random.default_rng(rng_seed)
-    roles = (MapRole.HEATMAP, MapRole.EMBEDDING, MapRole.OFFSET)
-    sigmas = dict(zip(roles, (noise_level, noise_level / 10.0, noise_level)))
+    sigmas = {MapRole.EMBEDDING: noise_level / 10.0, MapRole.OFFSET: noise_level}
 
-    # The maps take their noise in bundle order. The noise array takes the
-    # map's values in place: at an unstored cell the sum 0.0 + n is n
-    # exactly, since normal(0.0, sigma) never returns -0.0. So a
-    # cell-stored map is never made dense first.
-    def noisy(fmap):
-        if fmap.role not in sigmas:
-            return fmap
-        data = rng.normal(0.0, sigmas[fmap.role], size=fmap.shape)
+    # The noise array takes the heatmap's values in place: at an unstored
+    # cell the sum 0.0 + n is n exactly, since normal(0.0, sigma) never
+    # returns -0.0. So a cell-stored heatmap is never made dense first.
+    def noisy_heatmap(fmap):
+        data = rng.normal(0.0, noise_level, size=fmap.shape)
         table = fmap.cell_table
         if table is None:
             data += fmap.data
         else:
             cells, values = table
             data.reshape(-1, fmap.channels)[cells] += values
-        if fmap.role is MapRole.HEATMAP:
-            np.clip(data, 0.0, 1.0, out=data)
-        return FeatureMap(data, role=fmap.role)
+        np.clip(data, 0.0, 1.0, out=data)
+        return FeatureMap(data, role=MapRole.HEATMAP)
 
-    return MapBundle.from_maps(noisy(fmap) for fmap in bundle.maps())
+    maps = [noisy_heatmap(m) if m.role is MapRole.HEATMAP else m for m in bundle.maps()]
+    read = [i for i, fmap in enumerate(maps) if fmap.role in sigmas]
+    keys = rng.integers(np.iinfo(np.uint64).max, size=len(read), dtype=np.uint64, endpoint=True)
+    for i, key in zip(read, keys):
+        maps[i] = maps[i].noised(key, sigmas[maps[i].role])
+    return MapBundle.from_maps(maps)
 
 
 def _objects(sample, score=None):

@@ -415,29 +415,67 @@ def heatmap_oracle(sample, stride=1, sigma=1.5):
     return heat
 
 
-def corrupt_oracle(bundle, noise_level, rng_seed):
-    """The seed's noise on a bundle: each map's dense values in float64
-    plus one `normal(0, sigma)` draw of the map's full shape, in the order
-    heatmaps, embeddings, offsets (kinds in enum order). Heatmaps take
-    sigma = noise_level and are clipped to [0, 1], embeddings take a tenth
-    of it, offsets all of it. Returns {"heatmaps": {kind: array},
-    "embeddings": {kind: array}, "offsets": {kind: array}}, every array
-    (H, W, C) float32."""
+_MASK64 = (1 << 64) - 1
+
+
+def keyed_uniforms_oracle(key, index):
+    """(u1, u2) of value `index` under `key`, in pure Python ints: outputs
+    2i and 2i+1 of the splitmix64 stream seeded with `key` (output n mixes
+    key + (n + 1) * 0x9E3779B97F4A7C15), each cut to its top 53 bits;
+    u1 = (bits + 1) / 2**53 and u2 = bits / 2**53."""
+    key, index = int(key), int(index)
+
+    def output(n):
+        z = (key + (n + 1) * 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    return ((output(2 * index) >> 11) + 1) / 2**53, (output(2 * index + 1) >> 11) / 2**53
+
+
+def keyed_normal_oracle(key, index):
+    """Box-Muller on `keyed_uniforms_oracle`, through `math`."""
+    u1, u2 = keyed_uniforms_oracle(key, index)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def corrupt_oracle(bundle, noise_level, rng_seed, cells):
+    """The noise of `corrupt_maps`. Heatmaps: each map's dense values in
+    float64 plus one `normal(0, noise_level)` draw of the map's full
+    shape, kinds in enum order, clipped to [0, 1]. Then one uint64 key per
+    embedding map (tl, br) and offset map (tl, br, center), drawn by one
+    `integers` call of the same generator. The value at (row, col,
+    channel) of such a map is its base value plus sigma times the keyed
+    normal of index (row * W + col) * C + channel, rounded to float32;
+    embeddings take sigma = noise_level / 10, offsets noise_level.
+    Returns {"heatmaps": {kind: (H, W, C) float32 array}, "embeddings":
+    {kind: (n, C) float32 values at `cells`}, "offsets": likewise}, where
+    `cells` lists (row, col) pairs."""
     rng = np.random.default_rng(rng_seed)
     out = {"heatmaps": {}, "embeddings": {}, "offsets": {}}
-    for group, sigma, clip in (
-        ("heatmaps", noise_level, True),
-        ("embeddings", noise_level / 10.0, False),
-        ("offsets", noise_level, False),
-    ):
-        for kind in KeypointKind:
-            if kind not in getattr(bundle, group):
-                continue
-            fmap = getattr(bundle, group)[kind]
-            data = fmap.data.astype(np.float64) + rng.normal(0.0, sigma, size=fmap.shape)
-            if clip:
-                data = np.clip(data, 0.0, 1.0)
-            out[group][kind] = data.astype(np.float32)
+    for kind in KeypointKind:
+        fmap = bundle.heatmaps[kind]
+        data = fmap.data.astype(np.float64) + rng.normal(0.0, noise_level, size=fmap.shape)
+        out["heatmaps"][kind] = np.clip(data, 0.0, 1.0).astype(np.float32)
+    noised = [
+        (group, kind, sigma)
+        for group, sigma in (("embeddings", noise_level / 10.0), ("offsets", noise_level))
+        for kind in KeypointKind
+        if kind in getattr(bundle, group)
+    ]
+    keys = rng.integers(2**64 - 1, size=len(noised), dtype=np.uint64, endpoint=True)
+    for (group, kind, sigma), key in zip(noised, keys):
+        fmap = getattr(bundle, group)[kind]
+        base, width, channels = fmap.data, fmap.width, fmap.channels
+        out[group][kind] = np.array([
+            [
+                float(base[row, col, ch])
+                + sigma * keyed_normal_oracle(int(key), (row * width + col) * channels + ch)
+                for ch in range(channels)
+            ]
+            for row, col in cells
+        ], dtype=np.float32).reshape(len(cells), channels)
     return out
 
 

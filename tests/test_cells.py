@@ -17,6 +17,8 @@ from det3d.core import (
     ParseError,
     ShapeError,
     SuperCategory,
+    Z_MAX,
+    keyed_normals,
 )
 from det3d.decode import decode_frame
 from det3d.fmap import dump_fmap, parse_fmap
@@ -139,6 +141,64 @@ class TestCellStorage:
         fmap = FeatureMap.from_cells([], np.zeros((0, 3)), 2, 3)
         assert fmap.shape == (2, 3, 3) and not fmap.data.any()
         assert fmap.take([1, 0], [2, 2]).tolist() == [[0.0] * 3] * 2
+
+
+class TestNoisedStorage:
+    def base(self):
+        return TestCellStorage().cell_map()
+
+    def test_values_are_base_plus_keyed_noise(self):
+        """Value i reads float32(base + sigma * z(key, i)), i counting in
+        row-major (row, col, channel) order."""
+        base, key, sigma = self.base(), 2**64 - 1, 0.25
+        fmap = base.noised(key, sigma)
+        expected = base.data.astype(np.float64).reshape(-1)
+        expected = (expected + sigma * keyed_normals(key, np.arange(12))).astype(np.float32)
+        assert fmap.data.tobytes() == expected.tobytes()
+        at = expected.reshape(2, 3, 2)[[1, 0], [2, 1]]
+        assert fmap.take([1, 0], [2, 1]).tobytes() == at.tobytes()
+        assert fmap.get(0, 1, 1) == expected[3]
+        assert fmap.role is MapRole.OFFSET and fmap.cell_table is None
+        assert base.noised(np.uint64(key), sigma) == fmap
+        assert base.noised(key - 1, sigma) != fmap
+
+    def test_dumps_as_dense_record(self):
+        fmap = self.base().noised(7, 0.5)
+        blob = dump_fmap(fmap)
+        assert int.from_bytes(blob[4:8], "little") == 1
+        assert parse_fmap(blob) == fmap
+
+    @pytest.mark.parametrize(
+        "build, fragment",
+        [
+            (lambda base: base.noised(-1, 0.1), r"key must lie in \[0, 2\*\*64\)"),
+            (lambda base: base.noised(2**64, 0.1), r"key must lie in \[0, 2\*\*64\)"),
+            (lambda base: base.noised(1.0, 0.1), "key must be an integer"),
+            (lambda base: base.noised(True, 0.1), "key must be an integer"),
+            (lambda base: base.noised(1, True), "sigma must be a real number"),
+            (lambda base: base.noised(1, -0.1), "sigma must be finite and >= 0"),
+            (lambda base: base.noised(1, float("nan")), "sigma must be finite and >= 0"),
+            (lambda base: base.noised(1, float("inf")), "sigma must be finite and >= 0"),
+            (lambda base: base.noised(1, 4e37), "past float32's range"),
+            (lambda base: base.noised(1, 0.1).noised(2, 0.1), "cannot be noised again"),
+            (
+                lambda base: FeatureMap(np.zeros((2, 3, 1)), role=MapRole.HEATMAP).noised(1, 0.1),
+                "heatmap cannot be noised",
+            ),
+        ],
+    )
+    def test_rejects(self, build, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            build(self.base())
+
+    def test_largest_sigma_stays_finite(self):
+        """The largest sigma the float32 bound admits for this base (whose
+        largest magnitude is 2.0) keeps every value finite."""
+        sigma = (float(np.finfo(np.float32).max) - 2.0) / Z_MAX
+        fmap = self.base().noised(3, sigma)
+        assert np.isfinite(fmap.data).all()
+        with pytest.raises(DomainError):
+            self.base().noised(3, sigma * (1 + 1e-6))
 
 
 class TestFmapVersion2:

@@ -247,6 +247,19 @@ class TestDecode:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--classes", "foo,bar"), ("--scene", "/nonexistent.json")])
+    def test_dataset_decode_rejects_classes_and_scene(self, dataset, tmp_path, capsys, flag, value):
+        """The manifest gives the classes and each frame's scene file, so
+        --classes and --scene, which only a --bundle decode reads, exit 2
+        as --stride does."""
+        out = tmp_path / "x.json"
+        argv = ["decode", "--dataset", str(dataset), flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: not allowed with --dataset, whose manifest sets it\n"
+        )
+        assert not out.exists()
+
     def test_single_bundle_decode(self, dataset, tmp_path):
         out = tmp_path / "one.json"
         code = main(

@@ -4,7 +4,14 @@ closed loop through the decoder."""
 import numpy as np
 import pytest
 
-from det3d.core import FeatureMap, GenerationError, KeypointKind, MapBundle, SuperCategory
+from det3d.core import (
+    DomainError,
+    FeatureMap,
+    GenerationError,
+    KeypointKind,
+    MapBundle,
+    SuperCategory,
+)
 from det3d.decode import GroupingConfig, decode_frame, decode_frame_3d
 from det3d.geometry3d import fit_center_from_2d, project_box3d
 from det3d.metrics import iou
@@ -251,8 +258,12 @@ class TestCorruptMaps:
 
     @pytest.mark.parametrize("level", [0.05, 0.2, 0.5])
     def test_matches_oracle_on_cell_and_dense_maps(self, level):
-        """Noise is added at the stored cells of a cell-stored map, and
-        every value comes out as the seed's float64 sum gives it."""
+        """Heatmap noise is added at the stored cells of a cell-stored map,
+        and every heatmap value comes out as the seed's float64 sum gives
+        it. Offset and embedding values agree with the pure-Python keyed
+        oracle at every stored cell and a fixed sample of others, to the
+        float32 ulp (the oracle's `math` normals differ from numpy's by a
+        few float64 ulp, which can move a float32 rounding by one)."""
         points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.GROUND, seed=2))
         for k in range(0, 40, 8):
             sample = generate_scene(points[k], rng_seed=2, n_objects=4)
@@ -261,15 +272,62 @@ class TestCorruptMaps:
                 group: {k: FeatureMap(m.data, role=m.role) for k, m in getattr(cells, group).items()}
                 for group in ("heatmaps", "embeddings", "offsets")
             })
+            height, width = cells.height, cells.width
+            flat = {
+                int(c)
+                for group in (cells.embeddings, cells.offsets)
+                for fmap in group.values()
+                for c in fmap.cell_table[0]
+            }
+            flat |= {0, height * width - 1, *range(17, height * width, 997)}
+            rows, cols = np.divmod(np.array(sorted(flat)), width)
             for seed in ([0, k], [5, k], k):
-                expected = corrupt_oracle(cells, level, seed)
+                expected = corrupt_oracle(cells, level, seed, list(zip(rows, cols)))
                 for bundle in (cells, dense):
                     noisy = corrupt_maps(bundle, level, rng_seed=seed)
-                    for group, arrays in expected.items():
-                        for kind, array in arrays.items():
-                            got = getattr(noisy, group)[kind].data
-                            assert got.tobytes() == array.tobytes(), (group, kind)
+                    for kind, array in expected["heatmaps"].items():
+                        got = noisy.heatmaps[kind].data
+                        assert got.tobytes() == array.tobytes(), kind
+                    for group in ("embeddings", "offsets"):
+                        for kind, values in expected[group].items():
+                            fmap = getattr(noisy, group)[kind]
+                            got = fmap.take(rows, cols)
+                            np.testing.assert_array_max_ulp(got, values, maxulp=1)
+                            assert got.tobytes() == fmap.data[rows, cols].tobytes()
                     assert noisy.aux_dims is bundle.aux_dims
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), 1e300, True, "0.1", -0.1])
+    def test_rejects_bad_levels(self, level):
+        """Before drawing anything: NaN, infinite, bool, non-real and
+        negative levels. 1e300 is finite, but its offset noise would
+        overflow float32."""
+        sample = generate_scene(fixed_point(), rng_seed=1, n_objects=1)
+        with pytest.raises(DomainError):
+            corrupt_maps(render_ideal_maps(sample), level, rng_seed=1)
+
+    def test_offset_and_embedding_noise_statistics(self):
+        """One ground frame's 614,400 offset and embedding noise values,
+        each divided by its sigma, look like independent standard normals.
+        Every bound is 5 standard errors: for n values, 5/sqrt(n) on a mean
+        or a correlation and 5/sqrt(2n) on a standard deviation."""
+        level = 0.2
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.GROUND, seed=0))
+        clean = render_ideal_maps(generate_scene(points[3], rng_seed=0, n_objects=4))
+        noisy = corrupt_maps(clean, level, rng_seed=[0, 3])
+        noise = []
+        for group, sigma in (("embeddings", level / 10.0), ("offsets", level)):
+            for kind, fmap in getattr(noisy, group).items():
+                base = getattr(clean, group)[kind].data.astype(np.float64)
+                noise.append(((fmap.data - base) / sigma).reshape(-1))
+        assert sum(z.size for z in noise) == 614_400
+        for z in [*noise, np.concatenate(noise)]:
+            n = z.size
+            assert abs(z.mean()) < 5 / np.sqrt(n)
+            assert abs(z.std() - 1.0) < 5 / np.sqrt(2 * n)
+            assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 5 / np.sqrt(n)
+        n = min(z.size for z in noise)
+        between = np.corrcoef([z[:n] for z in noise])[np.triu_indices(len(noise), 1)]
+        assert np.all(np.abs(between) < 5 / np.sqrt(n))
 
     def test_heatmaps_stay_in_range(self):
         sample = generate_scene(fixed_point(), rng_seed=1, n_objects=1)
