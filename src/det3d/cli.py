@@ -24,9 +24,9 @@ from .core import (
     ValidationError,
 )
 from . import jsondoc
-from .decode import GroupingConfig, PeakExtractionConfig, decode_frame_3d
+from .decode import GroupingConfig, PeakExtractionConfig, decode_frame_3d, decode_frames
 from .fmap import load_bundle
-from .ioutil import atomic_write_text, stable_json_dumps
+from .ioutil import atomic_write_text, atomic_writer, stable_json_chunks, stable_json_dumps
 from .kitti import scene_to_kitti
 from .metrics import EvalItem, Interpolation, MatchPolicy, evaluate, mean_average_precision
 from .synthgen import Category, SceneKind, SweepSpec, scene_from_dict, write_dataset
@@ -163,35 +163,76 @@ def _cmd_synth(args):
     return 0
 
 
-def _frame_detections(bundle, camera, taxonomy, peak_cfg, group_cfg, stride):
-    """The detections JSON objects of one frame's bundle."""
-    results = decode_frame_3d(
-        bundle, camera, peak_cfg, group_cfg, stride=stride, taxonomy=taxonomy
-    )
+# `decode --dataset` decodes the frames it has loaded as one batch once
+# their bundles hold this many bytes, and at the end of the dataset. So a
+# batch holds at most one bundle past it: a dense bundle (about 16.6 MB)
+# is a batch of one, while about 44 cell-stored ground frames of 4
+# objects (about 24 KB each) share a batch.
+DECODE_BATCH_BYTES = 1 << 20
+
+
+def _held_bytes(bundle):
+    """Bytes of the arrays a loaded bundle's maps hold."""
+    held = 0
+    for fmap in bundle.maps():
+        table = fmap.cell_table
+        held += fmap.data.nbytes if table is None else table[0].nbytes + table[1].nbytes
+    return held
+
+
+def _frame_detections(results, taxonomy):
+    """The detections JSON objects of one frame's (detection, box3d) pairs."""
     return [
         jsondoc.write_object(taxonomy.names[det.class_id], det.box, box3d, det.score)
         for det, box3d in results
     ]
 
 
-def _decode_frames(dataset, samples, **decode_args):
-    """Detections of each (frame id, frames dir, scene file) sample of
-    `dataset`, keyed by frame id.
+def _decode_frames(dataset, samples, taxonomy, peak_cfg, group_cfg, stride):
+    """Yield (frame id, detections JSON objects) of each (frame id, frames
+    dir, scene file) sample of `dataset`, in frame-id order.
 
-    Frames are loaded, decoded and tagged in frame-id order on this thread.
-    A frame's Det3DError, whether it failed to load or to decode, is raised
-    again with its id prefixed, and no later frame is loaded.
+    Frames are loaded one at a time in frame-id order on this thread, and
+    decoded in batches by `decode.decode_frames`: a batch is decoded once
+    the bundles loaded for it hold `DECODE_BATCH_BYTES`, and at the end;
+    its frames are yielded once it is decoded, so no more than one batch
+    of bundles and detections is held. A frame's Det3DError is raised
+    again with its id prefixed, and it is the first frame in id order
+    that fails:
+
+    - if frame k fails to load, the batch of the frames before it is
+      decoded first, so an earlier frame's decode error wins; exactly
+      frames 0..k are loaded;
+    - if frame k fails to decode, every frame of its batch was loaded,
+      and no frame of a later batch is.
     """
-    frames = {}
+    batch, held = [], 0
+
+    def decode_batch():
+        bundles = [bundle for _, bundle, _ in batch]
+        cameras = [camera for _, _, camera in batch]
+        outcomes = decode_frames(bundles, cameras, peak_cfg, group_cfg, stride, taxonomy)
+        fids = [fid for fid, _, _ in batch]
+        batch.clear()
+        for fid, outcome in zip(fids, outcomes):
+            if isinstance(outcome, Det3DError):
+                raise type(outcome)(f"frame {fid}: {outcome}") from outcome
+            yield fid, _frame_detections(outcome, taxonomy)
+
     for fid, frames_dir, scene in sorted(samples):
         try:
             bundle = load_bundle(os.path.join(dataset, frames_dir))
             scene_path = os.path.join(dataset, scene)
             camera = jsondoc.read_camera(jsondoc.load(scene_path), scene_path)
-            frames[fid] = _frame_detections(bundle, camera, **decode_args)
         except Det3DError as exc:
+            yield from decode_batch()
             raise type(exc)(f"frame {fid}: {exc}") from exc
-    return frames
+        batch.append((fid, bundle, camera))
+        held += _held_bytes(bundle)
+        if held >= DECODE_BATCH_BYTES:
+            yield from decode_batch()
+            held = 0
+    yield from decode_batch()
 
 
 def _cmd_decode(args):
@@ -228,11 +269,22 @@ def _cmd_decode(args):
         bundle = load_bundle(args.bundle)
         frame_id = os.path.basename(os.path.normpath(args.bundle))
         stride = args.stride or 1
-        frames = {frame_id: _frame_detections(bundle, camera, taxonomy, peak_cfg, group_cfg, stride)}
-    payload = {"classes": list(taxonomy.names), "super": super_names, "frames": frames}
-    atomic_write_text(args.out, stable_json_dumps(payload))
-    total = sum(len(v) for v in frames.values())
-    print(f"decoded {len(frames)} frames, {total} detections -> {args.out}")
+        results = decode_frame_3d(bundle, camera, peak_cfg, group_cfg, stride, taxonomy)
+        frames = iter([(frame_id, _frame_detections(results, taxonomy))])
+    counts = []
+
+    def counted():
+        for fid, objects in frames:
+            counts.append(len(objects))
+            yield fid, objects
+
+    # The frames are written as they are decoded, so the document is never
+    # held whole; `atomic_writer` leaves --out as it was if a frame fails.
+    payload = {"classes": list(taxonomy.names), "super": super_names, "frames": counted()}
+    with atomic_writer(args.out) as fh:
+        for chunk in stable_json_chunks(payload):
+            fh.write(chunk.encode("utf-8"))
+    print(f"decoded {len(counts)} frames, {sum(counts)} detections -> {args.out}")
     return 0
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "KeypointKind",
     "SuperCategory",
     "FeatureMap",
+    "take_frames",
     "Keypoint",
     "Box2D",
     "Box3D",
@@ -153,11 +154,16 @@ def _indices(name, idx, size):
     """`idx` as an intp array, after checking that it holds integers (an
     empty sequence counts) and that each lies in [0, size)."""
     idx = np.asarray(idx)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise DomainError(f"{name} indices must be integers, got {idx.dtype} values")
-    outside = idx[(idx < 0) | (idx >= size)]
-    if outside.size:
-        raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
+    if idx.dtype.kind not in "iu":
+        if idx.size:
+            raise DomainError(f"{name} indices must be integers, got {idx.dtype} values")
+    elif idx.size:
+        # Python's min and max beat two numpy reductions on a few values.
+        few = idx.ravel().tolist() if idx.size <= 32 else None
+        lo, hi = (min(few), max(few)) if few else (idx.min(), idx.max())
+        if lo < 0 or hi >= size:
+            outside = idx[(idx < 0) | (idx >= size)]
+            raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
     return idx.astype(np.intp, copy=False)
 
 
@@ -221,6 +227,47 @@ def keyed_normals(key, index):
 def _noised_values(values, key, sigma, index):
     """float32(values + sigma * z(key, index)), the sum taken in float64."""
     return (values.astype(np.float64) + sigma * keyed_normals(key, index)).astype(np.float32)
+
+
+def _cell_take(cells, values, flat):
+    """Rows of the (n, C) value table `values` at flat cell indices, where
+    `cells` is the table's strictly increasing cell column; a cell the
+    table does not hold reads 0.0."""
+    if not cells.size:
+        return np.zeros(np.shape(flat) + values.shape[1:], dtype=np.float32)
+    pos = np.searchsorted(cells, flat)
+    out = values.take(pos, axis=0, mode="clip")
+    np.copyto(out, 0.0, where=(cells.take(pos, mode="clip") != flat)[..., None])
+    return out
+
+
+def take_frames(maps, frames, rows, cols):
+    """Values of a batch of maps of one shape: row k is what
+    `maps[frames[k]].take` reads at (rows[k], cols[k]), with the same
+    checks. Cell-stored maps are read with one search over their tables,
+    joined with frame f's cells offset by f * height * width."""
+    first = maps[0]
+    if len(maps) == 1:
+        out = first.take(rows, cols)
+        _indices("frame", frames, 1)
+        return out
+    height, width, _ = shape = first.shape
+    if any(fmap.shape != shape for fmap in maps):
+        raise ShapeError(f"a batch of maps must share one shape, got {first.shape} and others")
+    flat = _indices("row", rows, height) * width + _indices("col", cols, width)
+    frames = _indices("frame", frames, len(maps))
+    tables = [fmap.cell_table for fmap in maps]
+    if all(table is not None for table in tables):
+        sizes = [cells.size for cells, _ in tables]
+        offsets = np.repeat(np.arange(len(maps)) * (height * width), sizes)
+        cells = np.concatenate([cells for cells, _ in tables]) + offsets
+        values = np.concatenate([values for _, values in tables])
+        return _cell_take(cells, values, frames * (height * width) + flat)
+    out = np.empty(flat.shape + (first.channels,), dtype=np.float32)
+    for f in np.unique(frames).tolist():
+        read = frames == f
+        out[read] = maps[f]._take(flat[read])
+    return out
 
 
 class FeatureMap:
@@ -393,25 +440,26 @@ class FeatureMap:
     def take(self, rows, cols):
         """(n, C) float32 values at the cells (rows[k], cols[k]), the same
         as `data[rows, cols]`; every index must be an integer inside the map."""
-        rows = _indices("row", rows, self.height)
-        cols = _indices("col", cols, self.width)
-        return self._take(rows, cols)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        flat = None
+        if rows.dtype.kind in "iu" and cols.dtype.kind in "iu":
+            try:
+                flat = np.ravel_multi_index((rows, cols), self._shape[:2])
+            except ValueError:  # an index off the map, named below
+                pass
+        if flat is None:
+            flat = _indices("row", rows, self.height) * self.width + _indices("col", cols, self.width)
+        return self._take(flat)
 
-    def _take(self, rows, cols):
-        if self._noise is not None:
-            base, key, sigma = self._noise
-            flat = (rows * self.width + cols)[..., None]
-            index = flat * self.channels + np.arange(self.channels)
-            return _noised_values(base._take(rows, cols), key, sigma, index)
-        if self._cells is None:
-            return self._data[rows, cols]
-        out = np.zeros(rows.shape + (self.channels,), dtype=np.float32)
-        if self._cells.size:
-            flat = rows * self.width + cols
-            pos = np.minimum(np.searchsorted(self._cells, flat), self._cells.size - 1)
-            stored = self._cells[pos] == flat
-            out[stored] = self._values[pos[stored]]
-        return out
+    def _take(self, flat):
+        """The values at flat cell indices (row * width + col), checked."""
+        if self._cells is not None:
+            return _cell_take(self._cells, self._values, flat)
+        if self._noise is None:
+            return self._data.reshape(-1, self.channels)[flat]
+        base, key, sigma = self._noise
+        index = flat[..., None] * self.channels + np.arange(self.channels)
+        return _noised_values(base._take(flat), key, sigma, index)
 
     def get(self, row, col, channel):
         """Return the stored value at (row, col, channel), each an integer

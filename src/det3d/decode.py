@@ -1,28 +1,38 @@
 """Anchor-free inference: heatmaps + embeddings + offsets -> detections.
 
 The pipeline is peak extraction, tag attachment, greedy corner grouping by
-tag distance, sub-cell offset refinement, and center-validated box
-assembly. Every step is deterministic: all orderings use total sort keys
-(score descending, then row, then col). Keypoints travel between the
-stages as columns (`Keypoints`, `CornerPairs`); `Keypoint` objects are
-built only for the detections returned.
+tag distance, sub-cell offset refinement, center-validated box assembly,
+and the 3D lift. It runs on a batch of frames at once (`decode_frames`),
+as "Objects as Points" (Zhou et al. 2019) decodes a (B, C, H, W) batch,
+so each stage's fixed cost is paid once per batch; `decode_frame` and
+`decode_frame_3d` run the same stages on a batch of one. Every step is
+deterministic: all orderings use total sort keys (frame, then score
+descending, then row, then col). Keypoints travel between the stages as
+columns (`Keypoints`, `CornerPairs`) that carry each keypoint's frame, and
+no stage compares keypoints of two frames; `Keypoint` objects are built
+only for the detections returned.
 """
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     Box2D,
+    CameraIntrinsics,
     ConfigurationError,
+    Det3DError,
     Detection,
     DomainError,
+    FeatureMap,
     Keypoint,
     KeypointKind,
+    ShapeError,
     check_number,
+    take_frames,
 )
 from . import geometry3d
 from .metrics import _greedy_walk
@@ -36,8 +46,10 @@ __all__ = [
     "attach_tags",
     "group_corners",
     "assemble_boxes",
+    "Detections",
     "decode_frame",
     "decode_frame_3d",
+    "decode_frames",
 ]
 
 
@@ -97,19 +109,22 @@ class _ItemSequence(Sequence):
 
 class Keypoints(_ItemSequence):
     """Keypoints held as columns, one entry per keypoint: `kinds` (a
-    tuple), integer `class_ids`, `rows` and `cols`, and float64 `scores`
-    and `tags`.
+    tuple), integer `frames` (the keypoint's frame within its batch),
+    `class_ids`, `rows` and `cols`, and float64 `scores` and `tags`.
+    Keypoints run in frame order, so each frame's are one run.
 
     The decode stages read and test the columns. Indexing and iteration
     yield `Keypoint`s, each built on first access and then kept, so only
     the keypoints a caller reads become objects. `Keypoints.of` takes
-    plain `Keypoint` lists too, and keeps their objects as the items.
+    plain `Keypoint` lists too, all in frame 0, and keeps their objects as
+    the items.
     """
 
-    __slots__ = ("kinds", "class_ids", "rows", "cols", "scores", "tags", "_built")
+    __slots__ = ("kinds", "frames", "class_ids", "rows", "cols", "scores", "tags", "_built")
 
-    def __init__(self, kinds, class_ids, rows, cols, scores, tags, built=None):
+    def __init__(self, kinds, frames, class_ids, rows, cols, scores, tags, built=None):
         self.kinds = kinds
+        self.frames = frames
         self.class_ids = class_ids
         self.rows = rows
         self.cols = cols
@@ -129,6 +144,7 @@ class Keypoints(_ItemSequence):
 
         return cls(
             tuple(kp.kind for kp in items),
+            np.zeros(len(items), dtype=np.intp),
             column("class_id", np.int64),
             column("row", np.intp),
             column("col", np.intp),
@@ -154,8 +170,8 @@ class Keypoints(_ItemSequence):
 
 class CornerPairs(_ItemSequence):
     """Grouped corners: keypoint `tl_index[p]` of `top_lefts` with keypoint
-    `br_index[p]` of `bottom_rights`. Items are (top-left, bottom-right)
-    `Keypoint` tuples."""
+    `br_index[p]` of `bottom_rights`, both of one frame. Items are
+    (top-left, bottom-right) `Keypoint` tuples."""
 
     __slots__ = ("top_lefts", "bottom_rights", "tl_index", "br_index")
 
@@ -190,6 +206,45 @@ class CornerPairs(_ItemSequence):
         )
 
 
+class Detections(list):
+    """The detections of a batch, as `assemble_boxes` returns them: a list
+    sorted by frame, where `frames[k]` is the frame of detection k."""
+
+    __slots__ = ("frames",)
+
+    def __init__(self, detections=(), frames=()):
+        super().__init__(detections)
+        self.frames = np.asarray(frames, dtype=np.intp)
+
+
+def _batch(maps):
+    """A map, or a sequence of maps one per frame of a batch, as a list."""
+    return [maps] if isinstance(maps, FeatureMap) else list(maps)
+
+
+def _slots(frames):
+    """Each entry's position among the entries of its frame; `frames`
+    must be sorted."""
+    return np.arange(frames.size) - np.searchsorted(frames, frames)
+
+
+def _blocks(frames, n_frames, *columns):
+    """Per-frame blocks of columns sorted by frame: each column as an
+    (n_frames, most entries of a frame) array, entry k at [frames[k], its
+    slot], and NaN (or -1 in an integer column) where a frame has fewer."""
+    if n_frames == 1:
+        return [column[None] for column in columns]
+    slots = _slots(frames)
+    width = int(slots.max()) + 1 if slots.size else 0
+    blocks = []
+    for column in columns:
+        fill = np.nan if column.dtype.kind == "f" else -1
+        block = np.full((n_frames, width), fill, dtype=column.dtype)
+        block[frames, slots] = column
+        blocks.append(block)
+    return blocks
+
+
 def extract_peaks(heatmap, cfg, kind):
     """Windowed non-maximum suppression over every channel of a heatmap.
 
@@ -205,14 +260,71 @@ def extract_peaks(heatmap, cfg, kind):
     Each channel keeps its first `top_k` peaks by (-score, row, col), and
     the result is sorted by (-score, row, col, channel).
 
-    A cell-stored heatmap is searched among its stored values wherever
-    `_cell_peaks` can; any other is scanned whole. Both kernels find the
-    same peaks.
+    `heatmap` may also be a sequence of heatmaps of one shape, one per
+    frame of a batch. Each keypoint then records its frame (its index in
+    the sequence), a window never reaches into another frame, `top_k`
+    holds per (frame, channel), and the result is sorted by frame first.
+
+    Cell-stored heatmaps are searched together among their stored values
+    wherever `_cell_peaks` can; any other heatmap is scanned whole, one at
+    a time. Both kernels find the same peaks. Values outside [0, 1] raise
+    DomainError, naming the range of the first frame that holds one.
     """
-    found = None if heatmap.cell_table is None else _cell_peaks(heatmap, cfg)
-    if found is None:
-        found = _dense_peaks(heatmap.data, cfg)
-    return _ranked_keypoints(kind, heatmap, cfg.top_k, *found)
+    maps = _batch(heatmap)
+    shape = maps[0].shape
+    if any(fmap.shape != shape for fmap in maps):
+        raise ShapeError(f"a batch of heatmaps must share one shape, got {shape} and others")
+    height, width, n_channels = shape
+    plane = height * width
+    tables = [fmap.cell_table if cfg.score_threshold > 0.0 else None for fmap in maps]
+    in_cells = [f for f, table in enumerate(tables) if table is not None]
+    if len(in_cells) == 1:
+        cells, values = tables[in_cells[0]]
+        cells = cells + in_cells[0] * plane if in_cells[0] else cells
+    elif in_cells:
+        sizes = [tables[f][0].size for f in in_cells]
+        cells = np.concatenate([tables[f][0] for f in in_cells])
+        cells += np.repeat(np.array(in_cells) * plane, sizes)
+        values = np.concatenate([tables[f][1] for f in in_cells])
+    # The stored values of cell-stored frames are checked at once; only if
+    # that fails, or a frame is scanned whole, is each frame checked in turn.
+    if len(in_cells) < len(maps) or (values.size and not 0.0 <= values.min() <= values.max() <= 1.0):
+        for fmap in maps:
+            _check_range(*_value_range(fmap))
+
+    found, dense = [], [f for f, table in enumerate(tables) if table is None]
+    if in_cells:
+        batch = _cell_peaks(cells, values, shape, cfg)
+        if batch is not None:
+            found.append(batch)
+        else:
+            # The batch's neighbour table is too large: each frame alone,
+            # and the dense kernel where even a frame's own table is.
+            for f in in_cells:
+                alone = None
+                if len(in_cells) > 1:
+                    alone = _cell_peaks(tables[f][0] + f * plane, tables[f][1], shape, cfg)
+                if alone is None:
+                    dense.append(f)
+                else:
+                    found.append(alone)
+    for f in dense:
+        cells_f, channels, scores = _dense_peaks(maps[f].data, cfg)
+        found.append((np.full(cells_f.size, f, dtype=np.intp), cells_f, channels, scores))
+    columns = found[0] if len(found) == 1 else [np.concatenate(column) for column in zip(*found)]
+    return _ranked_keypoints(kind, width, n_channels, cfg.top_k, *columns)
+
+
+def _value_range(fmap):
+    """(lo, hi) of every value of a map."""
+    if fmap.cell_table is None:
+        data = fmap.data
+        return float(data.min()), float(data.max())
+    cells, values = fmap.cell_table
+    lo, hi = (float(values.min()), float(values.max())) if cells.size else (0.0, 0.0)
+    if cells.size < fmap.height * fmap.width:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return lo, hi
 
 
 def _check_range(lo, hi):
@@ -221,8 +333,9 @@ def _check_range(lo, hi):
 
 
 def _dense_peaks(data, cfg):
-    """(cells, channels, scores) of every peak of an (H, W, C) array."""
-    _check_range(float(data.min()), float(data.max()))
+    """(cells, channels, scores) of the peaks of an (H, W, C) array whose
+    values were checked to lie in [0, 1], leaving out only peaks that
+    rank below `top_k` in their channel."""
     margin = (cfg.nms_window - 1) // 2
     n_channels = data.shape[2]
 
@@ -245,24 +358,28 @@ def _dense_peaks(data, cfg):
 
     flat = np.flatnonzero(keep)
     cells, channels = np.divmod(flat, n_channels)
-    return cells, channels, data.reshape(-1)[flat]
+    scores = data.reshape(-1)[flat]
+    # A peak below its channel's top_k-th best score can never be kept, so
+    # it is dropped before any ranking; ties at that score all stay.
+    cutoff = np.zeros(n_channels, dtype=scores.dtype)
+    for ch in range(n_channels):
+        ranked = scores[channels == ch]
+        if ranked.size > cfg.top_k:
+            cutoff[ch] = np.partition(ranked, -cfg.top_k)[-cfg.top_k]
+    survive = scores >= cutoff[channels]
+    return cells[survive], channels[survive], scores[survive]
 
 
-def _cell_peaks(heatmap, cfg):
-    """(cells, channels, scores) of every peak of a cell-stored heatmap, or
-    None where the dense kernel must run: at threshold 0, where an unstored
-    cell (it reads 0.0) can be a peak too, or where the candidates'
-    neighbour table would hold more entries than the map holds values.
+def _cell_peaks(cells, values, shape, cfg):
+    """(frames, cells, channels, scores) of every peak of cell-stored
+    heatmaps of one (H, W, C) shape, given as one table whose values were
+    checked to lie in [0, 1]: frame f's cells offset by f * H * W. None
+    where the dense kernel must run instead: where the candidates'
+    neighbour table would hold more entries than one map holds values.
     """
-    if cfg.score_threshold <= 0.0:
-        return None
-    cells, values = heatmap.cell_table
-    height, width, n_channels = heatmap.shape
+    height, width, n_channels = shape
+    plane = height * width
     n_stored = cells.size
-    lo, hi = (float(values.min()), float(values.max())) if n_stored else (0.0, 0.0)
-    if n_stored < height * width:
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
-    _check_range(lo, hi)
     window = cfg.nms_window
     margin = (window - 1) // 2
 
@@ -275,7 +392,8 @@ def _cell_peaks(heatmap, cfg):
         # A candidate that loses to the cell beside it in its row, where
         # the table stores that cell next to it, cannot be a peak. Dropping
         # those first leaves about one candidate per row of a bump for the
-        # full window test.
+        # full window test. A frame's plane is whole rows, so the column
+        # test keeps both cells in one frame.
         cols = cand_cells % width
         left = np.maximum(index - 1, 0)
         right = np.minimum(index + 1, n_stored - 1)
@@ -284,52 +402,47 @@ def _cell_peaks(heatmap, cfg):
         lose = has_left & (scores <= values[left, channels])
         lose |= has_right & (scores < values[right, channels])
         channels, cand_cells, scores = channels[~lose], cand_cells[~lose], scores[~lose]
-    if cand_cells.size * (window * window - 1) > height * width * n_channels:
+    if cand_cells.size * (window * window - 1) > plane * n_channels:
         return None
 
     # Each candidate against its whole window at once: one row of
     # neighbours per candidate in (row, col) order, so the first half
     # come before it. A neighbour is read from the table by binary
-    # search; an unstored one reads 0.0, and one off the map -inf, so
-    # that it never blocks.
+    # search; an unstored one reads 0.0, and one off its frame's map
+    # -inf, so that it never blocks.
     offsets = np.arange(window * window)
     half = offsets.size // 2
     offsets = np.delete(offsets, half)
-    n_rows = (cand_cells // width)[:, None] + (offsets // window - margin)
-    n_cols = (cand_cells % width)[:, None] + (offsets % window - margin)
+    d_rows, d_cols = offsets // window - margin, offsets % window - margin
+    n_rows = (cand_cells // width % height)[:, None] + d_rows
+    n_cols = (cand_cells % width)[:, None] + d_cols
     on_map = (n_rows >= 0) & (n_rows < height) & (n_cols >= 0) & (n_cols < width)
-    flat = n_rows * width + n_cols
+    flat = cand_cells[:, None] + (d_rows * width + d_cols)
     pos = np.minimum(np.searchsorted(cells, flat), n_stored - 1)
     stored = on_map & (cells[pos] == flat)
     neighbour = np.where(on_map, np.float32(0.0), np.float32(-np.inf))
     neighbour = np.where(stored, values[pos, channels[:, None]], neighbour)
     score = scores[:, None]
     peak = (score > neighbour[:, :half]).all(axis=1) & (score >= neighbour[:, half:]).all(axis=1)
-    return cand_cells[peak], channels[peak], scores[peak]
+    frames, cand_cells = np.divmod(cand_cells[peak], plane)
+    return frames, cand_cells, channels[peak], scores[peak]
 
 
-def _ranked_keypoints(kind, heatmap, top_k, cells, channels, scores):
-    """Each channel's first `top_k` peaks by (-score, row, col), as
-    keypoints sorted by (-score, row, col, channel)."""
-    n_channels = heatmap.channels
-    # A peak below its channel's top_k-th best score can never be kept, so
-    # it is dropped before any ranking; ties at that score all stay.
-    cutoff = np.zeros(n_channels, dtype=scores.dtype)
-    for ch in range(n_channels):
-        ranked = scores[channels == ch]
-        if ranked.size > top_k:
-            cutoff[ch] = np.partition(ranked, -top_k)[-top_k]
-    survive = scores >= cutoff[channels]
-    cells, channels, scores = cells[survive], channels[survive], scores[survive]
+def _ranked_keypoints(kind, width, n_channels, top_k, frames, cells, channels, scores):
+    """Each (frame, channel)'s first `top_k` peaks by (-score, row, col),
+    as keypoints sorted by (frame, -score, row, col, channel)."""
     # Flat cell indices run in (row, col) order within a channel. Rank the
-    # peaks within their channel and keep the first top_k of each.
-    order = np.lexsort((cells, -scores, channels))
-    channel_start = np.searchsorted(channels[order], channels[order])
-    order = order[np.arange(order.size) - channel_start < top_k]
-    order = order[np.lexsort((channels[order], cells[order], -scores[order]))]
-    rows, cols = np.divmod(cells[order], heatmap.width)
+    # peaks within their (frame, channel) group and keep the first top_k
+    # of each.
+    group = frames * n_channels + channels
+    order = np.lexsort((cells, -scores, group))
+    group_start = np.searchsorted(group[order], group[order])
+    order = order[np.arange(order.size) - group_start < top_k]
+    order = order[np.lexsort((channels[order], cells[order], -scores[order], frames[order]))]
+    rows, cols = np.divmod(cells[order], width)
     return Keypoints(
         (kind,) * order.size,
+        frames[order],
         channels[order],
         rows,
         cols,
@@ -339,97 +452,156 @@ def _ranked_keypoints(kind, heatmap, top_k, cells, channels, scores):
 
 
 def attach_tags(keypoints, embedding):
-    """Return the keypoints tagged from a 1-channel embedding map."""
-    if embedding.channels != 1:
-        raise ConfigurationError(
-            f"embedding map must have 1 channel, got {embedding.channels}"
-        )
+    """Return the keypoints tagged from a 1-channel embedding map, or from
+    a sequence of them, one per frame of the keypoints' batch."""
+    maps = _batch(embedding)
+    for fmap in maps:
+        if fmap.channels != 1:
+            raise ConfigurationError(f"embedding map must have 1 channel, got {fmap.channels}")
     kps = Keypoints.of(keypoints)
-    tags = embedding.take(kps.rows, kps.cols)[:, 0].astype(np.float64)
-    return Keypoints(kps.kinds, kps.class_ids, kps.rows, kps.cols, kps.scores, tags)
+    tags = take_frames(maps, kps.frames, kps.rows, kps.cols)[:, 0].astype(np.float64)
+    return Keypoints(kps.kinds, kps.frames, kps.class_ids, kps.rows, kps.cols, kps.scores, tags)
 
 
 def group_corners(top_lefts, bottom_rights, cfg):
     """Greedy best-first corner pairing by ascending tag distance.
 
-    A (top-left i, bottom-right j) candidate is admissible iff both have
-    the same class, |tag_i - tag_j| < theta, and, when the geometric gate
-    is on, tl.row <= br.row and tl.col <= br.col. Candidates are visited
-    in ascending (distance, i, j) order and a candidate is taken iff
-    neither of its corners was taken before. Unmatched keypoints are
-    dropped.
+    A (top-left i, bottom-right j) candidate is admissible iff both are of
+    one frame and one class, |tag_i - tag_j| < theta, and, when the
+    geometric gate is on, tl.row <= br.row and tl.col <= br.col.
+    Candidates are visited in ascending (distance, i, j) order and a
+    candidate is taken iff neither of its corners was taken before.
+    Unmatched keypoints are dropped. Keypoints of two frames never meet,
+    so each frame is paired as it would be alone.
     """
     tls, brs = Keypoints.of(top_lefts), Keypoints.of(bottom_rights)
-    distance = np.abs(tls.tags[:, None] - brs.tags)
-    admissible = (tls.class_ids[:, None] == brs.class_ids) & (distance < cfg.theta)
+    # Candidates are tested in per-frame blocks, (frame, top-left slot,
+    # bottom-right slot), so no temporary holds pairs of two frames.
+    n_frames = 1 + max([int(kps.frames[-1]) for kps in (tls, brs) if len(kps)], default=0)
+    tl = _blocks(tls.frames, n_frames, tls.tags, tls.class_ids, tls.rows, tls.cols)
+    br = _blocks(brs.frames, n_frames, brs.tags, brs.class_ids, brs.rows, brs.cols)
+    tl_tags, tl_classes, tl_rows, tl_cols = (block[:, :, None] for block in tl)
+    br_tags, br_classes, br_rows, br_cols = (block[:, None, :] for block in br)
+    # A padded slot's tag is NaN, so no distance to it is below theta.
+    distance = np.abs(tl_tags - br_tags)
+    admissible = (tl_classes == br_classes) & (distance < cfg.theta)
     if cfg.geometric_gate:
-        admissible &= tls.rows[:, None] <= brs.rows
-        admissible &= tls.cols[:, None] <= brs.cols
-    # nonzero is row-major, so a stable sort on distance alone breaks
-    # ties by (i, j).
-    tl_idx, br_idx = np.nonzero(admissible)
-    order = np.argsort(distance[tl_idx, br_idx], kind="stable")
-    return CornerPairs(tls, brs, *_greedy_walk(tl_idx[order], br_idx[order]))
+        admissible &= tl_rows <= br_rows
+        admissible &= tl_cols <= br_cols
+    # flatnonzero is row-major and frames are sorted, so the candidates
+    # run in (i, j) order, and a stable sort on distance alone breaks ties
+    # by (i, j).
+    _, tl_width, br_width = admissible.shape
+    flat = np.flatnonzero(admissible)
+    order = np.argsort(distance.reshape(-1)[flat], kind="stable")
+    tl_idx, br_idx = np.divmod(flat[order], br_width)  # slots; indices in one frame
+    if n_frames > 1:
+        frame = tl_idx // tl_width
+        frame_ids = np.arange(n_frames)
+        tl_idx += (np.searchsorted(tls.frames, frame_ids) - frame_ids * tl_width)[frame]
+        br_idx += np.searchsorted(brs.frames, frame_ids)[frame]
+    return CornerPairs(tls, brs, *_greedy_walk(tl_idx, br_idx))
 
 
-def _refined(rows, cols, offsets, stride):
-    """Image-pixel (x, y) arrays: ((col + o_x) * stride, (row + o_y) * stride)."""
-    if offsets.channels != 2:
-        raise ConfigurationError(
-            f"offset map must have exactly 2 channels (o_x, o_y), got {offsets.channels}"
-        )
-    if int(stride) != stride or stride < 1:
-        raise DomainError(f"stride must be a positive integer, got {stride!r}")
-    o = offsets.take(rows, cols).astype(np.float64)
+def _refined(rows, cols, offsets, stride, frames=None):
+    """Image-pixel (x, y) arrays: ((col + o_x) * stride, (row + o_y) * stride),
+    with o read from a 2-channel offset map, or from `offsets[frames[k]]`
+    for a sequence of them, one per frame."""
+    maps = _batch(offsets)
+    if frames is None:
+        frames = np.zeros(len(rows), dtype=np.intp)
+    for fmap in maps:
+        if fmap.channels != 2:
+            raise ConfigurationError(
+                f"offset map must have exactly 2 channels (o_x, o_y), got {fmap.channels}"
+            )
+    o = take_frames(maps, frames, rows, cols).astype(np.float64)
     return (cols + o[:, 0]) * stride, (rows + o[:, 1]) * stride
+
+
+def _check_stride(stride):
+    if (
+        isinstance(stride, bool)
+        or not isinstance(stride, numbers.Real)
+        or not math.isfinite(stride)
+        or int(stride) != stride
+        or stride < 1
+    ):
+        raise DomainError(f"stride must be a positive integer, got {stride!r}")
 
 
 def assemble_boxes(pairs, centers, offsets, stride):
     """Build center-validated boxes from grouped corner pairs.
 
-    A pair survives iff a same-class center keypoint, refined by its
-    offsets, lands inside the middle third of the candidate box; the
-    highest-scoring such center (ties: smallest row, col) is attached.
+    A pair survives iff a same-class center keypoint of its frame, refined
+    by its offsets, lands inside the middle third of the candidate box;
+    the highest-scoring such center (ties: smallest row, col) is attached.
     Pairs whose refined corners cross are dropped. The box score is the
     mean of the three keypoint scores.
 
-    The tests run on columns; a `Keypoint` is read only for the three
-    keypoints of each detection returned.
+    `offsets` maps each keypoint kind to its offset map, or is a sequence
+    of such mappings, one per frame of the keypoints' batch. Returns
+    `Detections`, sorted by (frame, -score, top-left row and col,
+    bottom-right row and col, class). The tests run on columns; a
+    `Keypoint` is read only for the three keypoints of each detection
+    returned.
     """
+    _check_stride(stride)
+    offsets = [offsets] if isinstance(offsets, Mapping) else list(offsets)
+
+    def refined(kps, index, kind):
+        maps = [frame_offsets[kind] for frame_offsets in offsets]
+        return _refined(kps.rows[index], kps.cols[index], maps, stride, kps.frames[index])
+
     # Each kind's offset map is read (and checked) only when keypoints of
     # that kind exist, so empty inputs never touch a missing or bad map.
-    # Centers go in (-score, row, col) order: the first inside a box is its best.
+    # Centers go in (frame, -score, row, col) order: the first of its
+    # frame inside a box is its best.
     centers = Keypoints.of(centers)
-    rank = np.lexsort((centers.cols, centers.rows, -centers.scores))
+    rank = np.lexsort((centers.cols, centers.rows, -centers.scores, centers.frames))
     if rank.size:
-        cx, cy = _refined(
-            centers.rows[rank], centers.cols[rank], offsets[KeypointKind.CENTER], stride
-        )
+        cx, cy = refined(centers, rank, KeypointKind.CENTER)
     pairs = CornerPairs.of(pairs)
     if not pairs:
-        return []
+        return Detections()
     tls, brs = pairs.top_lefts, pairs.bottom_rights
+    # Pairs in frame order, so that each frame's pairs are one block.
+    by_frame = np.argsort(tls.frames[pairs.tl_index], kind="stable")
+    pairs = CornerPairs(tls, brs, pairs.tl_index[by_frame], pairs.br_index[by_frame])
     i, j = pairs.tl_index, pairs.br_index
-    x1, y1 = _refined(tls.rows[i], tls.cols[i], offsets[KeypointKind.TOP_LEFT], stride)
-    x2, y2 = _refined(brs.rows[j], brs.cols[j], offsets[KeypointKind.BOTTOM_RIGHT], stride)
+    x1, y1 = refined(tls, i, KeypointKind.TOP_LEFT)
+    x2, y2 = refined(brs, j, KeypointKind.BOTTOM_RIGHT)
     if not rank.size:
-        return []
+        return Detections()
     third_w = (x2 - x1) / 3.0
     third_h = (y2 - y1) / 3.0
-    inside = (
-        (tls.class_ids[i][:, None] == centers.class_ids[rank])
-        & ((x1 + third_w)[:, None] <= cx)
-        & (cx <= (x2 - third_w)[:, None])
-        & ((y1 + third_h)[:, None] <= cy)
-        & (cy <= (y2 - third_h)[:, None])
+    # Pairs against the centers of their frame, in per-frame blocks
+    # (frame, pair slot, center slot); padded slots hold NaN and never
+    # test inside.
+    frames = tls.frames[i]
+    n_frames = max(int(frames[-1]), int(centers.frames[rank[-1]])) + 1
+    pair_blocks = _blocks(
+        frames, n_frames,
+        tls.class_ids[i], x1 + third_w, x2 - third_w, y1 + third_h, y2 - third_h,
     )
+    classes, left, right, top, bottom = (block[:, :, None] for block in pair_blocks)
+    center_blocks = _blocks(centers.frames[rank], n_frames, centers.class_ids[rank], cx, cy)
+    center_classes, cx, cy = (block[:, None, :] for block in center_blocks)
+    inside = (classes == center_classes) & (left <= cx) & (cx <= right) & (top <= cy) & (cy <= bottom)
+    # Back to one row per pair.
+    inside = inside[0] if n_frames == 1 else inside[frames, _slots(frames)]
     kept = np.flatnonzero(inside.any(axis=1) & (x1 <= x2) & (y1 <= y2))
-    best = rank[inside[kept].argmax(axis=1)]
+    best = rank[np.searchsorted(centers.frames[rank], frames[kept]) + inside[kept].argmax(axis=1)]
 
+    tl_kept, br_kept = i[kept], j[kept]
+    scores = (tls.scores[tl_kept] + brs.scores[br_kept] + centers.scores[best]) / 3.0
+    order = np.lexsort((
+        tls.class_ids[tl_kept], brs.cols[br_kept], brs.rows[br_kept],
+        tls.cols[tl_kept], tls.rows[tl_kept], -scores, frames[kept],
+    ))
+    kept, best = kept[order].tolist(), best[order].tolist()
     detections = []
-    kept = kept.tolist()
-    for p, (tl, br), center in zip(kept, pairs.at(kept), centers.at(best.tolist())):
-        score = (tl.score + br.score + center.score) / 3.0
+    for p, (tl, br), center, score in zip(kept, pairs.at(kept), centers.at(best), scores[order].tolist()):
         box = Box2D(x1[p], y1[p], x2[p], y2[p], class_id=tl.class_id, score=score)
         detections.append(
             Detection(
@@ -440,54 +612,121 @@ def assemble_boxes(pairs, centers, offsets, stride):
                 tag=0.5 * (tl.tag + br.tag),
             )
         )
-    detections.sort(
-        key=lambda d: (
-            -d.score,
-            d.top_left.row,
-            d.top_left.col,
-            d.bottom_right.row,
-            d.bottom_right.col,
-            d.class_id,
+    return Detections(detections, frames[kept])
+
+
+def _checked(peak_cfg, group_cfg, stride, cameras):
+    """The decode configs, defaulted, once stride and cameras pass."""
+    _check_stride(stride)
+    for camera in cameras:
+        if camera is not None and not isinstance(camera, CameraIntrinsics):
+            raise DomainError(f"camera must be a CameraIntrinsics or None, got {camera!r}")
+    return peak_cfg or PeakExtractionConfig(), group_cfg or GroupingConfig()
+
+
+def _decode_2d(bundles, peak_cfg, group_cfg, stride, taxonomy):
+    """The 2D decode of a batch of frame bundles of one map shape."""
+    for bundle in bundles:
+        if taxonomy is not None and bundle.num_classes != len(taxonomy):
+            raise ConfigurationError(
+                f"bundle has {bundle.num_classes} heatmap channels but the taxonomy "
+                f"declares {len(taxonomy)} classes"
+            )
+
+    def maps(field, kind):
+        return [getattr(bundle, field)[kind] for bundle in bundles]
+
+    TL, BR, CENTER = KeypointKind.TOP_LEFT, KeypointKind.BOTTOM_RIGHT, KeypointKind.CENTER
+    top_lefts = extract_peaks(maps("heatmaps", TL), peak_cfg, TL)
+    bottom_rights = extract_peaks(maps("heatmaps", BR), peak_cfg, BR)
+    centers = extract_peaks(maps("heatmaps", CENTER), peak_cfg, CENTER)
+
+    top_lefts = attach_tags(top_lefts, maps("embeddings", TL))
+    bottom_rights = attach_tags(bottom_rights, maps("embeddings", BR))
+
+    pairs = group_corners(top_lefts, bottom_rights, group_cfg)
+    return assemble_boxes(pairs, centers, [bundle.offsets for bundle in bundles], stride)
+
+
+def _lifted(detections, frames, bundles, cameras):
+    """The Box3D of each detection of a batch, or None where its frame
+    has no 3D head maps or no camera; a failed lift raises its error."""
+    lifts = np.array([cam is not None and bundle.has_aux for bundle, cam in zip(bundles, cameras)])
+    if lifts.all():
+        return geometry3d.lift_frames(detections, frames, bundles, cameras)
+    boxes = [None] * len(detections)
+    chosen = np.flatnonzero(lifts[frames])
+    if chosen.size:
+        kept = np.flatnonzero(lifts)
+        lifted = geometry3d.lift_frames(
+            [detections[k] for k in chosen.tolist()],
+            (np.cumsum(lifts) - 1)[frames[chosen]],
+            [bundles[f] for f in kept],
+            [cameras[f] for f in kept],
         )
-    )
-    return detections
+        for k, box in zip(chosen.tolist(), lifted):
+            boxes[k] = box
+    return boxes
 
 
 def decode_frame(bundle, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):
-    """Full 2D decode of one frame bundle."""
-    peak_cfg = peak_cfg or PeakExtractionConfig()
-    group_cfg = group_cfg or GroupingConfig()
-    if taxonomy is not None and bundle.num_classes != len(taxonomy):
-        raise ConfigurationError(
-            f"bundle has {bundle.num_classes} heatmap channels but the taxonomy "
-            f"declares {len(taxonomy)} classes"
-        )
-
-    top_lefts = extract_peaks(
-        bundle.heatmaps[KeypointKind.TOP_LEFT], peak_cfg, KeypointKind.TOP_LEFT
-    )
-    bottom_rights = extract_peaks(
-        bundle.heatmaps[KeypointKind.BOTTOM_RIGHT], peak_cfg, KeypointKind.BOTTOM_RIGHT
-    )
-    centers = extract_peaks(
-        bundle.heatmaps[KeypointKind.CENTER], peak_cfg, KeypointKind.CENTER
-    )
-
-    top_lefts = attach_tags(top_lefts, bundle.embeddings[KeypointKind.TOP_LEFT])
-    bottom_rights = attach_tags(
-        bottom_rights, bundle.embeddings[KeypointKind.BOTTOM_RIGHT]
-    )
-
-    pairs = group_corners(top_lefts, bottom_rights, group_cfg)
-    return assemble_boxes(pairs, centers, bundle.offsets, stride)
+    """Full 2D decode of one frame bundle: the batched stages on a batch of one."""
+    peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, ())
+    return list(_decode_2d([bundle], peak_cfg, group_cfg, stride, taxonomy))
 
 
 def decode_frame_3d(bundle, camera, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):
-    """2D decode plus the 3D lift; yields (detection, box3d-or-None) pairs.
+    """2D decode plus the 3D lift of one frame; yields (detection,
+    box3d-or-None) pairs, as `decode_frames` gives a batch of one.
 
-    The 3D box is None when the bundle carries no 3D head maps.
+    The 3D box is None when the bundle carries no 3D head maps or the
+    camera is None. The frame's first error is raised.
     """
+    peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, (camera,))
     detections = decode_frame(bundle, peak_cfg, group_cfg, stride, taxonomy)
-    if not bundle.has_aux or camera is None:
-        return [(det, None) for det in detections]
-    return list(zip(detections, geometry3d.lift_detections(detections, bundle, camera)))
+    frames = np.zeros(len(detections), dtype=np.intp)
+    return list(zip(detections, _lifted(detections, frames, [bundle], [camera])))
+
+
+def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):
+    """Decode a batch of frames: 2D detections plus the 3D lift, with
+    `cameras[f]` the camera of `bundles[f]` (None for no lift).
+
+    Returns one entry per frame, in order: the frame's list of
+    (detection, box3d-or-None) pairs, equal to what `decode_frame_3d`
+    gives for that frame alone, or the Det3DError that call raises.
+
+    The frames decode together: each stage runs once on all of them
+    (`extract_peaks` once per keypoint kind, one grouping, one assembly,
+    one lift with one camera row per detection), so a stage's fixed cost
+    is paid once per batch. If the batch raises, as it does when any frame
+    fails or its frames' maps differ in shape, its frames are decoded
+    again one at a time, so one frame's error is its own outcome and never
+    another frame's. The stride and the cameras are checked first,
+    whatever the frames hold.
+    """
+    bundles, cameras = list(bundles), list(cameras)
+    peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, cameras)
+    if len(cameras) != len(bundles):
+        raise ConfigurationError(f"{len(cameras)} cameras for {len(bundles)} bundles")
+    if not bundles:
+        return []
+    return _outcomes(bundles, cameras, peak_cfg, group_cfg, stride, taxonomy)
+
+
+def _outcomes(bundles, cameras, peak_cfg, group_cfg, stride, taxonomy):
+    """Each frame's (detection, box3d) pairs or Det3DError: the frames
+    decoded together, or, if that raises, each alone."""
+    try:
+        detections = _decode_2d(bundles, peak_cfg, group_cfg, stride, taxonomy)
+        boxes = _lifted(detections, detections.frames, bundles, cameras)
+    except Det3DError as exc:
+        if len(bundles) == 1:
+            return [exc]
+    else:
+        results = [[] for _ in bundles]
+        for f, det, box in zip(detections.frames.tolist(), detections, boxes):
+            results[f].append((det, box))
+        return results
+    args = peak_cfg, group_cfg, stride, taxonomy
+    return [_outcomes([bundle], [camera], *args)[0] for bundle, camera in zip(bundles, cameras)]

@@ -21,6 +21,7 @@ from .core import (
     RangeError,
     ShapeError,
     normalize_angle,
+    take_frames,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "fit_center_from_2d",
     "lift_detection",
     "lift_detections",
+    "lift_frames",
 ]
 
 
@@ -197,15 +199,16 @@ def project_point(camera, point):
 
 def _back_project(p, u, v, z):
     """(x, y, det) of pixels (u, v) back-projected at depths z, as floats
-    or elementwise over arrays; x and y are meaningless where the 2x2
-    determinant det is 0. Overflow gives inf or nan without a warning."""
+    or elementwise over arrays, through a 3x4 matrix p or an (n, 3, 4)
+    stack of them; x and y are meaningless where the 2x2 determinant det
+    is 0. Overflow gives inf or nan without a warning."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a00 = p[0, 0] - u * p[2, 0]
-        a01 = p[0, 1] - u * p[2, 1]
-        a10 = p[1, 0] - v * p[2, 0]
-        a11 = p[1, 1] - v * p[2, 1]
-        b0 = u * (p[2, 2] * z + p[2, 3]) - (p[0, 2] * z + p[0, 3])
-        b1 = v * (p[2, 2] * z + p[2, 3]) - (p[1, 2] * z + p[1, 3])
+        a00 = p[..., 0, 0] - u * p[..., 2, 0]
+        a01 = p[..., 0, 1] - u * p[..., 2, 1]
+        a10 = p[..., 1, 0] - v * p[..., 2, 0]
+        a11 = p[..., 1, 1] - v * p[..., 2, 1]
+        b0 = u * (p[..., 2, 2] * z + p[..., 2, 3]) - (p[..., 0, 2] * z + p[..., 0, 3])
+        b1 = v * (p[..., 2, 2] * z + p[..., 2, 3]) - (p[..., 1, 2] * z + p[..., 1, 3])
         det = a00 * a11 - a01 * a10
         x = (b0 * a11 - b1 * a01) / det
         y = (a00 * b1 - a10 * b0) / det
@@ -229,22 +232,25 @@ def back_project_point(camera, pixel, depth):
     return (float(x), float(y), z)
 
 
-def _project(camera, dims, centers, orientations):
-    """Project boxes given as (n, 3) columns: the (n, 8) corner depths,
+def _project(p, dims, centers, orientations):
+    """Project boxes given as (n, 3) columns through a 3x4 matrix p, or
+    an (n, 3, 4) stack of one matrix per box: the (n, 8) corner depths,
     the (n, 8) homogeneous scales and the (n, 4) hulls (x_min, y_min,
-    x_max, y_max). Overflow gives inf or nan without a warning."""
+    x_max, y_max). Overflow gives inf or nan without a warning. As in
+    `_corners`, each stacked product runs through the single-box kernel,
+    so a box's values do not depend on its batch."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         corners = _corners(dims, centers, orientations)
         hom = np.ones((len(corners), 8, 4))
         hom[:, :, :3] = corners
-        hom = hom @ camera.p.T
+        hom = hom @ np.swapaxes(p, -1, -2)
         uv = hom[:, :, :2] / hom[:, :, 2:]
     return corners[:, :, 2], hom[:, :, 2], np.concatenate([uv.min(axis=1), uv.max(axis=1)], axis=1)
 
 
 def project_box3d(camera, box):
     """Tight axis-aligned 2D hull of the 8 projected box corners."""
-    depths, scales, hulls = _project(camera, *_columns([box]))
+    depths, scales, hulls = _project(camera.p, *_columns([box]))
     if (depths <= 0.0).any():
         raise BehindCameraError(
             f"box at {box.center} has corners behind the camera (min z = {depths.min():g})"
@@ -254,16 +260,18 @@ def project_box3d(camera, box):
     return Box2D(*hulls[0].tolist(), class_id=box.class_id, score=box.score)
 
 
-def _fit_centers(camera, pixels, dims, centers, orientations):
+def _fit_centers(p, pixels, dims, centers, orientations):
     """(fitted, ok) of boxes given as (n, 3) columns that pass Box3D's
-    checks: the (n, 3) centers `fit_center_from_2d` shifts them to under
-    the (n, 2) 2D box centers `pixels`, and an (n,) mask of the boxes
-    whose projection passes and whose shifted center is finite."""
-    depths, scales, hulls = _project(camera, dims, centers, orientations)
+    checks, seen through p as `_project` takes it: the (n, 3) centers
+    `fit_center_from_2d` shifts them to under the (n, 2) 2D box centers
+    `pixels`, and an (n,) mask of the boxes whose projection passes and
+    whose shifted center is finite."""
+    depths, scales, hulls = _project(p, dims, centers, orientations)
     ok = ~((depths <= 0.0).any(axis=1) | (scales == 0.0).any(axis=1))
     z = centers[:, 2:]
+    focal = np.stack([p[..., 0, 0], p[..., 1, 1]], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        shift = (pixels - 0.5 * (hulls[:, :2] + hulls[:, 2:])) * z / (camera.fx, camera.fy)
+        shift = (pixels - 0.5 * (hulls[:, :2] + hulls[:, 2:])) * z / focal
         fitted = np.concatenate([centers[:, :2] + shift, z], axis=1)
     return fitted, ok & np.isfinite(fitted).all(axis=1)
 
@@ -279,41 +287,58 @@ def fit_center_from_2d(camera, box2d, dims, orientation, depth):
     """
     center = back_project_point(camera, box2d.center, depth)
     box = Box3D(center, dims, orientation, box2d.class_id, box2d.score)
-    fitted, ok = _fit_centers(camera, np.array([box2d.center]), *_columns([box]))
+    fitted, ok = _fit_centers(camera.p, np.array([box2d.center]), *_columns([box]))
     if not ok[0]:
         project_box3d(camera, box)  # raises the error of its projection
     return Box3D(fitted[0], box.dims, box.orientation, box.class_id, box.score)
 
 
 def lift_detections(detections, bundle, camera):
-    """Lift decoded 2D detections to 3D using the bundle's head maps.
+    """Lift one frame's decoded 2D detections to 3D using the bundle's head
+    maps: `lift_frames` with every detection in frame 0."""
+    return lift_frames(detections, np.zeros(len(detections), np.intp), [bundle], [camera])
 
+
+def lift_frames(detections, frames, bundles, cameras):
+    """Lift the decoded 2D detections of a batch of frames to 3D.
+
+    Detection k is of frame `frames[k]`: its heads are read from
+    `bundles[frames[k]]` and it is seen by `cameras[frames[k]]`, one
+    camera matrix row per detection. The bundles share one map shape.
     Reads the log-depth, dims, and multibin orientation channels at each
     detection's center cell, decodes them, and fits each 3D center under
     its 2D box constraint. Returns one Box3D per detection, in order.
 
-    The frame is staged as float64 columns, with one `take` per head map.
+    The batch is staged as float64 columns, with one read per head map.
     The back-projection and the hull-center shift are numpy arithmetic in
-    the scalar formulas' order, so every value has the same bits; exp,
-    atan2, degrees, radians, cos and sin stay scalar `math` calls. One
-    mask marks the detections whose lift fails: a center off the map, a
-    depth `decode_depth` rejects, a zero 2x2 determinant, a non-finite
-    center, nonpositive dims, then (only up to the first of those) a
-    failed projection or a non-finite fitted center. `lift_detection`
-    lifts the first failing detection alone and raises its error, the
-    first that a one-at-a-time lift of the frame would raise.
+    the scalar formulas' order, so every value has the same bits, in any
+    batch; exp, atan2, degrees, radians, cos and sin stay scalar `math`
+    calls. One mask marks the detections whose lift fails: a center off
+    the map, a depth `decode_depth` rejects, a zero 2x2 determinant, a
+    non-finite center, nonpositive dims, then (only up to the first of
+    those) a failed projection or a non-finite fitted center.
+    `lift_detection` lifts the first failing detection alone and raises
+    its error, the first that a one-at-a-time lift of the batch would
+    raise.
     """
     if not detections:
         return []
-    if not bundle.has_aux:
-        raise ConfigurationError("bundle carries no 3D head maps")
+    for bundle in bundles:
+        if not bundle.has_aux:
+            raise ConfigurationError("bundle carries no 3D head maps")
+    first = bundles[0]
     rows, cols = np.array([(det.center.row, det.center.col) for det in detections]).T
-    ok = (rows >= 0) & (rows < bundle.height) & (cols >= 0) & (cols < bundle.width)
+    ok = (rows >= 0) & (rows < first.height) & (cols >= 0) & (cols < first.width)
     rows, cols = rows * ok, cols * ok  # off-map centers read cell (0, 0)
-    raw = bundle.aux_depth.take(rows, cols)[:, 0].astype(np.float64)
-    dims = bundle.aux_dims.take(rows, cols).astype(np.float64)
-    n_bins = bundle.aux_orientation.channels // 9
-    heads = bundle.aux_orientation.take(rows, cols).astype(np.float64).reshape(-1, 3, n_bins, 3)
+
+    def read(name):
+        maps = [getattr(bundle, name) for bundle in bundles]
+        return take_frames(maps, frames, rows, cols).astype(np.float64)
+
+    raw = read("aux_depth")[:, 0]
+    dims = read("aux_dims")
+    n_bins = first.aux_orientation.channels // 9
+    heads = read("aux_orientation").reshape(-1, 3, n_bins, 3)
 
     # A rejected depth reads nan, so its center fails the finite check.
     z = []
@@ -323,7 +348,8 @@ def lift_detections(detections, bundle, camera):
         except Det3DError:
             z.append(math.nan)
     pixels = np.array([det.box.center for det in detections])
-    x, y, determinant = _back_project(camera.p, pixels[:, 0], pixels[:, 1], np.array(z))
+    p = np.stack([camera.p for camera in cameras])[frames]
+    x, y, determinant = _back_project(p, pixels[:, 0], pixels[:, 1], np.array(z))
     centers = np.column_stack([x, y, z])
     ok &= (determinant != 0.0) & np.isfinite(centers).all(axis=1) & (dims > 0.0).all(axis=1)
     staged = len(ok) if ok.all() else int(ok.argmin())
@@ -332,9 +358,11 @@ def lift_detections(detections, bundle, camera):
         bins = heads[:staged].reshape(-1, n_bins, 3)
         angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
         columns = dims[:staged], centers[:staged], angles
-        fitted, ok[:staged] = _fit_centers(camera, pixels[:staged], *columns)
+        fitted, ok[:staged] = _fit_centers(p[:staged], pixels[:staged], *columns)
     if not ok.all():
-        lift_detection(detections[int(ok.argmin())], bundle, camera)  # raises its error
+        k = int(ok.argmin())
+        frame = int(frames[k])
+        lift_detection(detections[k], bundles[frame], cameras[frame])  # raises its error
     boxes = zip(fitted.tolist(), dims.tolist(), angles.tolist(), detections)
     return [Box3D(c, d, o, det.box.class_id, det.box.score) for c, d, o, det in boxes]
 

@@ -324,7 +324,7 @@ def generate_scene(
         boxes = [box for box in chunk if box is not None]
         # The near-face test keeps every corner of a drawn box in front of
         # the camera, so no hull of the chunk fails `project_box3d`'s checks.
-        coords = _project(camera, *_columns(boxes))[2] if boxes else np.empty((0, 4))
+        coords = _project(camera.p, *_columns(boxes))[2] if boxes else np.empty((0, 4))
         inside = ~(
             (coords[:, 0] < 0) | (coords[:, 1] < 0)
             | (coords[:, 2] > width - 1) | (coords[:, 3] > height - 1)

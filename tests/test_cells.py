@@ -19,6 +19,7 @@ from det3d.core import (
     SuperCategory,
     Z_MAX,
     keyed_normals,
+    take_frames,
 )
 from det3d.decode import decode_frame
 from det3d.fmap import dump_fmap, parse_fmap
@@ -141,6 +142,37 @@ class TestCellStorage:
         fmap = FeatureMap.from_cells([], np.zeros((0, 3)), 2, 3)
         assert fmap.shape == (2, 3, 3) and not fmap.data.any()
         assert fmap.take([1, 0], [2, 2]).tolist() == [[0.0] * 3] * 2
+
+    def test_take_keeps_stored_bits(self):
+        fmap = FeatureMap.from_cells([1], [[-0.0, 1.0]], 2, 3)
+        expected = np.array([[-0.0, 1.0], [0.0, 0.0]], np.float32)
+        assert fmap.take([0, 0], [1, 2]).tobytes() == expected.tobytes()
+
+    def test_take_frames_reads_each_row_from_its_frame(self):
+        other = FeatureMap.from_cells([0, 5], [[-0.0, 3.0], [4.0, 5.0]], 2, 3, role=MapRole.OFFSET)
+        dense = FeatureMap(np.arange(12, dtype=np.float32).reshape(2, 3, 2), role=MapRole.OFFSET)
+        rows, cols = np.array([0, 1, 1, 0, 1, 0, 1]), np.array([1, 2, 1, 0, 2, 2, 1])
+        for maps in ([self.cell_map(), other], [self.cell_map(), dense, dense.noised(7, 0.5), other]):
+            frames = np.arange(rows.size) % len(maps)
+            expected = [maps[f].take([r], [c]) for f, r, c in zip(frames, rows, cols)]
+            got = take_frames(maps, frames, rows, cols)
+            assert got.tobytes() == np.concatenate(expected).tobytes()
+        assert take_frames([dense], [0], [1], [2]).tobytes() == dense.take([1], [2]).tobytes()
+
+    def test_take_frames_checks(self):
+        maps = [self.cell_map(), self.cell_map()]
+        with pytest.raises(ShapeError, match="one shape"):
+            take_frames([maps[0], FeatureMap(np.zeros((2, 3, 3)))], [0], [0], [0])
+        with pytest.raises(BoundsError, match="row index 2"):
+            take_frames(maps, [0], [2], [1.5])
+        with pytest.raises(DomainError, match="col indices must be integers"):
+            take_frames(maps, [0], [1], [1.5])
+        # A batch of one checks its frame indices as a batch of two does.
+        for batch in (maps, maps[:1]):
+            with pytest.raises(BoundsError, match="frame index 2"):
+                take_frames(batch, [2], [0], [0])
+        with pytest.raises(BoundsError, match="row index 2"):
+            take_frames(maps[:1], [2], [2], [0])
 
 
 class TestNoisedStorage:

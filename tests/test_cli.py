@@ -57,6 +57,15 @@ def zero_dims(frame):
     rewrite(frame, aux_dims=dump_fmap(FeatureMap(np.zeros(dims.shape), role=dims.role)))
 
 
+def zero_stored_dims(frame):
+    """Rewrite a frame with 0 in every stored cell of its cell-stored dims
+    head, which its decode rejects, keeping the record as small."""
+    dims = parse_fmap(records(frame)["aux_dims"])
+    cells, values = dims.cell_table
+    zeros = FeatureMap.from_cells(cells, np.zeros_like(values), dims.height, dims.width, role=dims.role)
+    rewrite(frame, aux_dims=dump_fmap(zeros))
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "sensor_air"
@@ -325,16 +334,23 @@ class TestDecode:
     def test_serial_decode_loads_no_frame_after_the_failing_one(
         self, tmp_path, monkeypatch, capsys
     ):
-        """For any --jobs, a failure at the k-th frame in id order, in its
-        load or its decode, loads exactly frames 0..k."""
+        """For any --jobs, a failure at the k-th frame in id order loads no
+        frame after k's batch: a failed load loads exactly frames 0..k, and
+        a failed decode every frame of k's batch. The batch budget is set
+        to the bytes of frames 0 and 1, so the batches are frames 0-1 and
+        2-3."""
         four = tmp_path / "four"
         assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
                      "--repeats", "2", "--out", str(four)]) == 0
         fids = sorted(os.listdir(four / "frames"))
         assert len(fids) == 4
+        held = [cli._held_bytes(load_bundle(four / "frames" / fid)) for fid in fids]
+        assert held[2] < held[0] + held[1] <= held[2] + held[3]
+        monkeypatch.setattr(cli, "DECODE_BATCH_BYTES", held[0] + held[1])
         failures = (
-            ("zero_dims", zero_dims, "box dims must be positive"),
-            ("empty", lambda frame: (frame / "bundle.fmap").write_bytes(b""), "truncated header"),
+            ("zero_dims", zero_stored_dims, "box dims must be positive", lambda k: fids[: k // 2 * 2 + 2]),
+            ("empty", lambda frame: (frame / "bundle.fmap").write_bytes(b""), "truncated header",
+             lambda k: fids[: k + 1]),
         )
         loads = []
 
@@ -344,7 +360,7 @@ class TestDecode:
 
         monkeypatch.setattr(cli, "load_bundle", counting_load)
         for k, fid in enumerate(fids):
-            for name, corrupt, fragment in failures:
+            for name, corrupt, fragment, loaded in failures:
                 root = tmp_path / f"{fid}_{name}"
                 shutil.copytree(four, root)
                 corrupt(root / "frames" / fid)
@@ -355,7 +371,67 @@ class TestDecode:
                     assert main(argv) == 3
                     err = capsys.readouterr().err
                     assert err.startswith(f"error: frame {fid}: ") and fragment in err, err
-                    assert loads == fids[: k + 1], jobs
+                    assert loads == loaded(k), jobs
+
+    def test_earlier_decode_error_wins_over_a_later_load_error(self, tmp_path, monkeypatch, capsys):
+        """A frame that fails to load first decodes the batch of the frames
+        before it, so an earlier frame's decode error is the one raised,
+        and no frame after the failed load is loaded."""
+        four = tmp_path / "four"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
+                     "--repeats", "2", "--out", str(four)]) == 0
+        zero_stored_dims(four / "frames" / "000001")
+        (four / "frames" / "000002" / "bundle.fmap").write_bytes(b"")
+        loads = []
+
+        def counting_load(directory):
+            loads.append(os.path.basename(directory))
+            return load_bundle(directory)
+
+        monkeypatch.setattr(cli, "load_bundle", counting_load)
+        assert main(["decode", "--dataset", str(four), "--out", str(tmp_path / "x.json")]) == 3
+        assert capsys.readouterr().err.startswith("error: frame 000001: box dims must be positive")
+        assert loads == ["000000", "000001", "000002"]
+
+    def test_batch_budget_leaves_the_output_unchanged(self, tmp_path, monkeypatch):
+        """Batches of one frame, of two frames, and the whole dataset as
+        one batch write the same bytes."""
+        four = tmp_path / "four"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
+                     "--repeats", "2", "--out", str(four)]) == 0
+        held = [cli._held_bytes(load_bundle(frame)) for frame in sorted((four / "frames").iterdir())]
+        outputs = []
+        for budget in (cli.DECODE_BATCH_BYTES, 1, held[0] + held[1]):
+            monkeypatch.setattr(cli, "DECODE_BATCH_BYTES", budget)
+            out = tmp_path / f"budget{budget}.json"
+            assert main(["decode", "--dataset", str(four), "--out", str(out)]) == 0
+            outputs.append(read(out))
+        assert outputs[1:] == outputs[:1] * 2
+
+    def test_failed_decode_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys):
+        """The detections are written as each batch is decoded, into a temp
+        file that replaces --out only at the end: a frame that fails after
+        earlier batches were written leaves --out and its directory as
+        they were."""
+        four = tmp_path / "four"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
+                     "--repeats", "2", "--out", str(four)]) == 0
+        zero_stored_dims(four / "frames" / "000003")
+        monkeypatch.setattr(cli, "DECODE_BATCH_BYTES", 1)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "x.json").write_bytes(b"old")
+        assert main(["decode", "--dataset", str(four), "--out", str(out_dir / "x.json")]) == 3
+        assert capsys.readouterr().err.startswith("error: frame 000003: box dims must be positive")
+        assert os.listdir(out_dir) == ["x.json"]
+        assert read(out_dir / "x.json") == b"old"
+
+    def test_missing_out_directory_fails_before_any_load(self, dataset, tmp_path, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(cli, "load_bundle", lambda directory: loads.append(directory))
+        assert main(["decode", "--dataset", str(dataset), "--out", str(tmp_path / "no" / "x.json")]) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert loads == []
 
     @pytest.mark.parametrize(
         "edit, fragment",

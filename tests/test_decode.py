@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from det3d.core import (
+    BUNDLE_MAPS,
+    CameraIntrinsics,
     ConfigurationError,
+    Det3DError,
     DomainError,
     FeatureMap,
     Keypoint,
     KeypointKind,
+    MapBundle,
     MapRole,
     SuperCategory,
 )
@@ -24,6 +28,8 @@ from det3d.decode import (
     assemble_boxes,
     attach_tags,
     decode_frame,
+    decode_frame_3d,
+    decode_frames,
     extract_peaks,
     group_corners,
 )
@@ -743,3 +749,115 @@ def test_decode_frame_calls_each_stage_through_the_module(monkeypatch):
         monkeypatch.setattr(decode, name, counting(name))
     decode_frame(noisy_bundles(1)[0])
     assert calls == {"extract_peaks": 3, "attach_tags": 2, "group_corners": 1, "assemble_boxes": 1}
+
+
+def empty_bundle():
+    """A 4x5 bundle whose heatmaps hold no peak."""
+    maps = [FeatureMap(np.zeros((4, 5, entry.channels or 1)), role=entry.role) for entry in BUNDLE_MAPS[:8]]
+    return MapBundle.from_maps(maps)
+
+
+class TestDecodeEntryChecks:
+    """The stride and the cameras are checked when a decode starts, so a
+    bad one fails whatever the frames hold."""
+
+    @pytest.mark.parametrize("stride", [-3, 0, True, 1.5, float("nan"), float("inf"), "2", None])
+    def test_stride(self, stride):
+        bundle = empty_bundle()
+        calls = (
+            lambda: decode_frame(bundle, stride=stride),
+            lambda: decode_frame_3d(bundle, None, stride=stride),
+            lambda: decode_frames([bundle], [None], stride=stride),
+            lambda: assemble_boxes([], [], {}, stride),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="stride must be a positive integer"):
+                call()
+
+    def test_integral_strides(self):
+        bundle = noisy_bundles(1, n_objects=4, image_size=(320, 240))[0]
+        expected = decode_frame(bundle, stride=2)
+        assert expected
+        assert decode_frame(bundle, stride=2.0) == decode_frame(bundle, stride=np.int64(2)) == expected
+        assert decode_frame(empty_bundle(), stride=7) == []
+
+    @pytest.mark.parametrize("camera", ["camera", np.eye(3, 4), object()])
+    def test_camera(self, camera):
+        bundle = empty_bundle()
+        with pytest.raises(DomainError, match="camera must be a CameraIntrinsics or None"):
+            decode_frame_3d(bundle, camera)
+        with pytest.raises(DomainError, match="camera must be a CameraIntrinsics or None"):
+            decode_frames([bundle, bundle], [None, camera])
+
+    def test_one_camera_per_bundle(self):
+        with pytest.raises(ConfigurationError, match="1 cameras for 2 bundles"):
+            decode_frames([empty_bundle()] * 2, [None])
+
+
+def frame_outcome(result):
+    if isinstance(result, Det3DError):
+        return type(result), str(result)
+    return [(det, repr(box3d)) for det, box3d in result]
+
+
+def decoded_alone(bundle, camera, *args):
+    try:
+        return frame_outcome(decode_frame_3d(bundle, camera, *args))
+    except Det3DError as exc:
+        return frame_outcome(exc)
+
+
+class TestDecodeFrames:
+    def frames(self):
+        """(bundle, camera) of full-size crowded, clean and noisy frames, a
+        smaller frame, a frame without heads, and a frame without camera."""
+        frames = []
+        for super_category, n_objects, image_size in (
+            (SuperCategory.AIR, 48, (320, 240)),
+            (SuperCategory.GROUND, 4, (320, 240)),
+            (SuperCategory.AIR, 6, (96, 72)),
+        ):
+            points = enumerate_sweep(SweepSpec(Category.CAMERA, super_category, seed=0))
+            sample = generate_scene(points[1], 0, n_objects=n_objects, image_size=image_size)
+            frames.append((render_ideal_maps(sample), sample.camera))
+        noisy = corrupt_maps(frames[1][0], 0.2, rng_seed=[0, 1])
+        return [
+            frames[0], frames[1], (noisy, frames[1][1]), frames[2],
+            (render_ideal_maps(sample, include_aux=False), sample.camera),
+            (frames[1][0], None), frames[1],
+        ]
+
+    def test_each_frame_as_decoded_alone(self):
+        frames = self.frames()
+        bundles, cameras = zip(*frames)
+        for peak_cfg in (PeakExtractionConfig(), PeakExtractionConfig(score_threshold=0.0)):
+            outcomes = [frame_outcome(result) for result in decode_frames(bundles, cameras, peak_cfg)]
+            assert outcomes == [decoded_alone(bundle, camera, peak_cfg) for bundle, camera in frames]
+            failed = [isinstance(result, tuple) for result in outcomes]
+            assert failed == ([False, False, True, False, False, False, False] if peak_cfg.score_threshold
+                              else [True, True, True, True, False, False, True])
+        assert decode_frames([], []) == []
+
+    def test_one_call_of_each_stage_per_batch(self, monkeypatch):
+        """Frames of one map shape go through each stage once, and each
+        stage returns a sequence as long as the batch's peaks, pairs or
+        detections."""
+        frames = [self.frames()[k] for k in (0, 1, 5, 6)]  # full-size frames that decode
+        lengths = {}
+
+        def counting(name):
+            stage = getattr(decode, name)
+
+            def wrapper(*args, **kwargs):
+                result = stage(*args, **kwargs)
+                lengths.setdefault(name, []).append(len(result))
+                return result
+
+            return wrapper
+
+        for name in ("extract_peaks", "attach_tags", "group_corners", "assemble_boxes"):
+            monkeypatch.setattr(decode, name, counting(name))
+        results = decode_frames(*zip(*frames))
+        assert [len(lengths[name]) for name in sorted(lengths)] == [1, 2, 3, 1]
+        assert lengths["assemble_boxes"] == [sum(len(result) for result in results)] != [0]
+        assert all(n > 0 for n in lengths["extract_peaks"] + lengths["group_corners"])

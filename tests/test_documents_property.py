@@ -35,7 +35,7 @@ from det3d.core import (
     SuperCategory,
 )
 from det3d.fmap import dump_fmap, load_bundle, parse_fmap, save_bundle
-from det3d.ioutil import stable_json_dumps
+from det3d.ioutil import stable_json_chunks, stable_json_dumps
 from det3d.kitti import KittiLabelRecord, parse_kitti_label, write_kitti_label
 from det3d.synthgen import (
     Category,
@@ -271,6 +271,21 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=4,
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    head=st.dictionaries(st.text(max_size=3), _json_values, max_size=3),
+    name=st.text(max_size=3),
+    members=st.dictionaries(st.text(max_size=3), _json_values, max_size=4),
+)
+def test_chunks_write_the_stable_json_text(head, name, members):
+    """A dict whose one value is given as an iterator of its sorted pairs
+    is written in chunks as the same text as the whole dict."""
+    whole = {**head, name: members}
+    lazy = {**head, name: iter(sorted(members.items()))}
+    assert "".join(stable_json_chunks(lazy)) == stable_json_dumps(whole)
+    assert "".join(stable_json_chunks(head)) == stable_json_dumps(head)
 
 
 @pytest.fixture(scope="module")
