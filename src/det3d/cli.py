@@ -63,6 +63,16 @@ _odd_int = _bounded(int, _AT_LEAST_ONE, (lambda v: v % 2 == 1, "be odd"))
 _positive_float = _bounded(float, (lambda v: v > 0.0, "be > 0"), (math.isfinite, "be finite"))
 
 
+def _class_names(text):
+    """argparse type: comma-separated class names, as a ClassTaxonomy
+    takes them: at least one, and none twice."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    try:
+        return ClassTaxonomy(names, dict.fromkeys(names, SuperCategory.GROUND)).names
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="det3d",
@@ -88,7 +98,9 @@ def build_parser():
     src.add_argument("--dataset", help="dataset directory written by synth")
     src.add_argument("--bundle", help="a single frame bundle directory")
     decode.add_argument("--scene", help="scene JSON supplying the camera for a --bundle decode")
-    decode.add_argument("--classes", help="comma-separated class names for a --bundle decode")
+    decode.add_argument(
+        "--classes", type=_class_names, help="comma-separated class names for a --bundle decode"
+    )
     decode.add_argument("--stride", type=_positive_int, default=None, help="for a --bundle decode")
     decode.add_argument("--score-threshold", type=_unit_interval, default=0.3)
     decode.add_argument("--nms-window", type=_odd_int, default=3)
@@ -258,13 +270,13 @@ def _cmd_decode(args):
             taxonomy=taxonomy, peak_cfg=peak_cfg, group_cfg=group_cfg, stride=stride,
         )
     else:
-        classes = ClassTaxonomy.default().names
-        if args.classes:
-            classes = [c.strip() for c in args.classes.split(",") if c.strip()]
         scene, camera = {}, None
         if args.scene is not None:
             scene = jsondoc.load(args.scene)
+            if args.classes is not None and isinstance(scene, dict) and "classes" in scene:
+                raise UsageError("argument --classes: not allowed with a --scene that names its classes")
             camera = jsondoc.read_camera(scene, args.scene)
+        classes = args.classes or ClassTaxonomy.default().names
         taxonomy, super_names = jsondoc.read_taxonomy(scene, args.scene or "--classes", classes)
         bundle = load_bundle(args.bundle)
         frame_id = os.path.basename(os.path.normpath(args.bundle))

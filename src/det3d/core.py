@@ -241,29 +241,44 @@ def _cell_take(cells, values, flat):
     return out
 
 
+def _batch_shape(maps):
+    """The (H, W, C) shape that a batch of one or more maps shares."""
+    if not maps:
+        raise ShapeError("a batch of maps needs at least one map")
+    shape = maps[0].shape
+    if any(fmap.shape != shape for fmap in maps):
+        raise ShapeError(f"a batch of maps must share one shape, got {shape} and others")
+    return shape
+
+
+def _joined_cell_tables(tables, plane):
+    """One (cells, values) table of the cell tables of a batch's frames,
+    frame f's cells offset by f * plane (H * W); a None entry adds
+    nothing, and at least one entry must not be None."""
+    frames = [f for f, table in enumerate(tables) if table is not None]
+    if frames == [0]:
+        return tables[0]
+    cells = np.concatenate([tables[f][0] for f in frames])
+    cells += np.repeat(np.array(frames) * plane, [tables[f][0].size for f in frames])
+    return cells, np.concatenate([tables[f][1] for f in frames])
+
+
 def take_frames(maps, frames, rows, cols):
     """Values of a batch of maps of one shape: row k is what
     `maps[frames[k]].take` reads at (rows[k], cols[k]), with the same
-    checks. Cell-stored maps are read with one search over their tables,
-    joined with frame f's cells offset by f * height * width."""
-    first = maps[0]
+    checks. Cell-stored maps are read with one search over their
+    `_joined_cell_tables`; a batch of one map is read as that map."""
+    height, width, channels = _batch_shape(maps)
     if len(maps) == 1:
-        out = first.take(rows, cols)
+        out = maps[0].take(rows, cols)
         _indices("frame", frames, 1)
         return out
-    height, width, _ = shape = first.shape
-    if any(fmap.shape != shape for fmap in maps):
-        raise ShapeError(f"a batch of maps must share one shape, got {first.shape} and others")
     flat = _indices("row", rows, height) * width + _indices("col", cols, width)
     frames = _indices("frame", frames, len(maps))
     tables = [fmap.cell_table for fmap in maps]
     if all(table is not None for table in tables):
-        sizes = [cells.size for cells, _ in tables]
-        offsets = np.repeat(np.arange(len(maps)) * (height * width), sizes)
-        cells = np.concatenate([cells for cells, _ in tables]) + offsets
-        values = np.concatenate([values for _, values in tables])
-        return _cell_take(cells, values, frames * (height * width) + flat)
-    out = np.empty(flat.shape + (first.channels,), dtype=np.float32)
+        return _cell_take(*_joined_cell_tables(tables, height * width), frames * (height * width) + flat)
+    out = np.empty(flat.shape + (channels,), dtype=np.float32)
     for f in np.unique(frames).tolist():
         read = frames == f
         out[read] = maps[f]._take(flat[read])

@@ -30,7 +30,9 @@ from .core import (
     FeatureMap,
     Keypoint,
     KeypointKind,
-    ShapeError,
+    MapRole,
+    _batch_shape,
+    _joined_cell_tables,
     check_number,
     take_frames,
 )
@@ -265,77 +267,35 @@ def extract_peaks(heatmap, cfg, kind):
     the sequence), a window never reaches into another frame, `top_k`
     holds per (frame, channel), and the result is sorted by frame first.
 
-    Cell-stored heatmaps are searched together among their stored values
-    wherever `_cell_peaks` can; any other heatmap is scanned whole, one at
-    a time. Both kernels find the same peaks. Values outside [0, 1] raise
-    DomainError, naming the range of the first frame that holds one.
+    Each frame takes one of two kernels, which find the same peaks, by a
+    rule that reads no other frame: `_cell_peaks` iff the threshold is
+    positive, its heatmap is cell-stored, and its own candidates'
+    neighbour table fits in H * W * C entries, else `_dense_peaks`. Maps
+    must be of the heatmap role, whose values `FeatureMap` keeps in
+    [0, 1]; any other role raises ConfigurationError.
     """
     maps = _batch(heatmap)
-    shape = maps[0].shape
-    if any(fmap.shape != shape for fmap in maps):
-        raise ShapeError(f"a batch of heatmaps must share one shape, got {shape} and others")
-    height, width, n_channels = shape
-    plane = height * width
+    height, width, n_channels = shape = _batch_shape(maps)
+    for fmap in maps:
+        if fmap.role is not MapRole.HEATMAP:
+            raise ConfigurationError(f"peak extraction needs heatmap-role maps, got role {fmap.role.name}")
     tables = [fmap.cell_table if cfg.score_threshold > 0.0 else None for fmap in maps]
-    in_cells = [f for f, table in enumerate(tables) if table is not None]
-    if len(in_cells) == 1:
-        cells, values = tables[in_cells[0]]
-        cells = cells + in_cells[0] * plane if in_cells[0] else cells
-    elif in_cells:
-        sizes = [tables[f][0].size for f in in_cells]
-        cells = np.concatenate([tables[f][0] for f in in_cells])
-        cells += np.repeat(np.array(in_cells) * plane, sizes)
-        values = np.concatenate([tables[f][1] for f in in_cells])
-    # The stored values of cell-stored frames are checked at once; only if
-    # that fails, or a frame is scanned whole, is each frame checked in turn.
-    if len(in_cells) < len(maps) or (values.size and not 0.0 <= values.min() <= values.max() <= 1.0):
-        for fmap in maps:
-            _check_range(*_value_range(fmap))
-
     found, dense = [], [f for f, table in enumerate(tables) if table is None]
-    if in_cells:
-        batch = _cell_peaks(cells, values, shape, cfg)
-        if batch is not None:
-            found.append(batch)
-        else:
-            # The batch's neighbour table is too large: each frame alone,
-            # and the dense kernel where even a frame's own table is.
-            for f in in_cells:
-                alone = None
-                if len(in_cells) > 1:
-                    alone = _cell_peaks(tables[f][0] + f * plane, tables[f][1], shape, cfg)
-                if alone is None:
-                    dense.append(f)
-                else:
-                    found.append(alone)
+    if len(dense) < len(maps):
+        peaks, too_large = _cell_peaks(*_joined_cell_tables(tables, height * width), shape, cfg)
+        found.append(peaks)
+        dense += too_large
     for f in dense:
-        cells_f, channels, scores = _dense_peaks(maps[f].data, cfg)
-        found.append((np.full(cells_f.size, f, dtype=np.intp), cells_f, channels, scores))
+        cells, channels, scores = _dense_peaks(maps[f].data, cfg)
+        found.append((np.full(cells.size, f, dtype=np.intp), cells, channels, scores))
     columns = found[0] if len(found) == 1 else [np.concatenate(column) for column in zip(*found)]
     return _ranked_keypoints(kind, width, n_channels, cfg.top_k, *columns)
 
 
-def _value_range(fmap):
-    """(lo, hi) of every value of a map."""
-    if fmap.cell_table is None:
-        data = fmap.data
-        return float(data.min()), float(data.max())
-    cells, values = fmap.cell_table
-    lo, hi = (float(values.min()), float(values.max())) if cells.size else (0.0, 0.0)
-    if cells.size < fmap.height * fmap.width:
-        lo, hi = min(lo, 0.0), max(hi, 0.0)
-    return lo, hi
-
-
-def _check_range(lo, hi):
-    if lo < 0.0 or hi > 1.0:
-        raise DomainError(f"peak extraction needs values in [0, 1], got [{lo:g}, {hi:g}]")
-
-
 def _dense_peaks(data, cfg):
-    """(cells, channels, scores) of the peaks of an (H, W, C) array whose
-    values were checked to lie in [0, 1], leaving out only peaks that
-    rank below `top_k` in their channel."""
+    """(cells, channels, scores) of the peaks of a heatmap's (H, W, C)
+    array, leaving out only peaks that rank below `top_k` in their
+    channel."""
     margin = (cfg.nms_window - 1) // 2
     n_channels = data.shape[2]
 
@@ -371,24 +331,23 @@ def _dense_peaks(data, cfg):
 
 
 def _cell_peaks(cells, values, shape, cfg):
-    """(frames, cells, channels, scores) of every peak of cell-stored
-    heatmaps of one (H, W, C) shape, given as one table whose values were
-    checked to lie in [0, 1]: frame f's cells offset by f * H * W. None
-    where the dense kernel must run instead: where the candidates'
-    neighbour table would hold more entries than one map holds values.
+    """((frames, cells, channels, scores) of the peaks, the frames that
+    must go dense) of cell-stored heatmaps of one (H, W, C) shape, given
+    as one table: frame f's cells offset by f * H * W. A frame goes dense
+    where its candidates' neighbour table would outgrow one map's H * W * C
+    values. The rest are tested in blocks of at most H * W * C neighbour
+    entries, so memory stays bounded by one map whatever the batch size.
     """
     height, width, n_channels = shape
     plane = height * width
-    n_stored = cells.size
     window = cfg.nms_window
-    margin = (window - 1) // 2
 
     flat_values = values.reshape(-1)
     flat = np.flatnonzero(flat_values >= cfg.score_threshold)
     index, channels = np.divmod(flat, n_channels)
     cand_cells = cells[index]
     scores = flat_values[flat]
-    if margin:
+    if window > 1:
         # A candidate that loses to the cell beside it in its row, where
         # the table stores that cell next to it, cannot be a peak. Dropping
         # those first leaves about one candidate per row of a bump for the
@@ -396,36 +355,52 @@ def _cell_peaks(cells, values, shape, cfg):
         # test keeps both cells in one frame.
         cols = cand_cells % width
         left = np.maximum(index - 1, 0)
-        right = np.minimum(index + 1, n_stored - 1)
+        right = np.minimum(index + 1, cells.size - 1)
         has_left = (cols > 0) & (cells[left] == cand_cells - 1)
         has_right = (cols < width - 1) & (cells[right] == cand_cells + 1)
         lose = has_left & (scores <= values[left, channels])
         lose |= has_right & (scores < values[right, channels])
         channels, cand_cells, scores = channels[~lose], cand_cells[~lose], scores[~lose]
-    if cand_cells.size * (window * window - 1) > plane * n_channels:
-        return None
-
-    # Each candidate against its whole window at once: one row of
-    # neighbours per candidate in (row, col) order, so the first half
-    # come before it. A neighbour is read from the table by binary
-    # search; an unstored one reads 0.0, and one off its frame's map
-    # -inf, so that it never blocks.
-    offsets = np.arange(window * window)
-    half = offsets.size // 2
-    offsets = np.delete(offsets, half)
-    d_rows, d_cols = offsets // window - margin, offsets % window - margin
-    n_rows = (cand_cells // width % height)[:, None] + d_rows
-    n_cols = (cand_cells % width)[:, None] + d_cols
-    on_map = (n_rows >= 0) & (n_rows < height) & (n_cols >= 0) & (n_cols < width)
-    flat = cand_cells[:, None] + (d_rows * width + d_cols)
-    pos = np.minimum(np.searchsorted(cells, flat), n_stored - 1)
-    stored = on_map & (cells[pos] == flat)
-    neighbour = np.where(on_map, np.float32(0.0), np.float32(-np.inf))
-    neighbour = np.where(stored, values[pos, channels[:, None]], neighbour)
-    score = scores[:, None]
-    peak = (score > neighbour[:, :half]).all(axis=1) & (score >= neighbour[:, half:]).all(axis=1)
+    block = plane * n_channels // max(window * window - 1, 1)  # candidates a block
+    too_large = []
+    if cand_cells.size > block:  # else every frame's candidates fit
+        fits = np.bincount(cand_cells // plane) <= block
+        too_large, keep = np.flatnonzero(~fits).tolist(), fits[cand_cells // plane]
+        channels, cand_cells, scores = channels[keep], cand_cells[keep], scores[keep]
+    peak = np.zeros(cand_cells.size, dtype=bool)
+    for start in range(0, cand_cells.size, max(block, 1)):
+        k = slice(start, start + block)
+        peak[k] = _window_peaks(cells, values, shape, window, cand_cells[k], channels[k], scores[k])
     frames, cand_cells = np.divmod(cand_cells[peak], plane)
-    return frames, cand_cells, channels[peak], scores[peak]
+    return (frames, cand_cells, channels[peak], scores[peak]), too_large
+
+
+def _window_peaks(cells, values, shape, window, cand_cells, channels, scores):
+    """Which candidates of a joined cell table are peaks, each tested
+    against its whole window at once: one row of neighbours per candidate
+    in (row, col) order, so the first half come before it."""
+    height, width, _ = shape
+    margin = (window - 1) // 2
+    # A neighbour is read from the table by binary search; an unstored
+    # one reads 0.0, and one off its frame's map -inf, so that it never
+    # blocks. The on-map mask is built from per-row and per-column tests,
+    # so the largest temporaries are the three int64 neighbour tables.
+    offsets = np.delete(np.arange(window * window), window * window // 2)
+    half = offsets.size // 2
+    d_rows, d_cols = np.divmod(offsets, window)
+    steps = np.arange(-margin, margin + 1)
+    rows, cols = np.divmod(cand_cells % (height * width), width)
+    n_rows, n_cols = rows[:, None] + steps, cols[:, None] + steps
+    on_map = ((n_rows >= 0) & (n_rows < height))[:, d_rows]
+    on_map &= ((n_cols >= 0) & (n_cols < width))[:, d_cols]
+    flat = cand_cells[:, None] + ((d_rows - margin) * width + d_cols - margin)
+    pos = np.minimum(np.searchsorted(cells, flat), cells.size - 1)
+    stored = cells[pos] == flat
+    neighbour = values[pos, channels[:, None]]
+    np.copyto(neighbour, np.float32(0.0), where=~stored)
+    np.copyto(neighbour, np.float32(-np.inf), where=~on_map)
+    score = scores[:, None]
+    return (score > neighbour[:, :half]).all(axis=1) & (score >= neighbour[:, half:]).all(axis=1)
 
 
 def _ranked_keypoints(kind, width, n_channels, top_k, frames, cells, channels, scores):
@@ -652,20 +627,16 @@ def _lifted(detections, frames, bundles, cameras):
     """The Box3D of each detection of a batch, or None where its frame
     has no 3D head maps or no camera; a failed lift raises its error."""
     lifts = np.array([cam is not None and bundle.has_aux for bundle, cam in zip(bundles, cameras)])
-    if lifts.all():
-        return geometry3d.lift_frames(detections, frames, bundles, cameras)
+    chosen, kept = np.flatnonzero(lifts[frames]).tolist(), np.flatnonzero(lifts)
+    lifted = geometry3d.lift_frames(
+        [detections[k] for k in chosen],
+        (np.cumsum(lifts) - 1)[frames[chosen]],
+        [bundles[f] for f in kept],
+        [cameras[f] for f in kept],
+    )
     boxes = [None] * len(detections)
-    chosen = np.flatnonzero(lifts[frames])
-    if chosen.size:
-        kept = np.flatnonzero(lifts)
-        lifted = geometry3d.lift_frames(
-            [detections[k] for k in chosen.tolist()],
-            (np.cumsum(lifts) - 1)[frames[chosen]],
-            [bundles[f] for f in kept],
-            [cameras[f] for f in kept],
-        )
-        for k, box in zip(chosen.tolist(), lifted):
-            boxes[k] = box
+    for k, box in zip(chosen, lifted):
+        boxes[k] = box
     return boxes
 
 

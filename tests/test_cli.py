@@ -286,6 +286,31 @@ class TestDecode:
         payload = json.loads(read(out))
         assert list(payload["frames"]) == ["000000"]
 
+    def test_bundle_decode_rejects_classes_a_scene_names(self, dataset, tmp_path, capsys):
+        """A synth scene file names its classes, so --classes could only
+        contradict it."""
+        out = tmp_path / "x.json"
+        argv = ["decode", "--bundle", str(dataset / "frames" / "000000"),
+                "--scene", str(dataset / "scenes" / "000000.json"), "--classes", "x,y", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --classes: not allowed with a --scene that names its classes\n"
+        )
+        assert not out.exists()
+
+    def test_bundle_decode_checks_classes_against_channels(self, dataset, tmp_path, capsys):
+        """--classes sets the taxonomy of a --bundle decode without a scene;
+        it must name one class per heatmap channel."""
+        frame = str(dataset / "frames" / "000000")
+        out = tmp_path / "x.json"
+        assert main(["decode", "--bundle", frame, "--classes", "a,b,c", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: bundle has 2 heatmap channels but the taxonomy declares 3 classes\n"
+        )
+        assert not out.exists()
+        assert main(["decode", "--bundle", frame, "--classes", " a , b ", "--out", str(out)]) == 0
+        assert json.loads(read(out))["classes"] == ["a", "b"]
+
     def test_truncated_fmap_exits_3(self, dataset, tmp_path):
         broken = tmp_path / "broken"
         shutil.copytree(dataset / "frames" / "000000", broken)
@@ -530,6 +555,8 @@ class TestFlagBounds:
              "60 objects do not fit: could not place object 12 after 200 attempts "
              "at sweep point 0 (sensor/Ground, distance 15 m)"),
             (_SYNTH, "--seed", "-1", "must be >= 0, got -1"),
+            (_DECODE, "--classes", ",", "taxonomy needs at least one class"),
+            (_DECODE, "--classes", "a,a", "class names must be unique, got ('a', 'a')"),
         ],
     )
     def test_bound_message(self, capsys, tmp_path, monkeypatch, argv, flag, value, message):

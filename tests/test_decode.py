@@ -1,6 +1,5 @@
 """Peak extraction, tag grouping, offset refinement, and box assembly."""
 
-import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,9 @@ from det3d.core import (
     KeypointKind,
     MapBundle,
     MapRole,
+    ShapeError,
     SuperCategory,
+    take_frames,
 )
 from det3d import decode
 from det3d.decode import (
@@ -128,10 +129,13 @@ class TestExtractPeaks:
         assert all(s >= 0.4 for scores in per_channel.values() for s in scores)
         assert peaks == sorted(peaks, key=lambda p: (-p.score, p.row, p.col, p.class_id))
 
-    def test_rejects_out_of_range_values(self):
-        bad = FeatureMap(np.full((2, 2, 1), 1.5), role=MapRole.GENERIC)
-        with pytest.raises(DomainError):
-            extract_peaks(bad, PeakExtractionConfig(), CENTER)
+    def test_rejects_non_heatmap_roles(self):
+        """Only a heatmap-role map is known to hold values in [0, 1]."""
+        for role in (MapRole.EMBEDDING, MapRole.OFFSET, MapRole.GENERIC):
+            bad = FeatureMap(np.full((2, 2, 1), 1.5), role=role)
+            for maps in (bad, [heatmap(np.zeros((2, 2))), bad]):
+                with pytest.raises(ConfigurationError, match=f"heatmap-role maps, got role {role.name}"):
+                    extract_peaks(maps, PeakExtractionConfig(), CENTER)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -429,16 +433,16 @@ class TestCellKernel:
         assert self.both(fmap, cfg) == [(1, 2, 0, 0.75), (0, 0, 0, 0.0), (0, 1, 0, 0.0)]
 
     @pytest.mark.parametrize(
-        "entries, fragment",
-        [({(0, 0): 1.5}, "[0, 1.5]"), ({(0, 0): 0.5, (0, 1): 1.5}, "[0.5, 1.5]")],
+        "entries",
+        [{(0, 0): 1.5}, {(0, 0): 0.5, (0, 1): 1.5}],
         ids=["unstored_zero", "every_cell_stored"],
     )
-    def test_range_error_matches_dense(self, entries, fragment):
+    def test_role_error_matches_dense(self, entries):
         fmap = cell_heatmap(entries, 1, 2, role=MapRole.GENERIC)
         cfg = PeakExtractionConfig()
-        with pytest.raises(DomainError) as dense_error:
+        with pytest.raises(ConfigurationError) as dense_error:
             extract_peaks(FeatureMap(fmap.data), cfg, CENTER)
-        with pytest.raises(DomainError, match=re.escape(fragment)) as cell_error:
+        with pytest.raises(ConfigurationError, match="got role GENERIC") as cell_error:
             extract_peaks(fmap, cfg, CENTER)
         assert str(cell_error.value) == str(dense_error.value)
 
@@ -861,3 +865,71 @@ class TestDecodeFrames:
         assert [len(lengths[name]) for name in sorted(lengths)] == [1, 2, 3, 1]
         assert lengths["assemble_boxes"] == [sum(len(result) for result in results)] != [0]
         assert all(n > 0 for n in lengths["extract_peaks"] + lengths["group_corners"])
+
+    def test_each_frame_takes_its_own_kernel(self, monkeypatch):
+        """At window 31, each of 44 ground frames' own neighbour table fits
+        in one map's H * W * C entries, but the batch's joined table does
+        not: the cell kernel tests the batch in blocks of at most that
+        many entries. A 48-object air frame's own table does not fit, so it
+        is scanned densely, in the batch as alone."""
+        cfg = PeakExtractionConfig(nms_window=31)
+        samples = [
+            generate_scene(point, 0)
+            for point in enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.GROUND, seed=0))[:44]
+        ]
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.AIR, seed=0))
+        samples.append(generate_scene(points[0], 0, n_objects=48))
+        frames = [(render_ideal_maps(sample), sample.camera) for sample in samples]
+        bundles, cameras = zip(*frames)
+        height, width, channels = bundles[0].heatmaps[CENTER].shape
+        assert all(fmap.cell_table is not None for bundle in bundles for fmap in bundle.heatmaps.values())
+
+        went_dense, blocks, dense_scans = [], [], []
+        cell_peaks, window_peaks, dense_peaks = decode._cell_peaks, decode._window_peaks, decode._dense_peaks
+
+        def logged_cell_peaks(*args):
+            peaks, dense = cell_peaks(*args)
+            went_dense.append(dense)
+            return peaks, dense
+
+        def logged_window_peaks(cells, values, shape, window, cand_cells, *rest):
+            blocks.append(cand_cells.size * (window * window - 1))
+            return window_peaks(cells, values, shape, window, cand_cells, *rest)
+
+        def logged_dense_peaks(*args):
+            dense_scans.append(args[0].shape)
+            return dense_peaks(*args)
+
+        monkeypatch.setattr(decode, "_cell_peaks", logged_cell_peaks)
+        monkeypatch.setattr(decode, "_window_peaks", logged_window_peaks)
+        monkeypatch.setattr(decode, "_dense_peaks", logged_dense_peaks)
+
+        outcomes = [frame_outcome(result) for result in decode_frames(bundles, cameras, cfg)]
+        assert went_dense == [[44]] * 3 and len(dense_scans) == 3
+        assert len(blocks) > 3 and max(blocks) <= height * width * channels
+        # One kind's blocks (a third of them) together pass one map.
+        assert sum(blocks[:len(blocks) // 3]) > height * width * channels
+        for f, (bundle, camera) in enumerate(frames):
+            went_dense.clear()
+            dense_scans.clear()
+            assert outcomes[f] == decoded_alone(bundle, camera, cfg)
+            assert went_dense == [[0] if f == 44 else []] * 3
+            assert len(dense_scans) == (3 if f == 44 else 0)
+
+        monkeypatch.undo()
+        heatmaps = [bundle.heatmaps[CENTER] for bundle in bundles]
+        tracemalloc.start()
+        try:
+            got = extract_peaks(heatmaps, cfg, CENTER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert got == extract_peaks([FeatureMap(fmap.data, role=fmap.role) for fmap in heatmaps], cfg, CENTER)
+
+
+def test_empty_batch_is_a_shape_error():
+    with pytest.raises(ShapeError, match="a batch of maps needs at least one map"):
+        extract_peaks([], PeakExtractionConfig(), CENTER)
+    with pytest.raises(ShapeError, match="a batch of maps needs at least one map"):
+        take_frames([], [], [], [])
