@@ -4,7 +4,7 @@ The pipeline is peak extraction, tag attachment, greedy corner grouping by
 tag distance, sub-cell offset refinement, center-validated box assembly,
 and the 3D lift. It runs on a batch of frames at once (`decode_frames`),
 as "Objects as Points" (Zhou et al. 2019) decodes a (B, C, H, W) batch,
-so each stage's fixed cost is paid once per batch; `decode_frame` and
+so a stage's fixed cost is paid once per map shape; `decode_frame` and
 `decode_frame_3d` run the same stages on a batch of one. Every step is
 deterministic: all orderings use total sort keys (frame, then score
 descending, then row, then col). Keypoints travel between the stages as
@@ -599,14 +599,8 @@ def _checked(peak_cfg, group_cfg, stride, cameras):
     return peak_cfg or PeakExtractionConfig(), group_cfg or GroupingConfig()
 
 
-def _decode_2d(bundles, peak_cfg, group_cfg, stride, taxonomy):
+def _decode_2d(bundles, peak_cfg, group_cfg, stride):
     """The 2D decode of a batch of frame bundles of one map shape."""
-    for bundle in bundles:
-        if taxonomy is not None and bundle.num_classes != len(taxonomy):
-            raise ConfigurationError(
-                f"bundle has {bundle.num_classes} heatmap channels but the taxonomy "
-                f"declares {len(taxonomy)} classes"
-            )
 
     def maps(field, kind):
         return [getattr(bundle, field)[kind] for bundle in bundles]
@@ -623,27 +617,13 @@ def _decode_2d(bundles, peak_cfg, group_cfg, stride, taxonomy):
     return assemble_boxes(pairs, centers, [bundle.offsets for bundle in bundles], stride)
 
 
-def _lifted(detections, frames, bundles, cameras):
-    """The Box3D of each detection of a batch, or None where its frame
-    has no 3D head maps or no camera; a failed lift raises its error."""
-    lifts = np.array([cam is not None and bundle.has_aux for bundle, cam in zip(bundles, cameras)])
-    chosen, kept = np.flatnonzero(lifts[frames]).tolist(), np.flatnonzero(lifts)
-    lifted = geometry3d.lift_frames(
-        [detections[k] for k in chosen],
-        (np.cumsum(lifts) - 1)[frames[chosen]],
-        [bundles[f] for f in kept],
-        [cameras[f] for f in kept],
-    )
-    boxes = [None] * len(detections)
-    for k, box in zip(chosen, lifted):
-        boxes[k] = box
-    return boxes
-
-
 def decode_frame(bundle, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):
-    """Full 2D decode of one frame bundle: the batched stages on a batch of one."""
-    peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, ())
-    return list(_decode_2d([bundle], peak_cfg, group_cfg, stride, taxonomy))
+    """Full 2D decode of one frame bundle: `decode_frames` on a batch of
+    one without a camera. Raises the frame's error."""
+    outcomes = decode_frames([bundle], [None], peak_cfg, group_cfg, stride, taxonomy)
+    if isinstance(outcomes[0], Det3DError):
+        raise outcomes.pop()
+    return [det for det, _ in outcomes[0]]
 
 
 def decode_frame_3d(bundle, camera, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):
@@ -655,8 +635,9 @@ def decode_frame_3d(bundle, camera, peak_cfg=None, group_cfg=None, stride=1, tax
     """
     peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, (camera,))
     detections = decode_frame(bundle, peak_cfg, group_cfg, stride, taxonomy)
-    frames = np.zeros(len(detections), dtype=np.intp)
-    return list(zip(detections, _lifted(detections, frames, [bundle], [camera])))
+    if camera is None or not bundle.has_aux:
+        return [(det, None) for det in detections]
+    return list(zip(detections, geometry3d.lift_detections(detections, bundle, camera)))
 
 
 def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):
@@ -667,37 +648,44 @@ def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, tax
     (detection, box3d-or-None) pairs, equal to what `decode_frame_3d`
     gives for that frame alone, or the Det3DError that call raises.
 
-    The frames decode together: each stage runs once on all of them
-    (`extract_peaks` once per keypoint kind, one grouping, one assembly,
-    one lift with one camera row per detection), so a stage's fixed cost
-    is paid once per batch. If the batch raises, as it does when any frame
-    fails or its frames' maps differ in shape, its frames are decoded
-    again one at a time, so one frame's error is its own outcome and never
-    another frame's. The stride and the cameras are checked first,
-    whatever the frames hold.
+    Each frame is decoded once. The frames are grouped by the shapes of
+    all their maps, and each group decodes together: each stage runs once
+    on all of its frames (`extract_peaks` once per keypoint kind, one
+    grouping, one assembly, one lift with one camera row per detection),
+    so a stage's fixed cost is paid once per group. A frame whose heatmap
+    channels do not match the taxonomy's classes, or whose lift fails,
+    gets its error as its outcome, and the other frames of its group keep
+    theirs. The stride and the cameras are checked first, whatever the
+    frames hold.
     """
     bundles, cameras = list(bundles), list(cameras)
     peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, cameras)
     if len(cameras) != len(bundles):
         raise ConfigurationError(f"{len(cameras)} cameras for {len(bundles)} bundles")
-    if not bundles:
-        return []
-    return _outcomes(bundles, cameras, peak_cfg, group_cfg, stride, taxonomy)
-
-
-def _outcomes(bundles, cameras, peak_cfg, group_cfg, stride, taxonomy):
-    """Each frame's (detection, box3d) pairs or Det3DError: the frames
-    decoded together, or, if that raises, each alone."""
-    try:
-        detections = _decode_2d(bundles, peak_cfg, group_cfg, stride, taxonomy)
-        boxes = _lifted(detections, detections.frames, bundles, cameras)
-    except Det3DError as exc:
-        if len(bundles) == 1:
-            return [exc]
-    else:
-        results = [[] for _ in bundles]
-        for f, det, box in zip(detections.frames.tolist(), detections, boxes):
-            results[f].append((det, box))
-        return results
-    args = peak_cfg, group_cfg, stride, taxonomy
-    return [_outcomes([bundle], [camera], *args)[0] for bundle, camera in zip(bundles, cameras)]
+    outcomes, groups = [[] for _ in bundles], {}
+    for f, bundle in enumerate(bundles):
+        if taxonomy is not None and bundle.num_classes != len(taxonomy):
+            outcomes[f] = ConfigurationError(
+                f"bundle has {bundle.num_classes} heatmap channels but the taxonomy "
+                f"declares {len(taxonomy)} classes"
+            )
+        else:
+            groups.setdefault(tuple(fmap.shape for fmap in bundle.maps()), []).append(f)
+    for group in groups.values():
+        members = [bundles[f] for f in group]
+        detections = _decode_2d(members, peak_cfg, group_cfg, stride)
+        # The frames with 3D heads and a camera are lifted, renumbered 0, 1, ...
+        lifts = np.array([cameras[f] is not None and bundles[f].has_aux for f in group])
+        chosen, kept = np.flatnonzero(lifts[detections.frames]).tolist(), np.flatnonzero(lifts)
+        boxes, errors = geometry3d.lift_frames(
+            [detections[k] for k in chosen],
+            (np.cumsum(lifts) - 1)[detections.frames[chosen]],
+            [members[g] for g in kept],
+            [cameras[group[g]] for g in kept],
+        )
+        box_of = dict(zip(chosen, boxes))
+        for k, (g, det) in enumerate(zip(detections.frames.tolist(), detections)):
+            outcomes[group[g]].append((det, box_of.get(k)))
+        for g, error in errors.items():
+            outcomes[group[kept[g]]] = error
+    return outcomes

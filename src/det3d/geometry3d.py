@@ -294,9 +294,12 @@ def fit_center_from_2d(camera, box2d, dims, orientation, depth):
 
 
 def lift_detections(detections, bundle, camera):
-    """Lift one frame's decoded 2D detections to 3D using the bundle's head
-    maps: `lift_frames` with every detection in frame 0."""
-    return lift_frames(detections, np.zeros(len(detections), np.intp), [bundle], [camera])
+    """Lift one frame's decoded 2D detections to 3D with `lift_frames`, as
+    frame 0: one Box3D per detection, in order, or the frame's error raised."""
+    boxes, errors = lift_frames(detections, np.zeros(len(detections), np.intp), [bundle], [camera])
+    if errors:
+        raise errors.pop(0)
+    return boxes
 
 
 def lift_frames(detections, frames, bundles, cameras):
@@ -307,7 +310,9 @@ def lift_frames(detections, frames, bundles, cameras):
     camera matrix row per detection. The bundles share one map shape.
     Reads the log-depth, dims, and multibin orientation channels at each
     detection's center cell, decodes them, and fits each 3D center under
-    its 2D box constraint. Returns one Box3D per detection, in order.
+    its 2D box constraint. Returns (boxes, errors): one Box3D per
+    detection, in order, or None for each detection of a frame whose lift
+    fails, and a dict from each such frame to its error.
 
     The batch is staged as float64 columns, with one read per head map.
     The back-projection and the hull-center shift are numpy arithmetic in
@@ -315,14 +320,13 @@ def lift_frames(detections, frames, bundles, cameras):
     batch; exp, atan2, degrees, radians, cos and sin stay scalar `math`
     calls. One mask marks the detections whose lift fails: a center off
     the map, a depth `decode_depth` rejects, a zero 2x2 determinant, a
-    non-finite center, nonpositive dims, then (only up to the first of
-    those) a failed projection or a non-finite fitted center.
-    `lift_detection` lifts the first failing detection alone and raises
-    its error, the first that a one-at-a-time lift of the batch would
-    raise.
+    non-finite center, nonpositive dims, then (only up to its frame's
+    first of those) a failed projection or a non-finite fitted center.
+    A frame's error is the one `lift_detection` raises on its first failing
+    detection alone, as a one-at-a-time lift of the frame would.
     """
     if not detections:
-        return []
+        return [], {}
     for bundle in bundles:
         if not bundle.has_aux:
             raise ConfigurationError("bundle carries no 3D head maps")
@@ -352,19 +356,30 @@ def lift_frames(detections, frames, bundles, cameras):
     x, y, determinant = _back_project(p, pixels[:, 0], pixels[:, 1], np.array(z))
     centers = np.column_stack([x, y, z])
     ok &= (determinant != 0.0) & np.isfinite(centers).all(axis=1) & (dims > 0.0).all(axis=1)
-    staged = len(ok) if ok.all() else int(ok.argmin())
+    # Each frame's first failing detection, or len(ok) where it has none.
+    cut = np.full(len(bundles), len(ok))
+    np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
+    staged = np.arange(len(ok)) < cut[frames]
 
-    if staged:
-        bins = heads[:staged].reshape(-1, n_bins, 3)
+    boxes = [None] * len(detections)
+    if staged.any():  # else each frame fails at its first detection
+        bins = heads[staged].reshape(-1, n_bins, 3)
         angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
-        columns = dims[:staged], centers[:staged], angles
-        fitted, ok[:staged] = _fit_centers(p[:staged], pixels[:staged], *columns)
-    if not ok.all():
-        k = int(ok.argmin())
-        frame = int(frames[k])
-        lift_detection(detections[k], bundles[frame], cameras[frame])  # raises its error
-    boxes = zip(fitted.tolist(), dims.tolist(), angles.tolist(), detections)
-    return [Box3D(c, d, o, det.box.class_id, det.box.score) for c, d, o, det in boxes]
+        fitted, ok[staged] = _fit_centers(p[staged], pixels[staged], dims[staged], centers[staged], angles)
+        np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
+        lifted = cut[frames] == len(ok)  # a frame that lifts is staged whole
+        columns = fitted[lifted[staged]], dims[lifted], angles[lifted[staged]]
+        for k, c, d, o in zip(np.flatnonzero(lifted).tolist(), *(column.tolist() for column in columns)):
+            boxes[k] = Box3D(c, d, o, detections[k].box.class_id, detections[k].box.score)
+    errors = {}
+    for frame in np.flatnonzero(cut < len(ok)).tolist():
+        try:
+            lift_detection(detections[cut[frame]], bundles[frame], cameras[frame])
+        except Det3DError as exc:
+            # A traceback, its own or its context's, would hold this call's frames.
+            errors[frame] = exc.with_traceback(None)
+            exc.__context__ = None
+    return boxes, errors
 
 
 def lift_detection(detection, bundle, camera):

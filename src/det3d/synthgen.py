@@ -94,8 +94,6 @@ class SceneKind(str, Enum):
 
 
 def _steps(lo, hi, n):
-    if n < 2:
-        return (float(lo),)
     return tuple(lo + i * (hi - lo) / (n - 1) for i in range(n))
 
 
@@ -336,8 +334,6 @@ def generate_scene(
         taken[: len(placed)] = True
         k = 0  # the chunk's next hull
         for box in chunk:
-            if len(objects) == n_objects:
-                break
             if attempts >= max_attempts:
                 raise GenerationError(
                     f"could not place object {len(objects)} after {max_attempts} attempts "

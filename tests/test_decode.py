@@ -8,6 +8,7 @@ import pytest
 from det3d.core import (
     BUNDLE_MAPS,
     CameraIntrinsics,
+    ClassTaxonomy,
     ConfigurationError,
     Det3DError,
     DomainError,
@@ -20,7 +21,7 @@ from det3d.core import (
     SuperCategory,
     take_frames,
 )
-from det3d import decode
+from det3d import decode, synthgen
 from det3d.decode import (
     CornerPairs,
     GroupingConfig,
@@ -798,6 +799,13 @@ class TestDecodeEntryChecks:
             decode_frames([empty_bundle()] * 2, [None])
 
 
+def ground_frames(count):
+    """(bundle, camera) of the first camera-sweep ground frames at seed 0."""
+    points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.GROUND, seed=0))
+    samples = [generate_scene(point, 0) for point in points[:count]]
+    return [(render_ideal_maps(sample), sample.camera) for sample in samples]
+
+
 def frame_outcome(result):
     if isinstance(result, Det3DError):
         return type(result), str(result)
@@ -841,6 +849,61 @@ class TestDecodeFrames:
             assert failed == ([False, False, True, False, False, False, False] if peak_cfg.score_threshold
                               else [True, True, True, True, False, False, True])
         assert decode_frames([], []) == []
+
+    def test_no_frame_is_decoded_twice(self, monkeypatch):
+        """Each group of frames whose maps share their shapes is decoded
+        once, whether a frame's lift fails or not: the `frames()` mix is
+        three groups, with one failing lift at threshold 0.3 and five at 0,
+        and 44 ground frames, each failing its lift at threshold 0, are
+        one."""
+        calls = []
+        extract_peaks = decode.extract_peaks
+
+        def counting(*args):
+            calls.append(args[2])
+            return extract_peaks(*args)
+
+        monkeypatch.setattr(decode, "extract_peaks", counting)
+        mix = self.frames()
+        for frames, threshold, n_calls in ((mix, 0.3, 9), (mix, 0.0, 9), (ground_frames(44), 0.0, 3)):
+            peak_cfg = PeakExtractionConfig(score_threshold=threshold)
+            calls.clear()
+            outcomes = [frame_outcome(result) for result in decode_frames(*zip(*frames), peak_cfg)]
+            assert len(calls) == n_calls
+            assert outcomes == [decoded_alone(bundle, camera, peak_cfg) for bundle, camera in frames]
+        assert all(isinstance(outcome, tuple) for outcome in outcomes)
+
+    def test_taxonomy_mismatch_is_its_frame_outcome(self):
+        """A frame whose heatmap channels do not match the taxonomy's
+        classes gets that error as its outcome, and the frames around it
+        decode as they do alone."""
+        frames = ground_frames(2)
+        frames.insert(1, (empty_bundle(), None))
+        taxonomy = ClassTaxonomy.default()
+        results = decode_frames(*zip(*frames), taxonomy=taxonomy)
+        outcomes = [frame_outcome(result) for result in results]
+        assert outcomes[1] == (
+            ConfigurationError, "bundle has 1 heatmap channels but the taxonomy declares 2 classes"
+        )
+        alone = [decoded_alone(bundle, camera, None, None, 1, taxonomy) for bundle, camera in frames]
+        assert outcomes == alone
+        assert outcomes[0] and outcomes[2]
+
+    def test_frames_whose_heads_differ_in_bins(self, monkeypatch):
+        """A frame rendered with 2 orientation bins (18 aux_orientation
+        channels) shares its heatmap shape with 4-bin frames but not its
+        head shape, so its group is its own."""
+        monkeypatch.setattr(synthgen, "ORIENTATION_BINS", 2)
+        two_bins = ground_frames(2)[1]
+        monkeypatch.undo()
+        frames = ground_frames(3)
+        frames.insert(1, two_bins)
+        bundles, cameras = zip(*frames)
+        assert [bundle.aux_orientation.channels for bundle in bundles] == [36, 18, 36, 36]
+        assert len({bundle.heatmaps[CENTER].shape for bundle in bundles}) == 1
+        outcomes = [frame_outcome(result) for result in decode_frames(bundles, cameras)]
+        assert outcomes == [decoded_alone(bundle, camera) for bundle, camera in frames]
+        assert all(isinstance(outcome, list) and outcome for outcome in outcomes)
 
     def test_one_call_of_each_stage_per_batch(self, monkeypatch):
         """Frames of one map shape go through each stage once, and each

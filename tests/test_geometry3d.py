@@ -16,6 +16,7 @@ from det3d.core import (
     Box2D,
     Box3D,
     CameraIntrinsics,
+    ConfigurationError,
     DegenerateProjectionError,
     Det3DError,
     DomainError,
@@ -26,7 +27,7 @@ from det3d.core import (
     normalize_angle,
 )
 from det3d import geometry3d
-from det3d.decode import decode_frame
+from det3d.decode import decode_frame, decode_frames
 from det3d.geometry3d import (
     MultiBinOutput,
     back_project_point,
@@ -405,6 +406,14 @@ class TestLiftMatchesOracle:
         no_heads = replace(bundle, aux_depth=None, aux_dims=None, aux_orientation=None)
         assert lift_detections([], no_heads, camera) == []
 
+    def test_detections_of_a_bundle_without_heads(self, ground_frame):
+        detections, bundle, camera = ground_frame
+        no_heads = replace(bundle, aux_depth=None, aux_dims=None, aux_orientation=None)
+        with pytest.raises(ConfigurationError, match="^bundle carries no 3D head maps$"):
+            lift_detections(detections, no_heads, camera)
+        with pytest.raises(ConfigurationError, match="^bundle carries no 3D head maps$"):
+            lift_detection(detections[0], no_heads, camera)
+
 
 class TestLiftErrorParity:
     """lift_detections raises what lifting one detection at a time raises first."""
@@ -469,6 +478,23 @@ class TestLiftErrorParity:
             with pytest.raises(RangeError):
                 lift_detections(detections, broken, camera)
             del broken
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_failed_frame_outcome_leaves_no_reference_cycle(self, ground_frame):
+        """`decode_frames` keeps a failed frame's error as its outcome. The
+        error holds no frame of the decode, its context's traceback
+        included, so dropping the outcomes frees the bundle with the cycle
+        collector off."""
+        detections, bundle, camera = ground_frame
+        broken = with_heads(bundle, detections, depth=[1000.0, None, None, None], dims=[None] * 4)
+        alive = weakref.ref(broken)
+        gc.disable()
+        try:
+            outcomes = decode_frames([bundle, broken, bundle], [camera] * 3)
+            assert [type(outcome) for outcome in outcomes] == [list, RangeError, list]
+            del broken, outcomes
             assert alive() is None
         finally:
             gc.enable()
