@@ -323,6 +323,10 @@ class FeatureMap:
         role = MapRole(role)
         if role is MapRole.HEATMAP and (lo < 0.0 or hi > 1.0):
             raise DomainError(f"heatmap values must lie in [0, 1], got range [{lo:g}, {hi:g}]")
+        self._store(data, shape, cells, role)
+
+    def _store(self, data, shape, cells, role):
+        """Freeze checked values (and cells, for cell storage) as this map's."""
         data.setflags(write=False)
         self._role = role
         self._shape = tuple(shape)
@@ -370,6 +374,15 @@ class FeatureMap:
             raise BoundsError(f"cell index {int(bad)} out of range [0, {height * width})")
         fmap = cls.__new__(cls)
         fmap._init(table, (height, width, table.shape[1]), cells, role)
+        return fmap
+
+    @classmethod
+    def _from_checked_cells(cls, cells, values, height, width, role):
+        """A cell-stored map of intp `cells` and a C-ordered float32 (n, C)
+        `values` table that the caller has checked as `from_cells` would,
+        stored as given, without a copy."""
+        fmap = cls.__new__(cls)
+        fmap._store(values, (height, width, values.shape[1]), cells, role)
         return fmap
 
     def noised(self, key, sigma):
@@ -780,6 +793,18 @@ _KIND_NAMES = {
 }
 
 
+def _bundle_fields(maps):
+    """{MapBundle field: value} of the maps of a bundle in `BUNDLE_MAPS`
+    order; a 3D head that `maps` ends before is None."""
+    fields = {entry.field: None if entry.kind is None else {} for entry in BUNDLE_MAPS}
+    for entry, fmap in zip(BUNDLE_MAPS, maps):
+        if entry.kind is None:
+            fields[entry.field] = fmap
+        else:
+            fields[entry.field][entry.kind] = fmap
+    return fields
+
+
 @dataclass(frozen=True)
 class MapBundle:
     """The per-frame tensor set an ideal network would emit, the maps of
@@ -829,13 +854,17 @@ class MapBundle:
         maps = tuple(maps)
         if len(maps) > len(BUNDLE_MAPS):
             raise ConfigurationError(f"{len(maps)} maps, a bundle has {len(BUNDLE_MAPS)} at most")
-        fields = {entry.field: {} for entry in BUNDLE_MAPS if entry.kind is not None}
-        for entry, fmap in zip(BUNDLE_MAPS, maps):
-            if entry.kind is None:
-                fields[entry.field] = fmap
-            else:
-                fields[entry.field][entry.kind] = fmap
-        return cls(**fields)
+        return cls(**_bundle_fields(maps))
+
+    @classmethod
+    def _from_checked_maps(cls, maps):
+        """The bundle whose `maps()` are `maps`, 8 or 11 maps that the
+        caller has checked against their `BUNDLE_MAPS` entries as
+        `__post_init__` would, built without checking them again."""
+        bundle = cls.__new__(cls)
+        for field, value in _bundle_fields(maps).items():
+            object.__setattr__(bundle, field, value)
+        return bundle
 
     def maps(self):
         """The bundle's 8 maps, or 11 with the 3D heads, in `BUNDLE_MAPS`

@@ -28,7 +28,11 @@ A frame bundle is one file, `<frame directory>/bundle.fmap`: the records
 of its maps with nothing between them, in the order of `core.BUNDLE_MAPS`:
 the 8 maps every bundle has, then all three 3D heads or none. A record's
 length comes from its own header (H*W*C values for version 1, the cell
-count for version 2), so the file needs no index.
+count for version 2), so the file needs no index. `load_bundle` checks a
+file in one pass: its headers record by record, then the cell tables of
+all its records together. A malformed file is parsed again record by
+record, so its error is unchanged: that of its first fault in file
+order, as a record-by-record parse meets it.
 """
 
 import os
@@ -218,29 +222,26 @@ def save_bundle(directory, bundle):
     )
 
 
-def load_bundle(directory):
-    """Load a bundle saved by :func:`save_bundle`, reading its file once.
+def _named(path, entry, exc):
+    """ParseError `exc` of a record of the bundle file at `path`, named by
+    the file and the record's `core.BUNDLE_MAPS` entry."""
+    error = ParseError(f"{path}: {entry.name}: {exc}")
+    error.offset = exc.offset
+    return error
 
-    Each record is checked against its `core.BUNDLE_MAPS` entry as it is
-    read: its height and width against the first record's, its channel
-    count and its role. A missing file raises ParseError naming it. A
-    malformed record, a record that does not fit its entry, a file that
-    ends after 9 or 10 records, and bytes after the last record raise
-    ParseError naming the file, the map and a byte offset into the file.
-    """
-    path = os.path.join(os.fspath(directory), _BUNDLE_FILE)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise ParseError(f"missing tensor dump {path!r}") from None
-    view = memoryview(blob)
-    maps = []
+
+def _records(path, view):
+    """Yield (entry, start, header) of each record of the bundle file
+    `view`, in file order, once its header is checked and fits its
+    `core.BUNDLE_MAPS` entry: its height and width those of the first
+    record, its channel count and its role those of the entry. A fault
+    raises ParseError naming the file, the map and a byte offset, and so
+    do bytes after the last record."""
     start, first = 0, None
     for index, entry in enumerate(BUNDLE_MAPS):
         # A bundle without 3D heads (the maps of no keypoint kind) ends
         # where the first of them would start.
-        if start == len(blob) and entry.kind is None and BUNDLE_MAPS[index - 1].kind is not None:
+        if start == len(view) and entry.kind is None and BUNDLE_MAPS[index - 1].kind is not None:
             break
         try:
             header = _header(view, start)
@@ -249,14 +250,106 @@ def load_bundle(directory):
             if misfit is not None:
                 field, reason = misfit
                 raise ParseError(reason, offset=start + _OFF[field])
+        except ParseError as exc:
+            raise _named(path, entry, exc) from exc
+        yield entry, start, header
+        start = header.end
+    if start != len(view):
+        raise ParseError(
+            f"{path}: {entry.name}: {len(view) - start} bytes after the last record", offset=start
+        )
+
+
+def _parse_bundle(path, view):
+    """The bundle of the file `view`, parsed record by record: a record's
+    table or payload is checked before the next record's header, so a
+    malformed file raises the ParseError of its first fault in file
+    order."""
+    maps = []
+    for entry, start, header in _records(path, view):
+        try:
             maps.append(_parse_record(view[: header.end], start, header))
         except ParseError as exc:
-            error = ParseError(f"{path}: {entry.name}: {exc}")
-            error.offset = exc.offset
-            raise error from exc
-        start = header.end
-    if start != len(blob):
-        raise ParseError(
-            f"{path}: {entry.name}: {len(blob) - start} bytes after the last record", offset=start
-        )
+            raise _named(path, entry, exc) from exc
     return MapBundle.from_maps(maps)
+
+
+def _checked_bundle(view, records):
+    """The bundle of the file `view`, whose `_records` all passed, or None
+    if a record's cell table or payload is malformed.
+
+    The cell tables of all version-2 records are checked at once, on
+    their cells and values joined in file order: every cell inside the
+    map, cells strictly increasing within each record, every value
+    finite, and every heatmap value in [0, 1]. The maps keep views of the
+    joined arrays, so no table is copied twice."""
+    tables = [(start + _CELLS_OFFSET, h) for _, start, h in records if h.count is not None]
+    if tables:
+        # `_records` passed, so every table lies inside the file.
+        cells = np.concatenate(
+            [np.frombuffer(view, "<u4", h.count, body) for body, h in tables], dtype=np.intp
+        )
+        values = np.concatenate(
+            [np.frombuffer(view, "<f4", h.count * h.channels, body + 4 * h.count) for body, h in tables],
+            dtype=np.float32,
+        )
+        # Cell c (< 2**32) of the k-th table has key k * 2**32 + c: the keys
+        # increase iff the cells of each table do.
+        tags = np.arange(len(tables), dtype=np.int64) << 32
+        keys = cells + np.repeat(tags, [h.count for _, h in tables])
+        # The heatmaps are the file's first records, so their values lead.
+        heat = values[: sum(h.count * h.channels for _, h in tables if h.role is MapRole.HEATMAP)]
+        first = records[0][2]
+        if not (
+            int(cells.max(initial=0)) < first.height * first.width
+            and (keys[1:] > keys[:-1]).all()
+            and np.isfinite(values).all()
+            and ((heat >= 0.0) & (heat <= 1.0)).all()
+        ):
+            return None
+    maps, cell_at, value_at = [], 0, 0
+    for _, start, (height, width, channels, role, count, _) in records:
+        if count is None:
+            payload = np.frombuffer(view, "<f4", height * width * channels, start + _PAYLOAD_OFFSET)
+            try:
+                maps.append(FeatureMap(payload.reshape(height, width, channels), role=role))
+            except Det3DError:
+                return None
+            continue
+        table = values[value_at : value_at + count * channels].reshape(count, channels)
+        table_cells = cells[cell_at : cell_at + count]
+        maps.append(FeatureMap._from_checked_cells(table_cells, table, height, width, role))
+        cell_at, value_at = cell_at + count, value_at + count * channels
+    return MapBundle._from_checked_maps(maps)
+
+
+def load_bundle(directory):
+    """Load a bundle saved by :func:`save_bundle`, reading its file once.
+
+    Every record header is checked against its `core.BUNDLE_MAPS` entry:
+    its height and width against the first record's, its channel count
+    and its role. Then the cell tables of all records are checked
+    together, in one pass over the file's joined cells and values. A
+    missing or unreadable file raises ParseError naming it. A malformed
+    record, a record that does not fit its entry, a file that ends after
+    9 or 10 records, and bytes after the last record raise ParseError
+    naming the file, the map and a byte offset into the file: the error
+    of the first fault in file order, as a record-by-record parse meets
+    it.
+    """
+    path = os.path.join(os.fspath(directory), _BUNDLE_FILE)
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise ParseError(f"missing tensor dump {path!r}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read tensor dump {path!r}: {exc.strerror or exc}") from None
+    view = memoryview(blob)
+    try:
+        bundle = _checked_bundle(view, list(_records(path, view)))
+    except ParseError:  # a header fault, which a table fault before it wins over
+        bundle = None
+    # A malformed file is parsed again record by record, which raises
+    # the error of its first fault.
+    return _parse_bundle(path, view) if bundle is None else bundle

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from det3d import fmap
 from det3d.core import (
     ALL_KINDS,
     BoundsError,
@@ -22,7 +23,7 @@ from det3d.core import (
     take_frames,
 )
 from det3d.decode import decode_frame
-from det3d.fmap import dump_fmap, parse_fmap
+from det3d.fmap import dump_fmap, load_bundle, parse_fmap, save_bundle
 from det3d.geometry3d import lift_detections
 from det3d.synthgen import (
     Category,
@@ -286,6 +287,39 @@ class TestFmapVersion2:
         assert info.value.offset == offset
         assert fragment in str(info.value)
         assert str(info.value).endswith(f"(at byte offset {offset})")
+
+
+class TestLoadBundleInOnePass:
+    """A well-formed bundle file loads from one check of all its records,
+    without the record-by-record parse that locates a fault."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda sample: render_ideal_maps(sample),
+            lambda sample: render_ideal_maps(sample, include_aux=False),
+            lambda sample: corrupt_maps(render_ideal_maps(sample), 0.1, rng_seed=3),
+        ],
+        ids=["cells", "cells_without_heads", "corrupted"],
+    )
+    def test_loads_without_the_record_parse(self, tmp_path, monkeypatch, make):
+        bundle = make(scene(SuperCategory.GROUND, 1, 3))
+        save_bundle(tmp_path, bundle)
+
+        def record_parse(path, view):
+            raise AssertionError(f"{path} was parsed record by record")
+
+        monkeypatch.setattr(fmap, "_parse_bundle", record_parse)
+        loaded = load_bundle(tmp_path)
+        assert loaded == bundle
+        # Each map keeps its storage: cells from version 2, dense from 1.
+        stored = [m.cell_table is not None for m in loaded.maps()]
+        assert stored == [m.cell_table is not None for m in bundle.maps()]
+
+    def test_corrupted_bundle_has_both_versions(self):
+        bundle = corrupt_maps(render_ideal_maps(scene(SuperCategory.GROUND, 1, 3)), 0.1, rng_seed=3)
+        # `dump_fmap` writes a map as version 2 iff it is cell-stored.
+        assert {m.cell_table is None for m in bundle.maps()} == {True, False}
 
 
 class TestLiftOnCells:

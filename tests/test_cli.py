@@ -418,6 +418,35 @@ class TestDecode:
         assert capsys.readouterr().err.startswith("error: frame 000001: box dims must be positive")
         assert loads == ["000000", "000001", "000002"]
 
+    def test_unreadable_bundle_file_names_its_frame(self, tmp_path, monkeypatch, capsys):
+        """A bundle.fmap that cannot be read, here a directory, exits 3
+        naming its frame and the file, and an earlier frame's decode error
+        still wins over it."""
+        four = tmp_path / "four"
+        assert main(["synth", "--category", "sensor", "--super", "air", "--seed", "7",
+                     "--repeats", "2", "--out", str(four)]) == 0
+        unreadable = four / "frames" / "000002" / "bundle.fmap"
+        unreadable.unlink()
+        unreadable.mkdir()
+        message = f"cannot read tensor dump {str(unreadable)!r}: Is a directory"
+        out = tmp_path / "x.json"
+        assert main(["decode", "--dataset", str(four), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: frame 000002: {message}\n"
+        assert main(["decode", "--bundle", str(unreadable.parent), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        zero_stored_dims(four / "frames" / "000001")
+        loads = []
+
+        def counting_load(directory):
+            loads.append(os.path.basename(directory))
+            return load_bundle(directory)
+
+        monkeypatch.setattr(cli, "load_bundle", counting_load)
+        assert main(["decode", "--dataset", str(four), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: frame 000001: box dims must be positive")
+        assert loads == ["000000", "000001", "000002"]
+        assert not out.exists()
+
     def test_batch_budget_leaves_the_output_unchanged(self, tmp_path, monkeypatch):
         """Batches of one frame, of two frames, and the whole dataset as
         one batch write the same bytes."""

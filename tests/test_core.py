@@ -4,12 +4,14 @@ import dataclasses
 import itertools
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from det3d.core import (
     ALL_KINDS,
+    BUNDLE_MAPS,
     CORNER_KINDS,
     BoundsError,
     Box2D,
@@ -429,3 +431,220 @@ class TestFmapFormat:
         blob[21:25] = np.array([2.0], dtype="<f4").tobytes()
         with pytest.raises(ParseError, match="invalid payload"):
             parse_fmap(bytes(blob))
+
+
+# A 4x5 bundle with 2 classes and one orientation bin, every map cell-stored
+# (version 2). Its records' fields sit at fixed byte offsets: the cell count
+# at 21 and the cells from 25, then the values (a heatmap's at 37, an
+# embedding's at 33, an offset map's at 37, a 3D head's at 29).
+def golden_records():
+    """{map name: bytearray of its record} of the golden bundle, in file order."""
+    def cell_map(cells, channels, role, scale):
+        values = (np.arange(len(cells) * channels, dtype=np.float32).reshape(-1, channels) + 1) * scale
+        return FeatureMap.from_cells(cells, values, 4, 5, role=role)
+
+    maps = {}
+    for entry in BUNDLE_MAPS:
+        if entry.role is MapRole.HEATMAP:
+            maps[entry.name] = cell_map([0, 7, 19], 2, entry.role, 1 / 8)
+        elif entry.role is MapRole.EMBEDDING:
+            maps[entry.name] = cell_map([3, 4], 1, entry.role, -1.5)
+        elif entry.role is MapRole.OFFSET:
+            maps[entry.name] = cell_map([1, 2, 18], 2, entry.role, 0.25)
+        else:
+            maps[entry.name] = cell_map([7], entry.channels, entry.role, 0.5)
+    return {name: bytearray(dump_fmap(fm)) for name, fm in maps.items()}
+
+
+def put(records, name, at, fmt, value):
+    """Pack value (a struct format) at byte `at` of the record `name`."""
+    struct.pack_into("<" + fmt, records[name], at, value)
+
+
+def dense(records, name):
+    """Rewrite the record `name` as a dense (version 1) record of its map."""
+    fm = parse_fmap(bytes(records[name]))
+    records[name] = bytearray(dump_fmap(FeatureMap(fm.data, role=fm.role)))
+
+
+def cut(records, name, end):
+    """Keep the record `name` up to byte `end`."""
+    records[name] = records[name][:end]
+
+
+def drop(records, *names):
+    for name in names:
+        del records[name]
+
+
+# (edit of the golden records, load_bundle's message after "<path>: ", its
+# byte offset). One case per fault, then files with two faults, where the
+# fault in the earlier record (or at the earlier offset) wins.
+GOLDEN_ERRORS = {
+    "bad magic": (
+        lambda r: put(r, "embedding_br", 0, "4s", b"FMAX"),
+        "embedding_br: bad magic b'FMAX', expected b'FMAP' (at byte offset 224)", 224),
+    "bad version": (
+        lambda r: put(r, "offset_tl", 4, "I", 3),
+        "offset_tl: unsupported version 3 (at byte offset 269)", 269),
+    "zero height": (
+        lambda r: put(r, "aux_depth", 8, "I", 0),
+        "aux_depth: height must be >= 1, got 0 (at byte offset 456)", 456),
+    "zero width": (
+        lambda r: put(r, "heatmap_tl", 12, "I", 0),
+        "heatmap_tl: width must be >= 1, got 0 (at byte offset 12)", 12),
+    "zero channels": (
+        lambda r: put(r, "offset_br", 16, "I", 0),
+        "offset_br: channels must be >= 1, got 0 (at byte offset 342)", 342),
+    "unknown role": (
+        lambda r: put(r, "offset_center", 20, "B", 7),
+        "offset_center: unknown role tag 7 (at byte offset 407)", 407),
+    "truncated header": (
+        lambda r: cut(r, "aux_orientation", 10),
+        "aux_orientation: truncated header: need 21 bytes, got 10 (at byte offset 532)", 532),
+    "truncated count": (
+        lambda r: cut(r, "aux_orientation", 23),
+        "aux_orientation: truncated cell count: need 4 bytes, got 2 (at byte offset 543)", 543),
+    "count over cells": (
+        lambda r: put(r, "heatmap_center", 21, "I", 21),
+        "heatmap_center: cell count 21 exceeds the 20 cells of a 4x5 map (at byte offset 143)", 143),
+    "cell out of range": (
+        lambda r: put(r, "embedding_tl", 29, "I", 20),
+        "embedding_tl: cell index 20 out of range [0, 20) (at byte offset 212)", 212),
+    "cells not increasing": (
+        lambda r: put(r, "offset_br", 29, "I", 1),
+        "offset_br: cell indices must be strictly increasing, got 1 then 1 (at byte offset 355)", 355),
+    "cells repeated": (
+        lambda r: put(r, "heatmap_br", 33, "I", 7),
+        "heatmap_br: cell indices must be strictly increasing, got 7 then 7 (at byte offset 94)", 94),
+    "nan value": (
+        lambda r: put(r, "aux_dims", 33, "f", float("nan")),
+        "aux_dims: non-finite value nan (at byte offset 514)", 514),
+    "infinite value": (
+        lambda r: put(r, "embedding_br", 37, "f", float("-inf")),
+        "embedding_br: non-finite value -inf (at byte offset 261)", 261),
+    "heatmap above one": (
+        lambda r: put(r, "heatmap_br", 49, "f", 1.5),
+        "heatmap_br: heatmap value 1.5 outside [0, 1] (at byte offset 110)", 110),
+    "heatmap below zero": (
+        lambda r: put(r, "heatmap_tl", 37, "f", -0.25),
+        "heatmap_tl: heatmap value -0.25 outside [0, 1] (at byte offset 37)", 37),
+    "cell table size": (
+        lambda r: cut(r, "aux_orientation", -3),
+        "aux_orientation: cell table holds 37 bytes, expected 40 for 1 cells of 9 channels "
+        "(at byte offset 547)", 547),
+    "dense payload size": (
+        lambda r: (dense(r, "aux_orientation"), cut(r, "aux_orientation", -6)),
+        "aux_orientation: payload holds 714 bytes, expected 720 for a 4x5x9 map (at byte offset 543)",
+        543),
+    "dense non-finite value": (
+        lambda r: (dense(r, "offset_center"), put(r, "offset_center", 29, "f", float("nan"))),
+        "offset_center: invalid payload: feature map values must be finite (at byte offset 408)", 408),
+    "dense heatmap above one": (
+        lambda r: (dense(r, "heatmap_center"), put(r, "heatmap_center", 25, "f", 2.0)),
+        "heatmap_center: invalid payload: heatmap values must lie in [0, 1], got range [0, 2] "
+        "(at byte offset 143)", 143),
+    "misfit height": (
+        lambda r: put(r, "heatmap_center", 8, "I", 5),
+        "heatmap_center: height 5, expected 4 (at byte offset 130)", 130),
+    "misfit width": (
+        lambda r: put(r, "embedding_tl", 12, "I", 6),
+        "embedding_tl: width 6, expected 5 (at byte offset 195)", 195),
+    "misfit channels": (
+        lambda r: put(r, "offset_br", 16, "I", 3),
+        "offset_br: 3 channels, expected 2 (at byte offset 342)", 342),
+    "misfit heatmap channels": (
+        lambda r: put(r, "heatmap_br", 16, "I", 3),
+        "heatmap_br: 3 channels, expected 2 (at byte offset 77)", 77),
+    "misfit bins": (
+        lambda r: put(r, "aux_orientation", 16, "I", 10),
+        "aux_orientation: 10 channels, expected 9N (3 angles x N bins x 3 values) "
+        "(at byte offset 538)", 538),
+    "misfit role": (
+        lambda r: put(r, "embedding_br", 20, "B", int(MapRole.HEATMAP)),
+        "embedding_br: role HEATMAP, expected EMBEDDING (at byte offset 244)", 244),
+    "seven records": (
+        lambda r: drop(r, "offset_center", "aux_depth", "aux_dims", "aux_orientation"),
+        "offset_center: truncated header: need 21 bytes, got 0 (at byte offset 387)", 387),
+    "nine records": (
+        lambda r: drop(r, "aux_dims", "aux_orientation"),
+        "aux_dims: truncated header: need 21 bytes, got 0 (at byte offset 481)", 481),
+    "ten records": (
+        lambda r: drop(r, "aux_orientation"),
+        "aux_orientation: truncated header: need 21 bytes, got 0 (at byte offset 522)", 522),
+    "trailing bytes": (
+        lambda r: r["aux_orientation"].extend(bytes(5)),
+        "aux_orientation: 5 bytes after the last record (at byte offset 587)", 587),
+    "trailing bytes without heads": (
+        lambda r: (drop(r, "aux_depth", "aux_dims", "aux_orientation"),
+                   r["offset_center"].extend(b"FM")),
+        "aux_depth: truncated header: need 21 bytes, got 2 (at byte offset 450)", 450),
+    "empty file": (
+        lambda r: r.clear(),
+        "heatmap_tl: truncated header: need 21 bytes, got 0 (at byte offset 0)", 0),
+    "table fault, then header fault": (
+        lambda r: (put(r, "heatmap_center", 37, "f", 1.5), put(r, "offset_br", 0, "4s", b"XMAP")),
+        "heatmap_center: heatmap value 1.5 outside [0, 1] (at byte offset 159)", 159),
+    "header fault, then table fault": (
+        lambda r: (put(r, "heatmap_br", 4, "I", 9), put(r, "offset_tl", 29, "I", 99)),
+        "heatmap_br: unsupported version 9 (at byte offset 65)", 65),
+    "table fault, then misfit": (
+        lambda r: (put(r, "embedding_tl", 25, "I", 4), put(r, "aux_dims", 16, "I", 4)),
+        "embedding_tl: cell indices must be strictly increasing, got 4 then 4 (at byte offset 212)",
+        212),
+    "misfit, then table fault": (
+        lambda r: (put(r, "heatmap_br", 12, "I", 4), put(r, "heatmap_center", 37, "f", float("nan"))),
+        "heatmap_br: width 4, expected 5 (at byte offset 73)", 73),
+    "two table faults": (
+        lambda r: (put(r, "offset_center", 37, "f", float("inf")), put(r, "embedding_br", 29, "I", 30)),
+        "embedding_br: cell index 30 out of range [0, 20) (at byte offset 253)", 253),
+    "dense fault, then table fault": (
+        lambda r: (dense(r, "heatmap_br"), put(r, "heatmap_br", 21, "f", -1.0),
+                   put(r, "heatmap_center", 25, "I", 20)),
+        "heatmap_br: invalid payload: heatmap values must lie in [0, 1], got range [-1, 0.75] "
+        "(at byte offset 82)", 82),
+    "table fault, then trailing bytes": (
+        lambda r: (put(r, "aux_depth", 29, "f", float("nan")), r["aux_orientation"].extend(bytes(3))),
+        "aux_depth: non-finite value nan (at byte offset 477)", 477),
+    "table fault, then a cut": (
+        lambda r: (put(r, "offset_tl", 25, "I", 2), cut(r, "aux_dims", 30)),
+        "offset_tl: cell indices must be strictly increasing, got 2 then 2 (at byte offset 294)", 294),
+    "two faults in one table": (
+        lambda r: (put(r, "offset_br", 37, "f", float("nan")), put(r, "offset_br", 33, "I", 25)),
+        "offset_br: cell index 25 out of range [0, 20) (at byte offset 359)", 359),
+}
+
+
+class TestLoadBundleErrors:
+    """Each malformed bundle file raises one exact ParseError: its message
+    and byte offset name the first fault in file order."""
+
+    def test_golden_bundle_loads(self, tmp_path):
+        (tmp_path / "bundle.fmap").write_bytes(b"".join(golden_records().values()))
+        bundle = load_bundle(tmp_path)
+        assert [fm.cell_table is not None for fm in bundle.maps()] == [True] * 11
+
+    @pytest.mark.parametrize("case", GOLDEN_ERRORS)
+    def test_message_and_offset(self, tmp_path, case):
+        edit, message, offset = GOLDEN_ERRORS[case]
+        records = golden_records()
+        edit(records)
+        path = tmp_path / "bundle.fmap"
+        path.write_bytes(b"".join(records.values()))
+        with pytest.raises(ParseError) as info:
+            load_bundle(tmp_path)
+        assert str(info.value) == f"{path}: {message}"
+        assert info.value.offset == offset
+
+    def test_unreadable_file_is_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "bundle.fmap"
+        path.mkdir()
+        with pytest.raises(ParseError) as info:
+            load_bundle(tmp_path)
+        assert str(info.value) == f"cannot read tensor dump {str(path)!r}: Is a directory"
+        assert info.value.offset is None
+
+    def test_missing_file_message(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            load_bundle(tmp_path)
+        assert str(info.value) == f"missing tensor dump {str(tmp_path / 'bundle.fmap')!r}"

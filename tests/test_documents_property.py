@@ -15,6 +15,7 @@ import pathlib
 import shutil
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from det3d import fmap
 from det3d.cli import main
 from det3d.core import (
     ALL_KINDS,
@@ -218,6 +220,38 @@ def test_load_bundle_raises_only_parse_error(bundle, data):
         except ParseError:
             return
         assert isinstance(loaded, MapBundle)
+
+
+def _outcome(load):
+    """The bundle `load()` returns, or the (message, offset) of its ParseError."""
+    try:
+        return load()
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=bundles(), data=st.data())
+def test_load_bundle_equals_the_record_by_record_parse(bundle, data):
+    """After a byte flip, a cut or bytes appended, `load_bundle` returns
+    what parsing the file record by record returns, the same bundle or
+    the same error, and parses record by record only a malformed file."""
+    with tempfile.TemporaryDirectory() as directory:
+        save_bundle(directory, bundle)
+        path = os.path.join(directory, "bundle.fmap")
+        blob = bytearray(pathlib.Path(path).read_bytes())
+        edit = data.draw(st.sampled_from(["none", "flip", "cut", "append"]))
+        if edit == "flip":
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        elif edit == "cut":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif edit == "append":
+            blob += data.draw(st.binary(min_size=1, max_size=64))
+        pathlib.Path(path).write_bytes(bytes(blob))
+        expected = _outcome(lambda: fmap._parse_bundle(path, memoryview(bytes(blob))))
+        with mock.patch.object(fmap, "_parse_bundle", wraps=fmap._parse_bundle) as record_parse:
+            assert _outcome(lambda: load_bundle(directory)) == expected
+        assert record_parse.called == (not isinstance(expected, MapBundle))
 
 
 _coord = st.floats(-1e4, 1e4)
