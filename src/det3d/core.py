@@ -338,17 +338,6 @@ class FeatureMap:
             self._data, self._cells, self._values = None, cells, data
 
     @classmethod
-    def from_flat(cls, values, height, width, channels, role=MapRole.GENERIC):
-        """Build a map from a row-major flat value sequence."""
-        arr = np.asarray(values, dtype=np.float32)
-        if arr.ndim != 1 or arr.size != height * width * channels:
-            raise ShapeError(
-                f"expected {height * width * channels} flat values for a "
-                f"{height}x{width}x{channels} map, got {arr.size}"
-            )
-        return cls(arr.reshape(height, width, channels), role=role)
-
-    @classmethod
     def from_cells(cls, cells, values, height, width, role=MapRole.GENERIC):
         """Build a cell-stored map: `values[k]` at flat cell `cells[k]`
         (row * width + col), exactly 0.0 everywhere else.

@@ -8,14 +8,15 @@ so a stage's fixed cost is paid once per map shape; `decode_frame` and
 `decode_frame_3d` run the same stages on a batch of one. Every step is
 deterministic: all orderings use total sort keys (frame, then score
 descending, then row, then col). Keypoints travel between the stages as
-columns (`Keypoints`, `CornerPairs`) that carry each keypoint's frame, and
-no stage compares keypoints of two frames; `Keypoint` objects are built
-only for the detections returned.
+column tables (`Keypoints`, `CornerPairs`) that carry each keypoint's
+frame: each stage takes the table the stage before it returned, and no
+stage compares keypoints of two frames. `Keypoint` objects are built only
+for the detections returned.
 """
 
 import math
 import numbers
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,104 +77,50 @@ class PeakExtractionConfig:
 @dataclass(frozen=True)
 class GroupingConfig:
     theta: float = 0.5
-    geometric_gate: bool = True
 
     def __post_init__(self):
         check_number(self, "theta", numbers.Real, "a real number")
         if not (math.isfinite(self.theta) and self.theta > 0.0):
             raise DomainError(f"theta must be finite and positive, got {self.theta}")
-        if not isinstance(self.geometric_gate, bool):
-            raise DomainError(f"geometric_gate must be a bool, got {self.geometric_gate!r}")
 
 
-class _ItemSequence(Sequence):
-    """An immutable sequence whose items `at(indices)` builds, a list at a
-    time; it compares equal to a list of the same items."""
+class Keypoints:
+    """Keypoints of one `kind` held as columns, one entry per keypoint:
+    integer `frames` (the keypoint's frame within its batch), `class_ids`,
+    `rows` and `cols`, and float64 `scores` and `tags`. Keypoints run in
+    frame order, so each frame's are one run.
 
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.at(range(len(self))[index])
-        return self.at([range(len(self))[index]])[0]
-
-    def __iter__(self):
-        return iter(self.at(range(len(self))))
-
-    def __eq__(self, other):
-        if isinstance(other, (_ItemSequence, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class Keypoints(_ItemSequence):
-    """Keypoints held as columns, one entry per keypoint: `kinds` (a
-    tuple), integer `frames` (the keypoint's frame within its batch),
-    `class_ids`, `rows` and `cols`, and float64 `scores` and `tags`.
-    Keypoints run in frame order, so each frame's are one run.
-
-    The decode stages read and test the columns. Indexing and iteration
-    yield `Keypoint`s, each built on first access and then kept, so only
-    the keypoints a caller reads become objects. `Keypoints.of` takes
-    plain `Keypoint` lists too, all in frame 0, and keeps their objects as
-    the items.
+    Each decode stage takes the columns the stage before it returned and
+    reads and tests them as arrays; `at(indices)` builds `Keypoint`s for
+    the entries a caller reads.
     """
 
-    __slots__ = ("kinds", "frames", "class_ids", "rows", "cols", "scores", "tags", "_built")
+    __slots__ = ("kind", "frames", "class_ids", "rows", "cols", "scores", "tags")
 
-    def __init__(self, kinds, frames, class_ids, rows, cols, scores, tags, built=None):
-        self.kinds = kinds
+    def __init__(self, kind, frames, class_ids, rows, cols, scores, tags):
+        self.kind = kind
         self.frames = frames
         self.class_ids = class_ids
         self.rows = rows
         self.cols = cols
         self.scores = scores
         self.tags = tags
-        self._built = [None] * len(kinds) if built is None else built
-
-    @classmethod
-    def of(cls, keypoints):
-        """The keypoints as a Keypoints: itself, or the columns of a sequence of `Keypoint`s."""
-        if isinstance(keypoints, Keypoints):
-            return keypoints
-        items = list(keypoints)
-
-        def column(name, dtype):
-            return np.array([getattr(kp, name) for kp in items], dtype=dtype)
-
-        return cls(
-            tuple(kp.kind for kp in items),
-            np.zeros(len(items), dtype=np.intp),
-            column("class_id", np.int64),
-            column("row", np.intp),
-            column("col", np.intp),
-            column("score", np.float64),
-            column("tag", np.float64),
-            items,
-        )
 
     def __len__(self):
-        return len(self.kinds)
+        return self.frames.size
 
     def at(self, indices):
-        """The `Keypoint`s at the indices, as a list."""
-        built = self._built
-        indices = list(indices)
-        missing = [k for k in indices if built[k] is None]
-        if missing:
-            columns = (self.class_ids, self.rows, self.cols, self.scores, self.tags)
-            for k, *fields in zip(missing, *(column[missing].tolist() for column in columns)):
-                built[k] = Keypoint(self.kinds[k], *fields)
-        return [built[k] for k in indices]
+        """The `Keypoint`s at the indices, as a list, built from the columns."""
+        indices = np.asarray(indices, dtype=np.intp)
+        columns = (self.class_ids, self.rows, self.cols, self.scores, self.tags)
+        fields = zip(*(column[indices].tolist() for column in columns))
+        return [Keypoint(self.kind, *entry) for entry in fields]
 
 
-class CornerPairs(_ItemSequence):
-    """Grouped corners: keypoint `tl_index[p]` of `top_lefts` with keypoint
-    `br_index[p]` of `bottom_rights`, both of one frame. Items are
-    (top-left, bottom-right) `Keypoint` tuples."""
+class CornerPairs:
+    """Grouped corners as columns: keypoint `tl_index[p]` of `top_lefts`
+    with keypoint `br_index[p]` of `bottom_rights`, both of one frame.
+    `at(indices)` builds the pairs a caller reads."""
 
     __slots__ = ("top_lefts", "bottom_rights", "tl_index", "br_index")
 
@@ -183,28 +130,14 @@ class CornerPairs(_ItemSequence):
         self.tl_index = tl_index
         self.br_index = br_index
 
-    @classmethod
-    def of(cls, pairs):
-        """The pairs as CornerPairs: itself, or the columns of a sequence of `(Keypoint, Keypoint)`."""
-        if isinstance(pairs, CornerPairs):
-            return pairs
-        pairs = list(pairs)
-        index = np.arange(len(pairs))
-        return cls(
-            Keypoints.of([tl for tl, _ in pairs]), Keypoints.of([br for _, br in pairs]), index, index
-        )
-
     def __len__(self):
         return self.tl_index.size
 
     def at(self, indices):
         """The (top-left, bottom-right) `Keypoint` pairs at the indices, as a list."""
-        indices = list(indices)
+        indices = np.asarray(indices, dtype=np.intp)
         return list(
-            zip(
-                self.top_lefts.at(self.tl_index[indices].tolist()),
-                self.bottom_rights.at(self.br_index[indices].tolist()),
-            )
+            zip(self.top_lefts.at(self.tl_index[indices]), self.bottom_rights.at(self.br_index[indices]))
         )
 
 
@@ -416,7 +349,7 @@ def _ranked_keypoints(kind, width, n_channels, top_k, frames, cells, channels, s
     order = order[np.lexsort((channels[order], cells[order], -scores[order], frames[order]))]
     rows, cols = np.divmod(cells[order], width)
     return Keypoints(
-        (kind,) * order.size,
+        kind,
         frames[order],
         channels[order],
         rows,
@@ -427,29 +360,28 @@ def _ranked_keypoints(kind, width, n_channels, top_k, frames, cells, channels, s
 
 
 def attach_tags(keypoints, embedding):
-    """Return the keypoints tagged from a 1-channel embedding map, or from
-    a sequence of them, one per frame of the keypoints' batch."""
+    """Return the `Keypoints` tagged from a 1-channel embedding map, or
+    from a sequence of them, one per frame of the keypoints' batch."""
     maps = _batch(embedding)
     for fmap in maps:
         if fmap.channels != 1:
             raise ConfigurationError(f"embedding map must have 1 channel, got {fmap.channels}")
-    kps = Keypoints.of(keypoints)
-    tags = take_frames(maps, kps.frames, kps.rows, kps.cols)[:, 0].astype(np.float64)
-    return Keypoints(kps.kinds, kps.frames, kps.class_ids, kps.rows, kps.cols, kps.scores, tags)
+    frames, rows, cols = keypoints.frames, keypoints.rows, keypoints.cols
+    tags = take_frames(maps, frames, rows, cols)[:, 0].astype(np.float64)
+    return Keypoints(keypoints.kind, frames, keypoints.class_ids, rows, cols, keypoints.scores, tags)
 
 
-def group_corners(top_lefts, bottom_rights, cfg):
+def group_corners(tls, brs, cfg):
     """Greedy best-first corner pairing by ascending tag distance.
 
     A (top-left i, bottom-right j) candidate is admissible iff both are of
-    one frame and one class, |tag_i - tag_j| < theta, and, when the
-    geometric gate is on, tl.row <= br.row and tl.col <= br.col.
-    Candidates are visited in ascending (distance, i, j) order and a
-    candidate is taken iff neither of its corners was taken before.
-    Unmatched keypoints are dropped. Keypoints of two frames never meet,
-    so each frame is paired as it would be alone.
+    one frame and one class, |tag_i - tag_j| < theta, tl.row <= br.row
+    and tl.col <= br.col. Candidates are visited in ascending (distance,
+    i, j) order and a candidate is taken iff neither of its corners was
+    taken before. Unmatched keypoints are dropped. Keypoints of two frames
+    never meet, so each frame is paired as it would be alone. Takes two
+    `Keypoints` and returns `CornerPairs` into them.
     """
-    tls, brs = Keypoints.of(top_lefts), Keypoints.of(bottom_rights)
     # Candidates are tested in per-frame blocks, (frame, top-left slot,
     # bottom-right slot), so no temporary holds pairs of two frames.
     n_frames = 1 + max([int(kps.frames[-1]) for kps in (tls, brs) if len(kps)], default=0)
@@ -460,9 +392,8 @@ def group_corners(top_lefts, bottom_rights, cfg):
     # A padded slot's tag is NaN, so no distance to it is below theta.
     distance = np.abs(tl_tags - br_tags)
     admissible = (tl_classes == br_classes) & (distance < cfg.theta)
-    if cfg.geometric_gate:
-        admissible &= tl_rows <= br_rows
-        admissible &= tl_cols <= br_cols
+    admissible &= tl_rows <= br_rows
+    admissible &= tl_cols <= br_cols
     # flatnonzero is row-major and frames are sorted, so the candidates
     # run in (i, j) order, and a stable sort on distance alone breaks ties
     # by (i, j).
@@ -478,13 +409,11 @@ def group_corners(top_lefts, bottom_rights, cfg):
     return CornerPairs(tls, brs, *_greedy_walk(tl_idx, br_idx))
 
 
-def _refined(rows, cols, offsets, stride, frames=None):
+def _refined(rows, cols, offsets, stride, frames):
     """Image-pixel (x, y) arrays: ((col + o_x) * stride, (row + o_y) * stride),
     with o read from a 2-channel offset map, or from `offsets[frames[k]]`
     for a sequence of them, one per frame."""
     maps = _batch(offsets)
-    if frames is None:
-        frames = np.zeros(len(rows), dtype=np.intp)
     for fmap in maps:
         if fmap.channels != 2:
             raise ConfigurationError(
@@ -515,11 +444,11 @@ def assemble_boxes(pairs, centers, offsets, stride):
     mean of the three keypoint scores.
 
     `offsets` maps each keypoint kind to its offset map, or is a sequence
-    of such mappings, one per frame of the keypoints' batch. Returns
-    `Detections`, sorted by (frame, -score, top-left row and col,
-    bottom-right row and col, class). The tests run on columns; a
-    `Keypoint` is read only for the three keypoints of each detection
-    returned.
+    of such mappings, one per frame of the keypoints' batch. `pairs` is
+    `CornerPairs` and `centers` is `Keypoints`. Returns `Detections`,
+    sorted by (frame, -score, top-left row and col, bottom-right row and
+    col, class). The tests run on columns; a `Keypoint` is built only for
+    the three keypoints of each detection returned.
     """
     _check_stride(stride)
     offsets = [offsets] if isinstance(offsets, Mapping) else list(offsets)
@@ -532,11 +461,9 @@ def assemble_boxes(pairs, centers, offsets, stride):
     # that kind exist, so empty inputs never touch a missing or bad map.
     # Centers go in (frame, -score, row, col) order: the first of its
     # frame inside a box is its best.
-    centers = Keypoints.of(centers)
     rank = np.lexsort((centers.cols, centers.rows, -centers.scores, centers.frames))
     if rank.size:
         cx, cy = refined(centers, rank, KeypointKind.CENTER)
-    pairs = CornerPairs.of(pairs)
     if not pairs:
         return Detections()
     tls, brs = pairs.top_lefts, pairs.bottom_rights

@@ -320,10 +320,11 @@ def lift_frames(detections, frames, bundles, cameras):
     batch; exp, atan2, degrees, radians, cos and sin stay scalar `math`
     calls. One mask marks the detections whose lift fails: a center off
     the map, a depth `decode_depth` rejects, a zero 2x2 determinant, a
-    non-finite center, nonpositive dims, then (only up to its frame's
-    first of those) a failed projection or a non-finite fitted center.
-    A frame's error is the one `lift_detection` raises on its first failing
-    detection alone, as a one-at-a-time lift of the frame would.
+    non-finite center, nonpositive dims, then, for every detection that
+    passed those, a failed projection or a non-finite fitted center. Each
+    frame is cut once, at its first failing detection. A frame's error is
+    the one `lift_detection` raises on its first failing detection alone,
+    as a one-at-a-time lift of the frame would.
     """
     if not detections:
         return [], {}
@@ -356,21 +357,21 @@ def lift_frames(detections, frames, bundles, cameras):
     x, y, determinant = _back_project(p, pixels[:, 0], pixels[:, 1], np.array(z))
     centers = np.column_stack([x, y, z])
     ok &= (determinant != 0.0) & np.isfinite(centers).all(axis=1) & (dims > 0.0).all(axis=1)
+    # Every detection that passed is projected, and its projection's result
+    # joins the same mask.
+    passed = np.flatnonzero(ok)
+    bins = heads[passed].reshape(-1, n_bins, 3)
+    angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
+    fitted, ok[passed] = _fit_centers(p[passed], pixels[passed], dims[passed], centers[passed], angles)
     # Each frame's first failing detection, or len(ok) where it has none.
     cut = np.full(len(bundles), len(ok))
     np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
-    staged = np.arange(len(ok)) < cut[frames]
+    lifted = cut[frames] == len(ok)  # a frame that lifts passed whole
 
     boxes = [None] * len(detections)
-    if staged.any():  # else each frame fails at its first detection
-        bins = heads[staged].reshape(-1, n_bins, 3)
-        angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
-        fitted, ok[staged] = _fit_centers(p[staged], pixels[staged], dims[staged], centers[staged], angles)
-        np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
-        lifted = cut[frames] == len(ok)  # a frame that lifts is staged whole
-        columns = fitted[lifted[staged]], dims[lifted], angles[lifted[staged]]
-        for k, c, d, o in zip(np.flatnonzero(lifted).tolist(), *(column.tolist() for column in columns)):
-            boxes[k] = Box3D(c, d, o, detections[k].box.class_id, detections[k].box.score)
+    columns = fitted[lifted[passed]], dims[lifted], angles[lifted[passed]]
+    for k, c, d, o in zip(np.flatnonzero(lifted).tolist(), *(column.tolist() for column in columns)):
+        boxes[k] = Box3D(c, d, o, detections[k].box.class_id, detections[k].box.score)
     errors = {}
     for frame in np.flatnonzero(cut < len(ok)).tolist():
         try:

@@ -41,7 +41,7 @@ class TestFeatureMap:
         assert fm.get(0, 0, 0) == 0.5
 
     def test_row_major_indexing(self):
-        fm = FeatureMap.from_flat([1.0, 2.0, 3.0, 4.0], 2, 2, 1)
+        fm = FeatureMap(np.reshape([1.0, 2.0, 3.0, 4.0], (2, 2, 1)))
         assert fm.get(1, 0, 0) == 3.0
 
     def test_filled_by_formula(self):
@@ -106,8 +106,6 @@ class TestFeatureMap:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
             FeatureMap(np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            FeatureMap.from_flat([1.0, 2.0], 2, 2, 1)
 
     def test_data_is_read_only(self):
         fm = FeatureMap(np.zeros((1, 1, 1)))

@@ -35,7 +35,7 @@ from det3d.synthgen import (
     render_ideal_maps,
 )
 from oracles import lift_oracle, peaks_oracle
-from test_decode import decode_oracle
+from test_decode import decode_oracle, peak_tuples, table_rows
 from test_geometry3d import with_heads
 from test_lift_property import _HEADS
 
@@ -54,8 +54,7 @@ from test_lift_property import _HEADS
 def test_property_matches_oracle(data, window, threshold, top_k):
     cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
     peaks = extract_peaks(FeatureMap(data, role=MapRole.HEATMAP), cfg, KeypointKind.CENTER)
-    got = [(p.row, p.col, p.class_id, p.score) for p in peaks]
-    assert got == peaks_oracle(data, threshold, window, top_k)
+    assert peak_tuples(peaks) == peaks_oracle(data, threshold, window, top_k)
 
 
 @st.composite
@@ -85,9 +84,8 @@ def test_property_cell_kernel_matches_dense_and_oracle(heatmap, window, threshol
     dense = FeatureMap(heatmap.data, role=MapRole.HEATMAP)
     assert heatmap.cell_table is not None and dense.cell_table is None
     from_cells = extract_peaks(heatmap, cfg, KeypointKind.CENTER)
-    assert from_cells == extract_peaks(dense, cfg, KeypointKind.CENTER)
-    got = [(p.row, p.col, p.class_id, p.score) for p in from_cells]
-    assert got == peaks_oracle(dense.data, threshold, window, top_k)
+    assert table_rows(from_cells) == table_rows(extract_peaks(dense, cfg, KeypointKind.CENTER))
+    assert peak_tuples(from_cells) == peaks_oracle(dense.data, threshold, window, top_k)
 
 
 # Every frame is 96x72 cells, so frames of a batch share one map shape and
