@@ -1,8 +1,10 @@
 """Command-line surface: synthesize datasets, decode tensor bundles,
 evaluate predictions, and export KITTI-format data.
 
-Exit codes: 0 success, 2 usage/flag error (including unusable output
-paths), 3 data/parse/validation error, 4 internal invariant violation.
+Exit codes: 0 success; 2 usage/flag error, or a `synth` or `convert`
+output directory that cannot be created; 3 data/parse/validation error,
+or a `decode --out` or `eval --out` file that cannot be written; 4
+internal invariant violation.
 All commands are deterministic given their flags plus the seed, and every
 file write is atomic.
 """

@@ -3,8 +3,9 @@
 The pipeline is peak extraction, tag attachment, greedy corner grouping by
 tag distance, sub-cell offset refinement, center-validated box assembly,
 and the 3D lift. It runs on a batch of frames at once (`decode_frames`),
-as "Objects as Points" (Zhou et al. 2019) decodes a (B, C, H, W) batch,
-so a stage's fixed cost is paid once per map shape; `decode_frame` and
+as "Objects as Points" (Zhou et al. 2019) decodes a (B, C, H, W) batch:
+each stage takes one map, or one offset mapping, per frame of its batch,
+so its fixed cost is paid once per group of frames; `decode_frame` and
 `decode_frame_3d` run the same stages on a batch of one. Every step is
 deterministic: all orderings use total sort keys (frame, then score
 descending, then row, then col). Keypoints travel between the stages as
@@ -16,7 +17,6 @@ for the detections returned.
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ from .core import (
     Det3DError,
     Detection,
     DomainError,
-    FeatureMap,
     Keypoint,
     KeypointKind,
     MapRole,
@@ -152,11 +151,6 @@ class Detections(list):
         self.frames = np.asarray(frames, dtype=np.intp)
 
 
-def _batch(maps):
-    """A map, or a sequence of maps one per frame of a batch, as a list."""
-    return [maps] if isinstance(maps, FeatureMap) else list(maps)
-
-
 def _slots(frames):
     """Each entry's position among the entries of its frame; `frames`
     must be sorted."""
@@ -180,11 +174,12 @@ def _blocks(frames, n_frames, *columns):
     return blocks
 
 
-def extract_peaks(heatmap, cfg, kind):
-    """Windowed non-maximum suppression over every channel of a heatmap.
+def extract_peaks(heatmaps, cfg, kind):
+    """Windowed non-maximum suppression over every channel of a batch of
+    heatmaps of one shape, one per frame.
 
     A cell is a peak iff all three hold, with its nms_window x nms_window
-    window clipped to the map:
+    window clipped to its frame's map:
 
     - it equals the maximum of its window;
     - it is strictly greater than every window neighbour that comes before
@@ -192,13 +187,9 @@ def extract_peaks(heatmap, cfg, kind):
       its left in its own row (so a plateau keeps only its first cell);
     - it is at or above score_threshold.
 
-    Each channel keeps its first `top_k` peaks by (-score, row, col), and
-    the result is sorted by (-score, row, col, channel).
-
-    `heatmap` may also be a sequence of heatmaps of one shape, one per
-    frame of a batch. Each keypoint then records its frame (its index in
-    the sequence), a window never reaches into another frame, `top_k`
-    holds per (frame, channel), and the result is sorted by frame first.
+    Each keypoint records its frame (its index in `heatmaps`). Each
+    (frame, channel) keeps its first `top_k` peaks by (-score, row, col),
+    and the result is sorted by (frame, -score, row, col, channel).
 
     Each frame takes one of two kernels, which find the same peaks, by a
     rule that reads no other frame: `_cell_peaks` iff the threshold is
@@ -207,19 +198,18 @@ def extract_peaks(heatmap, cfg, kind):
     must be of the heatmap role, whose values `FeatureMap` keeps in
     [0, 1]; any other role raises ConfigurationError.
     """
-    maps = _batch(heatmap)
-    height, width, n_channels = shape = _batch_shape(maps)
-    for fmap in maps:
+    height, width, n_channels = shape = _batch_shape(heatmaps)
+    for fmap in heatmaps:
         if fmap.role is not MapRole.HEATMAP:
             raise ConfigurationError(f"peak extraction needs heatmap-role maps, got role {fmap.role.name}")
-    tables = [fmap.cell_table if cfg.score_threshold > 0.0 else None for fmap in maps]
+    tables = [fmap.cell_table if cfg.score_threshold > 0.0 else None for fmap in heatmaps]
     found, dense = [], [f for f, table in enumerate(tables) if table is None]
-    if len(dense) < len(maps):
+    if len(dense) < len(heatmaps):
         peaks, too_large = _cell_peaks(*_joined_cell_tables(tables, height * width), shape, cfg)
         found.append(peaks)
         dense += too_large
     for f in dense:
-        cells, channels, scores = _dense_peaks(maps[f].data, cfg)
+        cells, channels, scores = _dense_peaks(heatmaps[f].data, cfg)
         found.append((np.full(cells.size, f, dtype=np.intp), cells, channels, scores))
     columns = found[0] if len(found) == 1 else [np.concatenate(column) for column in zip(*found)]
     return _ranked_keypoints(kind, width, n_channels, cfg.top_k, *columns)
@@ -359,15 +349,14 @@ def _ranked_keypoints(kind, width, n_channels, top_k, frames, cells, channels, s
     )
 
 
-def attach_tags(keypoints, embedding):
-    """Return the `Keypoints` tagged from a 1-channel embedding map, or
-    from a sequence of them, one per frame of the keypoints' batch."""
-    maps = _batch(embedding)
-    for fmap in maps:
+def attach_tags(keypoints, embeddings):
+    """Return the `Keypoints` tagged from 1-channel embedding maps, one per
+    frame of the keypoints' batch."""
+    for fmap in embeddings:
         if fmap.channels != 1:
             raise ConfigurationError(f"embedding map must have 1 channel, got {fmap.channels}")
     frames, rows, cols = keypoints.frames, keypoints.rows, keypoints.cols
-    tags = take_frames(maps, frames, rows, cols)[:, 0].astype(np.float64)
+    tags = take_frames(embeddings, frames, rows, cols)[:, 0].astype(np.float64)
     return Keypoints(keypoints.kind, frames, keypoints.class_ids, rows, cols, keypoints.scores, tags)
 
 
@@ -411,15 +400,14 @@ def group_corners(tls, brs, cfg):
 
 def _refined(rows, cols, offsets, stride, frames):
     """Image-pixel (x, y) arrays: ((col + o_x) * stride, (row + o_y) * stride),
-    with o read from a 2-channel offset map, or from `offsets[frames[k]]`
-    for a sequence of them, one per frame."""
-    maps = _batch(offsets)
-    for fmap in maps:
+    with entry k's o read from `offsets[frames[k]]`, of 2-channel offset
+    maps one per frame."""
+    for fmap in offsets:
         if fmap.channels != 2:
             raise ConfigurationError(
                 f"offset map must have exactly 2 channels (o_x, o_y), got {fmap.channels}"
             )
-    o = take_frames(maps, frames, rows, cols).astype(np.float64)
+    o = take_frames(offsets, frames, rows, cols).astype(np.float64)
     return (cols + o[:, 0]) * stride, (rows + o[:, 1]) * stride
 
 
@@ -443,15 +431,14 @@ def assemble_boxes(pairs, centers, offsets, stride):
     Pairs whose refined corners cross are dropped. The box score is the
     mean of the three keypoint scores.
 
-    `offsets` maps each keypoint kind to its offset map, or is a sequence
-    of such mappings, one per frame of the keypoints' batch. `pairs` is
-    `CornerPairs` and `centers` is `Keypoints`. Returns `Detections`,
-    sorted by (frame, -score, top-left row and col, bottom-right row and
-    col, class). The tests run on columns; a `Keypoint` is built only for
-    the three keypoints of each detection returned.
+    `offsets` holds one mapping per frame of the keypoints' batch, from
+    each keypoint kind to its offset map. `pairs` is `CornerPairs` and
+    `centers` is `Keypoints`. Returns `Detections`, sorted by (frame,
+    -score, top-left row and col, bottom-right row and col, class). The
+    tests run on columns; a `Keypoint` is built only for the three
+    keypoints of each detection returned.
     """
     _check_stride(stride)
-    offsets = [offsets] if isinstance(offsets, Mapping) else list(offsets)
 
     def refined(kps, index, kind):
         maps = [frame_offsets[kind] for frame_offsets in offsets]
@@ -575,15 +562,17 @@ def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, tax
     (detection, box3d-or-None) pairs, equal to what `decode_frame_3d`
     gives for that frame alone, or the Det3DError that call raises.
 
-    Each frame is decoded once. The frames are grouped by the shapes of
-    all their maps, and each group decodes together: each stage runs once
-    on all of its frames (`extract_peaks` once per keypoint kind, one
-    grouping, one assembly, one lift with one camera row per detection),
-    so a stage's fixed cost is paid once per group. A frame whose heatmap
-    channels do not match the taxonomy's classes, or whose lift fails,
-    gets its error as its outcome, and the other frames of its group keep
-    theirs. The stride and the cameras are checked first, whatever the
-    frames hold.
+    Each frame is decoded once. The frames are grouped by whether they
+    lift (they have a camera and 3D head maps) and by the shapes of all
+    their maps, and each group decodes together: each stage runs once on
+    all of its frames (`extract_peaks` once per keypoint kind, one
+    grouping, one assembly), so a stage's fixed cost is paid once per
+    group. A lifting group then goes to `geometry3d.lift_frames` whole,
+    with one camera row per detection; a 2D group never enters the lift.
+    A frame whose heatmap channels do not match the taxonomy's classes,
+    or whose lift fails, gets its error as its outcome, and the other
+    frames of its group keep theirs. The stride and the cameras are
+    checked first, whatever the frames hold.
     """
     bundles, cameras = list(bundles), list(cameras)
     peak_cfg, group_cfg = _checked(peak_cfg, group_cfg, stride, cameras)
@@ -597,22 +586,18 @@ def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, tax
                 f"declares {len(taxonomy)} classes"
             )
         else:
-            groups.setdefault(tuple(fmap.shape for fmap in bundle.maps()), []).append(f)
-    for group in groups.values():
+            lifts = cameras[f] is not None and bundle.has_aux
+            groups.setdefault((lifts, tuple(fmap.shape for fmap in bundle.maps())), []).append(f)
+    for (lifts, _), group in groups.items():
         members = [bundles[f] for f in group]
         detections = _decode_2d(members, peak_cfg, group_cfg, stride)
-        # The frames with 3D heads and a camera are lifted, renumbered 0, 1, ...
-        lifts = np.array([cameras[f] is not None and bundles[f].has_aux for f in group])
-        chosen, kept = np.flatnonzero(lifts[detections.frames]).tolist(), np.flatnonzero(lifts)
-        boxes, errors = geometry3d.lift_frames(
-            [detections[k] for k in chosen],
-            (np.cumsum(lifts) - 1)[detections.frames[chosen]],
-            [members[g] for g in kept],
-            [cameras[group[g]] for g in kept],
-        )
-        box_of = dict(zip(chosen, boxes))
-        for k, (g, det) in enumerate(zip(detections.frames.tolist(), detections)):
-            outcomes[group[g]].append((det, box_of.get(k)))
+        boxes, errors = [None] * len(detections), {}
+        if lifts:
+            boxes, errors = geometry3d.lift_frames(
+                detections, detections.frames, members, [cameras[f] for f in group]
+            )
+        for g, det, box in zip(detections.frames.tolist(), detections, boxes):
+            outcomes[group[g]].append((det, box))
         for g, error in errors.items():
-            outcomes[group[kept[g]]] = error
+            outcomes[group[g]] = error
     return outcomes

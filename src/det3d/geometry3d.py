@@ -261,16 +261,17 @@ def project_box3d(camera, box):
 
 
 def _fit_centers(p, pixels, dims, centers, orientations):
-    """(fitted, ok) of boxes given as (n, 3) columns that pass Box3D's
-    checks, seen through p as `_project` takes it: the (n, 3) centers
-    `fit_center_from_2d` shifts them to under the (n, 2) 2D box centers
-    `pixels`, and an (n,) mask of the boxes whose projection passes and
-    whose shifted center is finite."""
+    """(fitted, ok) of boxes given as (n, 3) columns, seen through p as
+    `_project` takes it: the (n, 3) centers `fit_center_from_2d` shifts
+    them to under the (n, 2) 2D box centers `pixels`, and an (n,) mask of
+    the boxes whose projection passes and whose shifted center is finite.
+    A box that fails Box3D's checks gives meaningless values, without a
+    warning."""
     depths, scales, hulls = _project(p, dims, centers, orientations)
-    ok = ~((depths <= 0.0).any(axis=1) | (scales == 0.0).any(axis=1))
     z = centers[:, 2:]
     focal = np.stack([p[..., 0, 0], p[..., 1, 1]], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
+        ok = ~((depths <= 0.0).any(axis=1) | (scales == 0.0).any(axis=1))
         shift = (pixels - 0.5 * (hulls[:, :2] + hulls[:, 2:])) * z / focal
         fitted = np.concatenate([centers[:, :2] + shift, z], axis=1)
     return fitted, ok & np.isfinite(fitted).all(axis=1)
@@ -320,11 +321,12 @@ def lift_frames(detections, frames, bundles, cameras):
     batch; exp, atan2, degrees, radians, cos and sin stay scalar `math`
     calls. One mask marks the detections whose lift fails: a center off
     the map, a depth `decode_depth` rejects, a zero 2x2 determinant, a
-    non-finite center, nonpositive dims, then, for every detection that
-    passed those, a failed projection or a non-finite fitted center. Each
-    frame is cut once, at its first failing detection. A frame's error is
-    the one `lift_detection` raises on its first failing detection alone,
-    as a one-at-a-time lift of the frame would.
+    non-finite center, nonpositive dims, then a failed projection or a
+    non-finite fitted center. Every detection is projected, and one that
+    failed an earlier check stays failed whatever its projection gives.
+    Each frame is cut once, at its first failing detection. A frame's
+    error is the one `lift_detection` raises on its first failing
+    detection alone, as a one-at-a-time lift of the frame would.
     """
     if not detections:
         return [], {}
@@ -343,7 +345,7 @@ def lift_frames(detections, frames, bundles, cameras):
     raw = read("aux_depth")[:, 0]
     dims = read("aux_dims")
     n_bins = first.aux_orientation.channels // 9
-    heads = read("aux_orientation").reshape(-1, 3, n_bins, 3)
+    heads = read("aux_orientation").reshape(-1, n_bins, 3)  # a row per angle, 3 a detection
 
     # A rejected depth reads nan, so its center fails the finite check.
     z = []
@@ -357,19 +359,18 @@ def lift_frames(detections, frames, bundles, cameras):
     x, y, determinant = _back_project(p, pixels[:, 0], pixels[:, 1], np.array(z))
     centers = np.column_stack([x, y, z])
     ok &= (determinant != 0.0) & np.isfinite(centers).all(axis=1) & (dims > 0.0).all(axis=1)
-    # Every detection that passed is projected, and its projection's result
-    # joins the same mask.
-    passed = np.flatnonzero(ok)
-    bins = heads[passed].reshape(-1, n_bins, 3)
-    angles = np.array(_bin_angles(bins, uniform_bin_centers(n_bins))).reshape(-1, 3)
-    fitted, ok[passed] = _fit_centers(p[passed], pixels[passed], dims[passed], centers[passed], angles)
+    # Every detection is projected, and its projection's result joins the
+    # same mask; one that failed a check above stays failed.
+    angles = np.array(_bin_angles(heads, uniform_bin_centers(n_bins))).reshape(-1, 3)
+    fitted, projected = _fit_centers(p, pixels, dims, centers, angles)
+    ok &= projected
     # Each frame's first failing detection, or len(ok) where it has none.
     cut = np.full(len(bundles), len(ok))
     np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
     lifted = cut[frames] == len(ok)  # a frame that lifts passed whole
 
     boxes = [None] * len(detections)
-    columns = fitted[lifted[passed]], dims[lifted], angles[lifted[passed]]
+    columns = fitted[lifted], dims[lifted], angles[lifted]
     for k, c, d, o in zip(np.flatnonzero(lifted).tolist(), *(column.tolist() for column in columns)):
         boxes[k] = Box3D(c, d, o, detections[k].box.class_id, detections[k].box.score)
     errors = {}

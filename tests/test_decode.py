@@ -21,7 +21,7 @@ from det3d.core import (
     SuperCategory,
     take_frames,
 )
-from det3d import decode, synthgen
+from det3d import decode, geometry3d, synthgen
 from det3d.decode import (
     CornerPairs,
     GroupingConfig,
@@ -67,13 +67,13 @@ def offsets_map(h, w, entries=()):
 class TestExtractPeaks:
     def test_all_zero_map_is_empty(self):
         cfg = PeakExtractionConfig(score_threshold=0.1)
-        assert len(extract_peaks(heatmap(np.zeros((4, 4))), cfg, CENTER)) == 0
+        assert len(extract_peaks([heatmap(np.zeros((4, 4)))], cfg, CENTER)) == 0
 
     def test_single_peak(self):
         data = np.zeros((3, 3))
         data[1, 1] = 0.9
         cfg = PeakExtractionConfig(score_threshold=0.1, nms_window=3)
-        peaks = extract_peaks(heatmap(data), cfg, CENTER)
+        peaks = extract_peaks([heatmap(data)], cfg, CENTER)
         assert len(peaks) == 1
         assert (peaks.rows[0], peaks.cols[0], peaks.scores[0]) == (1, 1, pytest.approx(0.9))
 
@@ -82,7 +82,7 @@ class TestExtractPeaks:
         data[0, 0] = 0.8
         data[4, 4] = 0.8
         cfg = PeakExtractionConfig(score_threshold=0.1, nms_window=3, top_k=10)
-        peaks = extract_peaks(heatmap(data), cfg, CENTER)
+        peaks = extract_peaks([heatmap(data)], cfg, CENTER)
         assert [p[:2] for p in peak_tuples(peaks)] == [(0, 0), (4, 4)]
 
     def test_brute_force_neighborhood_check(self):
@@ -90,7 +90,7 @@ class TestExtractPeaks:
         cfg = PeakExtractionConfig(score_threshold=0.2, nms_window=3, top_k=100)
         for _ in range(50):
             data = rng.uniform(0, 1, size=(6, 6)).astype(np.float32)
-            got = {p[:2] for p in peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))}
+            got = {p[:2] for p in peak_tuples(extract_peaks([heatmap(data)], cfg, CENTER))}
             expected = set()
             for r in range(6):
                 for c in range(6):
@@ -113,7 +113,7 @@ class TestExtractPeaks:
         data[1, 1] = 0.6
         data[1, 2] = 0.6
         cfg = PeakExtractionConfig(score_threshold=0.1, nms_window=3)
-        peaks = extract_peaks(heatmap(data), cfg, CENTER)
+        peaks = extract_peaks([heatmap(data)], cfg, CENTER)
         assert [p[:2] for p in peak_tuples(peaks)] == [(1, 1)]
 
     def test_top_k_per_channel_and_threshold(self):
@@ -122,7 +122,7 @@ class TestExtractPeaks:
             data[0, 2 * i, 0] = v
         data[0, 8, 1] = 0.8
         cfg = PeakExtractionConfig(score_threshold=0.4, nms_window=3, top_k=2)
-        peaks = peak_tuples(extract_peaks(FeatureMap(data, role=MapRole.HEATMAP), cfg, TL))
+        peaks = peak_tuples(extract_peaks([FeatureMap(data, role=MapRole.HEATMAP)], cfg, TL))
         per_channel = {}
         for _, _, class_id, score in peaks:
             per_channel.setdefault(class_id, []).append(score)
@@ -134,7 +134,7 @@ class TestExtractPeaks:
         """Only a heatmap-role map is known to hold values in [0, 1]."""
         for role in (MapRole.EMBEDDING, MapRole.OFFSET, MapRole.GENERIC):
             bad = FeatureMap(np.full((2, 2, 1), 1.5), role=role)
-            for maps in (bad, [heatmap(np.zeros((2, 2))), bad]):
+            for maps in ([bad], [heatmap(np.zeros((2, 2))), bad]):
                 with pytest.raises(ConfigurationError, match=f"heatmap-role maps, got role {role.name}"):
                     extract_peaks(maps, PeakExtractionConfig(), CENTER)
 
@@ -264,7 +264,7 @@ def refine(point, offsets, stride):
     """The image pixel of one keypoint, through the refinement box
     assembly runs on keypoint columns."""
     rows, cols, frames = np.array([point.row]), np.array([point.col]), np.zeros(1, np.intp)
-    x, y = decode._refined(rows, cols, offsets, stride, frames)
+    x, y = decode._refined(rows, cols, [offsets], stride, frames)
     return (float(x[0]), float(y[0]))
 
 
@@ -297,7 +297,7 @@ class TestAssembleBoxes:
     def test_center_inside_middle_third_keeps_box(self):
         pairs = corner_pairs([(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))])
         centers = columns(CENTER, [kp(CENTER, 0.0, row=25, col=25, score=0.8)])
-        dets = assemble_boxes(pairs, centers, self.offsets, 1)
+        dets = assemble_boxes(pairs, centers, [self.offsets], 1)
         assert len(dets) == 1
         det = dets[0]
         assert (det.box.x_min, det.box.y_min, det.box.x_max, det.box.y_max) == (10, 10, 40, 40)
@@ -306,27 +306,27 @@ class TestAssembleBoxes:
     def test_center_outside_middle_third_drops_box(self):
         pairs = corner_pairs([(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))])
         centers = columns(CENTER, [kp(CENTER, 0.0, row=12, col=12)])
-        assert assemble_boxes(pairs, centers, self.offsets, 1) == []
+        assert assemble_boxes(pairs, centers, [self.offsets], 1) == []
 
     def test_no_centers_no_boxes(self):
         pairs = corner_pairs([(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))])
-        assert assemble_boxes(pairs, columns(CENTER, []), self.offsets, 1) == []
+        assert assemble_boxes(pairs, columns(CENTER, []), [self.offsets], 1) == []
 
     def test_offset_maps_checked_only_for_kinds_present(self):
         bad = FeatureMap(np.zeros((50, 50, 3)), role=MapRole.OFFSET)
         pairs = corner_pairs([(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))])
         centers = columns(CENTER, [kp(CENTER, 0.0, row=25, col=25)])
         no_pairs, no_centers = corner_pairs([]), columns(CENTER, [])
-        assert assemble_boxes(no_pairs, no_centers, {}, 1) == []
+        assert assemble_boxes(no_pairs, no_centers, [{}], 1) == []
         with pytest.raises(ConfigurationError, match="2 channels"):
-            assemble_boxes(no_pairs, centers, {**self.offsets, CENTER: bad}, 1)
+            assemble_boxes(no_pairs, centers, [{**self.offsets, CENTER: bad}], 1)
         with pytest.raises(ConfigurationError, match="2 channels"):
-            assemble_boxes(pairs, no_centers, {**self.offsets, TL: bad}, 1)
+            assemble_boxes(pairs, no_centers, [{**self.offsets, TL: bad}], 1)
 
     def test_wrong_class_center_does_not_validate(self):
         pairs = corner_pairs([(kp(TL, 1.0, row=10, col=10), kp(BR, 1.0, row=40, col=40))])
         centers = columns(CENTER, [kp(CENTER, 0.0, class_id=1, row=25, col=25)])
-        assert assemble_boxes(pairs, centers, self.offsets, 1) == []
+        assert assemble_boxes(pairs, centers, [self.offsets], 1) == []
 
     def test_deterministic_ordering(self):
         pairs = [
@@ -337,8 +337,8 @@ class TestAssembleBoxes:
             kp(CENTER, 0.0, row=15, col=15),
             kp(CENTER, 0.0, row=35, col=35),
         ])
-        first = assemble_boxes(corner_pairs(pairs), centers, self.offsets, 1)
-        second = assemble_boxes(corner_pairs(list(reversed(pairs))), centers, self.offsets, 1)
+        first = assemble_boxes(corner_pairs(pairs), centers, [self.offsets], 1)
+        second = assemble_boxes(corner_pairs(list(reversed(pairs))), centers, [self.offsets], 1)
         assert [
             (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in first
         ] == [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in second]
@@ -349,13 +349,13 @@ class TestAttachTags:
         emb = FeatureMap(
             np.arange(6, dtype=np.float32).reshape(2, 3, 1), role=MapRole.EMBEDDING
         )
-        tagged = attach_tags(columns(TL, [kp(TL, 0.0, row=1, col=2)]), emb)
+        tagged = attach_tags(columns(TL, [kp(TL, 0.0, row=1, col=2)]), [emb])
         assert tagged.tags.tolist() == [5.0]
 
     def test_wrong_channel_count(self):
         emb = FeatureMap(np.zeros((2, 2, 2)), role=MapRole.EMBEDDING)
         with pytest.raises(ConfigurationError, match="1 channel"):
-            attach_tags(columns(TL, [kp(TL, 0.0)]), emb)
+            attach_tags(columns(TL, [kp(TL, 0.0)]), [emb])
 
 
 def peak_tuples(peaks):
@@ -398,7 +398,7 @@ class TestPeaksMatchOracle:
             threshold = float(rng.choice([0.0, 0.25, 0.5]))
             top_k = int(rng.integers(1, 8))
             cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
-            got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+            got = peak_tuples(extract_peaks([heatmap(data)], cfg, CENTER))
             assert got == peaks_oracle(data, threshold, window, top_k)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (2, 5), (5, 2)])
@@ -408,7 +408,7 @@ class TestPeaksMatchOracle:
         for _ in range(20):
             data = quantized(rng, shape + (2,), levels=3)
             cfg = PeakExtractionConfig(score_threshold=0.0, nms_window=window, top_k=5)
-            got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+            got = peak_tuples(extract_peaks([heatmap(data)], cfg, CENTER))
             assert got == peaks_oracle(data, 0.0, window, 5)
 
     def test_noisy_planes(self):
@@ -416,7 +416,7 @@ class TestPeaksMatchOracle:
         for bundle in noisy_bundles(2):
             for kind in KeypointKind:
                 data = bundle.heatmaps[kind].data
-                got = peak_tuples(extract_peaks(bundle.heatmaps[kind], cfg, kind))
+                got = peak_tuples(extract_peaks([bundle.heatmaps[kind]], cfg, kind))
                 assert got == peaks_oracle(data, cfg.score_threshold, cfg.nms_window, cfg.top_k)
 
 
@@ -433,9 +433,9 @@ class TestCellKernel:
 
     @staticmethod
     def both(fmap, cfg):
-        got = extract_peaks(fmap, cfg, CENTER)
+        got = extract_peaks([fmap], cfg, CENTER)
         dense = FeatureMap(fmap.data, role=fmap.role)
-        assert table_rows(got) == table_rows(extract_peaks(dense, cfg, CENTER))
+        assert table_rows(got) == table_rows(extract_peaks([dense], cfg, CENTER))
         return peak_tuples(got)
 
     def test_row_ends_are_not_neighbours(self):
@@ -472,9 +472,9 @@ class TestCellKernel:
         fmap = cell_heatmap(entries, 1, 2, role=MapRole.GENERIC)
         cfg = PeakExtractionConfig()
         with pytest.raises(ConfigurationError) as dense_error:
-            extract_peaks(FeatureMap(fmap.data), cfg, CENTER)
+            extract_peaks([FeatureMap(fmap.data)], cfg, CENTER)
         with pytest.raises(ConfigurationError, match="got role GENERIC") as cell_error:
-            extract_peaks(fmap, cfg, CENTER)
+            extract_peaks([fmap], cfg, CENTER)
         assert str(cell_error.value) == str(dense_error.value)
 
     def test_wide_window_scans_densely(self):
@@ -485,13 +485,13 @@ class TestCellKernel:
         heatmap = render_ideal_maps(generate_scene(points[0], 0, n_objects=48)).heatmaps[CENTER]
         tracemalloc.start()
         try:
-            got = extract_peaks(heatmap, cfg, CENTER)
+            got = extract_peaks([heatmap], cfg, CENTER)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
         dense = FeatureMap(heatmap.data, role=heatmap.role)
-        assert table_rows(got) == table_rows(extract_peaks(dense, cfg, CENTER))
+        assert table_rows(got) == table_rows(extract_peaks([dense], cfg, CENTER))
 
     @pytest.mark.parametrize("threshold, window", [(0.3, 3), (0.0, 3), (0.05, 7)])
     def test_crowded_bundles(self, threshold, window):
@@ -538,7 +538,7 @@ class TestGroupingMatchesOracle:
         peak_cfg = PeakExtractionConfig(top_k=12)
         for bundle in noisy_bundles(2):
             tls, brs = (
-                attach_tags(extract_peaks(bundle.heatmaps[kind], peak_cfg, kind), bundle.embeddings[kind])
+                attach_tags(extract_peaks([bundle.heatmaps[kind]], peak_cfg, kind), [bundle.embeddings[kind]])
                 for kind in (TL, BR)
             )
             self.check(tls, brs, GroupingConfig())
@@ -571,7 +571,7 @@ class TestTopKCutoff:
             [lattice_channel(rng, size, crowded), lattice_channel(rng, size, short)], axis=-1
         )
         cfg = PeakExtractionConfig(score_threshold=0.2, nms_window=3, top_k=top_k)
-        got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+        got = peak_tuples(extract_peaks([heatmap(data)], cfg, CENTER))
         assert got == peaks_oracle(data, 0.2, 3, top_k)
         assert sum(ch == 0 for _, _, ch, _ in got) == top_k
         assert sum(ch == 1 for _, _, ch, _ in got) == top_k - 1
@@ -583,7 +583,7 @@ class TestTopKCutoff:
             data = quantized(rng, (40, 40, 3), levels=4)
             data[1:, :, 2] = 0.0  # channel 2 keeps one row: few maxima
             cfg = PeakExtractionConfig(score_threshold=0.25, nms_window=3, top_k=top_k)
-            got = peak_tuples(extract_peaks(heatmap(data), cfg, CENTER))
+            got = peak_tuples(extract_peaks([heatmap(data)], cfg, CENTER))
             assert got == peaks_oracle(data, 0.25, 3, top_k)
 
 
@@ -621,7 +621,7 @@ class TestAssemblyMatchesOracle:
                 random_keypoint(rng, CENTER, size) for _ in range(int(rng.integers(0, 12)))
             ]
             centers += [c for c in centers[:3] if rng.integers(0, 2)]
-            got = assemble_boxes(corner_pairs(pairs), columns(CENTER, centers), offsets, stride)
+            got = assemble_boxes(corner_pairs(pairs), columns(CENTER, centers), [offsets], stride)
             assert got == assembly_oracle(pairs, centers, offsets, stride)
 
     def test_crossed_corners_and_wrong_class_centers(self):
@@ -637,7 +637,7 @@ class TestAssemblyMatchesOracle:
             kp(CENTER, 1.0, row=25, col=24, score=0.5),
             kp(CENTER, 0.0, row=24, col=25, score=0.5),
         ]
-        got = assemble_boxes(corner_pairs(pairs), columns(CENTER, centers), offsets, 1)
+        got = assemble_boxes(corner_pairs(pairs), columns(CENTER, centers), [offsets], 1)
         assert got == assembly_oracle(pairs, centers, offsets, 1)
         assert [(d.class_id, d.center) for d in got] == [(1, centers[0]), (0, centers[3])]
 
@@ -707,24 +707,24 @@ class TestColumnsAndLists:
         else:
             bundles = crowded_bundles((10,))
         for bundle in bundles:
-            peaks = {kind: extract_peaks(bundle.heatmaps[kind], peak_cfg, kind) for kind in KeypointKind}
+            peaks = {kind: extract_peaks([bundle.heatmaps[kind]], peak_cfg, kind) for kind in KeypointKind}
             assert all(isinstance(found, Keypoints) for found in peaks.values())
-            tagged = {kind: attach_tags(peaks[kind], bundle.embeddings[kind]) for kind in (TL, BR)}
+            tagged = {kind: attach_tags(peaks[kind], [bundle.embeddings[kind]]) for kind in (TL, BR)}
             assert all(isinstance(found, Keypoints) for found in tagged.values())
             pairs = group_corners(tagged[TL], tagged[BR], group_cfg)
             assert isinstance(pairs, CornerPairs)
-            detections = assemble_boxes(pairs, peaks[CENTER], bundle.offsets, 1)
+            detections = assemble_boxes(pairs, peaks[CENTER], [bundle.offsets], 1)
             assert isinstance(detections, decode.Detections) and detections
             reversed_pairs = CornerPairs(
                 pairs.top_lefts, pairs.bottom_rights, pairs.tl_index[::-1], pairs.br_index[::-1]
             )
-            assert assemble_boxes(reversed_pairs, peaks[CENTER], bundle.offsets, 1) == detections
+            assert assemble_boxes(reversed_pairs, peaks[CENTER], [bundle.offsets], 1) == detections
             assert decode_frame(bundle, peak_cfg, group_cfg) == detections
 
     def test_sequences_read_as_lists(self):
         bundle = noisy_bundles(1)[0]
         cfg = PeakExtractionConfig()
-        peaks = attach_tags(extract_peaks(bundle.heatmaps[TL], cfg, TL), bundle.embeddings[TL])
+        peaks = attach_tags(extract_peaks([bundle.heatmaps[TL]], cfg, TL), [bundle.embeddings[TL]])
         points = items(peaks)
         assert len(points) == len(peaks) > 5
         assert peaks.at([4, 2]) == [points[4], points[2]] and peaks.at([]) == []
@@ -735,7 +735,7 @@ class TestColumnsAndLists:
         for point in points:
             assert [type(v) for v in (point.class_id, point.row, point.col)] == [int] * 3
             assert type(point.score) is float and type(point.tag) is float
-        brs = attach_tags(extract_peaks(bundle.heatmaps[BR], cfg, BR), bundle.embeddings[BR])
+        brs = attach_tags(extract_peaks([bundle.heatmaps[BR]], cfg, BR), [bundle.embeddings[BR]])
         pairs = group_corners(peaks, brs, GroupingConfig())
         corners = items(brs)
         assert items(pairs) == [(points[i], corners[j]) for i, j in zip(pairs.tl_index, pairs.br_index)]
@@ -812,7 +812,7 @@ class TestDecodeEntryChecks:
             lambda: decode_frame(bundle, stride=stride),
             lambda: decode_frame_3d(bundle, None, stride=stride),
             lambda: decode_frames([bundle], [None], stride=stride),
-            lambda: assemble_boxes([], [], {}, stride),
+            lambda: assemble_boxes([], [], [{}], stride),
         )
         for call in calls:
             with pytest.raises(DomainError, match="stride must be a positive integer"):
@@ -890,11 +890,12 @@ class TestDecodeFrames:
         assert decode_frames([], []) == []
 
     def test_no_frame_is_decoded_twice(self, monkeypatch):
-        """Each group of frames whose maps share their shapes is decoded
-        once, whether a frame's lift fails or not: the `frames()` mix is
-        three groups, with one failing lift at threshold 0.3 and five at 0,
-        and 44 ground frames, each failing its lift at threshold 0, are
-        one."""
+        """Each group of frames that share whether they lift and the
+        shapes of their maps is decoded once, whether a frame's lift fails
+        or not: the `frames()` mix is four groups, the frame without a
+        camera apart from the full-size frames that lift, with one failing
+        lift at threshold 0.3 and five at 0, and 44 ground frames, each
+        failing its lift at threshold 0, are one."""
         calls = []
         extract_peaks = decode.extract_peaks
 
@@ -904,7 +905,7 @@ class TestDecodeFrames:
 
         monkeypatch.setattr(decode, "extract_peaks", counting)
         mix = self.frames()
-        for frames, threshold, n_calls in ((mix, 0.3, 9), (mix, 0.0, 9), (ground_frames(44), 0.0, 3)):
+        for frames, threshold, n_calls in ((mix, 0.3, 12), (mix, 0.0, 12), (ground_frames(44), 0.0, 3)):
             peak_cfg = PeakExtractionConfig(score_threshold=threshold)
             calls.clear()
             outcomes = [frame_outcome(result) for result in decode_frames(*zip(*frames), peak_cfg)]
@@ -945,9 +946,10 @@ class TestDecodeFrames:
         assert all(isinstance(outcome, list) and outcome for outcome in outcomes)
 
     def test_one_call_of_each_stage_per_batch(self, monkeypatch):
-        """Frames of one map shape go through each stage once, and each
-        stage returns a sequence as long as the batch's peaks, pairs or
-        detections."""
+        """Frames of one map shape that all lift, or all do not, go
+        through each stage once, and each stage returns a sequence as long
+        as the batch's peaks, pairs or detections: of four full-size
+        frames, the one without a camera is a group of its own."""
         frames = [self.frames()[k] for k in (0, 1, 5, 6)]  # full-size frames that decode
         lengths = {}
 
@@ -964,9 +966,30 @@ class TestDecodeFrames:
         for name in ("extract_peaks", "attach_tags", "group_corners", "assemble_boxes"):
             monkeypatch.setattr(decode, name, counting(name))
         results = decode_frames(*zip(*frames))
-        assert [len(lengths[name]) for name in sorted(lengths)] == [1, 2, 3, 1]
-        assert lengths["assemble_boxes"] == [sum(len(result) for result in results)] != [0]
+        assert [len(lengths[name]) for name in sorted(lengths)] == [2, 4, 6, 2]
+        assert sum(lengths["assemble_boxes"]) == sum(len(result) for result in results) > 0
         assert all(n > 0 for n in lengths["extract_peaks"] + lengths["group_corners"])
+
+    def test_lift_sees_only_lifting_groups(self, monkeypatch):
+        """`lift_frames` takes whole groups of frames that have a camera
+        and 3D heads: `decode_frame` never reaches it, and the `frames()`
+        mix reaches it once for each of its two lifting groups."""
+        calls = []
+        lift_frames = geometry3d.lift_frames
+
+        def counting(detections, frames, bundles, cameras):
+            calls.append((len(detections), len(bundles)))
+            assert all(bundle.has_aux for bundle in bundles) and None not in cameras
+            return lift_frames(detections, frames, bundles, cameras)
+
+        monkeypatch.setattr(geometry3d, "lift_frames", counting)
+        mix = self.frames()
+        assert decode_frame(mix[0][0])
+        assert calls == []
+        outcomes = [frame_outcome(result) for result in decode_frames(*zip(*mix))]
+        assert len(calls) == 2 and all(n_detections and n_bundles for n_detections, n_bundles in calls)
+        assert sorted(n_bundles for _, n_bundles in calls) == [1, 4]
+        assert outcomes == [decoded_alone(bundle, camera) for bundle, camera in mix]
 
     def test_each_frame_takes_its_own_kernel(self, monkeypatch):
         """At window 31, each of 44 ground frames' own neighbour table fits

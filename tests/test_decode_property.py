@@ -53,7 +53,7 @@ from test_lift_property import _HEADS
 )
 def test_property_matches_oracle(data, window, threshold, top_k):
     cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
-    peaks = extract_peaks(FeatureMap(data, role=MapRole.HEATMAP), cfg, KeypointKind.CENTER)
+    peaks = extract_peaks([FeatureMap(data, role=MapRole.HEATMAP)], cfg, KeypointKind.CENTER)
     assert peak_tuples(peaks) == peaks_oracle(data, threshold, window, top_k)
 
 
@@ -83,8 +83,8 @@ def test_property_cell_kernel_matches_dense_and_oracle(heatmap, window, threshol
     cfg = PeakExtractionConfig(score_threshold=threshold, nms_window=window, top_k=top_k)
     dense = FeatureMap(heatmap.data, role=MapRole.HEATMAP)
     assert heatmap.cell_table is not None and dense.cell_table is None
-    from_cells = extract_peaks(heatmap, cfg, KeypointKind.CENTER)
-    assert table_rows(from_cells) == table_rows(extract_peaks(dense, cfg, KeypointKind.CENTER))
+    from_cells = extract_peaks([heatmap], cfg, KeypointKind.CENTER)
+    assert table_rows(from_cells) == table_rows(extract_peaks([dense], cfg, KeypointKind.CENTER))
     assert peak_tuples(from_cells) == peaks_oracle(dense.data, threshold, window, top_k)
 
 
