@@ -8,8 +8,10 @@ coordination.
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import repeat
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -135,12 +137,13 @@ class SuperCategory(str, Enum):
 def normalize_angle(deg):
     """Wrap an angle in degrees to the half-open interval [-180, 180).
 
-    The result is congruent to the input modulo 360. Idempotent.
+    The result is congruent to the input modulo 360. Idempotent, bit for bit.
     """
     deg = float(deg)
     if not math.isfinite(deg):
         raise DomainError(f"angle must be finite, got {deg!r}")
-    return (deg + 180.0) % 360.0 - 180.0
+    wrapped = (deg + 180.0) % 360.0 - 180.0  # 180.0 where the remainder rounds up to 360
+    return -180.0 if wrapped == 180.0 else wrapped
 
 
 def check_number(obj, name, kind, what):
@@ -165,6 +168,16 @@ def _indices(name, idx, size):
             outside = idx[(idx < 0) | (idx >= size)]
             raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
     return idx.astype(np.intp, copy=False)
+
+
+def _from_checked_columns(cls, *columns):
+    """Objects of `cls`, a frozen slots dataclass, one per entry of its field
+    columns in field order, built by setting the slots: `__post_init__` does
+    not run, so the caller must have checked each value as it would."""
+    objects = list(map(cls.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, objects, column), maxlen=0)
+    return objects
 
 
 def _check_score(score):

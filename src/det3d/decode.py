@@ -11,8 +11,8 @@ deterministic: all orderings use total sort keys (frame, then score
 descending, then row, then col). Keypoints travel between the stages as
 column tables (`Keypoints`, `CornerPairs`) that carry each keypoint's
 frame: each stage takes the table the stage before it returned, and no
-stage compares keypoints of two frames. `Keypoint` objects are built only
-for the detections returned.
+stage compares keypoints of two frames. Result objects are built only for
+the detections returned, from checked values, without checking them again.
 """
 
 import math
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ALL_KINDS,
     Box2D,
     CameraIntrinsics,
     ConfigurationError,
@@ -32,6 +33,7 @@ from .core import (
     KeypointKind,
     MapRole,
     _batch_shape,
+    _from_checked_columns,
     _joined_cell_tables,
     check_number,
     take_frames,
@@ -109,17 +111,20 @@ class Keypoints:
         return self.frames.size
 
     def at(self, indices):
-        """The `Keypoint`s at the indices, as a list, built from the columns."""
+        """The `Keypoint`s at the indices, as a list, built from columns that
+        the stages fill with checked values: heatmap scores, which lie in
+        [0, 1], non-negative cells and channels, and finite embeddings."""
         indices = np.asarray(indices, dtype=np.intp)
+        if indices.size and not isinstance(self.kind, KeypointKind):
+            raise DomainError(f"kind must be a KeypointKind, got {self.kind!r}")
         columns = (self.class_ids, self.rows, self.cols, self.scores, self.tags)
-        fields = zip(*(column[indices].tolist() for column in columns))
-        return [Keypoint(self.kind, *entry) for entry in fields]
+        kinds = [self.kind] * indices.size
+        return _from_checked_columns(Keypoint, kinds, *(column[indices].tolist() for column in columns))
 
 
 class CornerPairs:
     """Grouped corners as columns: keypoint `tl_index[p]` of `top_lefts`
-    with keypoint `br_index[p]` of `bottom_rights`, both of one frame.
-    `at(indices)` builds the pairs a caller reads."""
+    with keypoint `br_index[p]` of `bottom_rights`, both of one frame."""
 
     __slots__ = ("top_lefts", "bottom_rights", "tl_index", "br_index")
 
@@ -131,13 +136,6 @@ class CornerPairs:
 
     def __len__(self):
         return self.tl_index.size
-
-    def at(self, indices):
-        """The (top-left, bottom-right) `Keypoint` pairs at the indices, as a list."""
-        indices = np.asarray(indices, dtype=np.intp)
-        return list(
-            zip(self.top_lefts.at(self.tl_index[indices]), self.bottom_rights.at(self.br_index[indices]))
-        )
 
 
 class Detections(list):
@@ -456,8 +454,7 @@ def assemble_boxes(pairs, centers, offsets, stride):
     tls, brs = pairs.top_lefts, pairs.bottom_rights
     # Pairs in frame order, so that each frame's pairs are one block.
     by_frame = np.argsort(tls.frames[pairs.tl_index], kind="stable")
-    pairs = CornerPairs(tls, brs, pairs.tl_index[by_frame], pairs.br_index[by_frame])
-    i, j = pairs.tl_index, pairs.br_index
+    i, j = pairs.tl_index[by_frame], pairs.br_index[by_frame]
     x1, y1 = refined(tls, i, KeypointKind.TOP_LEFT)
     x2, y2 = refined(brs, j, KeypointKind.BOTTOM_RIGHT)
     if not rank.size:
@@ -488,20 +485,14 @@ def assemble_boxes(pairs, centers, offsets, stride):
         tls.class_ids[tl_kept], brs.cols[br_kept], brs.rows[br_kept],
         tls.cols[tl_kept], tls.rows[tl_kept], -scores, frames[kept],
     ))
-    kept, best = kept[order].tolist(), best[order].tolist()
-    detections = []
-    for p, (tl, br), center, score in zip(kept, pairs.at(kept), centers.at(best), scores[order].tolist()):
-        box = Box2D(x1[p], y1[p], x2[p], y2[p], class_id=tl.class_id, score=score)
-        detections.append(
-            Detection(
-                box=box,
-                top_left=tl,
-                bottom_right=br,
-                center=center,
-                tag=0.5 * (tl.tag + br.tag),
-            )
-        )
-    return Detections(detections, frames[kept])
+    kept, best, tl_kept, br_kept = kept[order], best[order], tl_kept[order], br_kept[order]
+    # A kept pair's corners do not cross, and are finite: an infinite one
+    # makes a third of its box NaN, so no center is inside. Scores lie in [0, 1].
+    corners = (corner[kept].tolist() for corner in (x1, y1, x2, y2))
+    boxes = _from_checked_columns(Box2D, *corners, tls.class_ids[tl_kept].tolist(), scores[order].tolist())
+    tags = (0.5 * (tls.tags[tl_kept] + brs.tags[br_kept])).tolist()
+    keypoints = tls.at(tl_kept), brs.at(br_kept), centers.at(best)
+    return Detections(_from_checked_columns(Detection, boxes, *keypoints, tags), frames[kept])
 
 
 def _checked(peak_cfg, group_cfg, stride, cameras):
@@ -519,13 +510,19 @@ def _decode_2d(bundles, peak_cfg, group_cfg, stride):
     def maps(field, kind):
         return [getattr(bundle, field)[kind] for bundle in bundles]
 
-    TL, BR, CENTER = KeypointKind.TOP_LEFT, KeypointKind.BOTTOM_RIGHT, KeypointKind.CENTER
-    top_lefts = extract_peaks(maps("heatmaps", TL), peak_cfg, TL)
-    bottom_rights = extract_peaks(maps("heatmaps", BR), peak_cfg, BR)
-    centers = extract_peaks(maps("heatmaps", CENTER), peak_cfg, CENTER)
+    # One extraction on all three kinds' heatmaps, kind k's frame f as frame
+    # k * n + f. No frame reads another, so each kind's run is its own decode.
+    n = len(bundles)
+    peaks = extract_peaks([fmap for kind in ALL_KINDS for fmap in maps("heatmaps", kind)], peak_cfg, None)
+    ends = np.searchsorted(peaks.frames, [0, n, 2 * n, 3 * n]).tolist()
+    columns = (peaks.class_ids, peaks.rows, peaks.cols, peaks.scores, peaks.tags)
+    top_lefts, bottom_rights, centers = (
+        Keypoints(kind, peaks.frames[a:b] - k * n, *(column[a:b] for column in columns))
+        for k, (kind, a, b) in enumerate(zip(ALL_KINDS, ends, ends[1:]))
+    )
 
-    top_lefts = attach_tags(top_lefts, maps("embeddings", TL))
-    bottom_rights = attach_tags(bottom_rights, maps("embeddings", BR))
+    top_lefts = attach_tags(top_lefts, maps("embeddings", top_lefts.kind))
+    bottom_rights = attach_tags(bottom_rights, maps("embeddings", bottom_rights.kind))
 
     pairs = group_corners(top_lefts, bottom_rights, group_cfg)
     return assemble_boxes(pairs, centers, [bundle.offsets for bundle in bundles], stride)
@@ -565,8 +562,8 @@ def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, tax
     Each frame is decoded once. The frames are grouped by whether they
     lift (they have a camera and 3D head maps) and by the shapes of all
     their maps, and each group decodes together: each stage runs once on
-    all of its frames (`extract_peaks` once per keypoint kind, one
-    grouping, one assembly), so a stage's fixed cost is paid once per
+    all of its frames (one `extract_peaks` on all three kinds' heatmaps,
+    one grouping, one assembly), so a stage's fixed cost is paid once per
     group. A lifting group then goes to `geometry3d.lift_frames` whole,
     with one camera row per detection; a 2D group never enters the lift.
     A frame whose heatmap channels do not match the taxonomy's classes,

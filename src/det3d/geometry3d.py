@@ -20,6 +20,7 @@ from .core import (
     DomainError,
     RangeError,
     ShapeError,
+    _from_checked_columns,
     normalize_angle,
     take_frames,
 )
@@ -364,23 +365,30 @@ def lift_frames(detections, frames, bundles, cameras):
     angles = np.array(_bin_angles(heads, uniform_bin_centers(n_bins))).reshape(-1, 3)
     fitted, projected = _fit_centers(p, pixels, dims, centers, angles)
     ok &= projected
-    # Each frame's first failing detection, or len(ok) where it has none.
-    cut = np.full(len(bundles), len(ok))
-    np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
-    lifted = cut[frames] == len(ok)  # a frame that lifts passed whole
+    lifted, errors = slice(None), {}
+    if not ok.all():
+        # Each frame's first failing detection, or len(ok) where it has none.
+        cut = np.full(len(bundles), len(ok))
+        np.minimum.at(cut, frames[~ok], np.flatnonzero(~ok))
+        lifted = np.flatnonzero(cut[frames] == len(ok))  # the frames that passed whole
+        for frame in np.flatnonzero(cut < len(ok)).tolist():
+            try:
+                lift_detection(detections[cut[frame]], bundles[frame], cameras[frame])
+            except Det3DError as exc:
+                # A traceback, its own or its context's, would hold this call's frames.
+                errors[frame] = exc.with_traceback(None)
+                exc.__context__ = None
 
+    # The mask has checked what Box3D checks: a finite center in front of
+    # the camera, and positive dims, which FeatureMap keeps finite. Each
+    # angle is wrapped already, and wrapping it again gives the same bits.
+    index = np.arange(len(ok))[lifted].tolist()
+    columns = (list(map(tuple, column[lifted].tolist())) for column in (fitted, dims, angles))
+    scored = [detections[k].box for k in index]
+    built = _from_checked_columns(Box3D, *columns, [b.class_id for b in scored], [b.score for b in scored])
     boxes = [None] * len(detections)
-    columns = fitted[lifted], dims[lifted], angles[lifted]
-    for k, c, d, o in zip(np.flatnonzero(lifted).tolist(), *(column.tolist() for column in columns)):
-        boxes[k] = Box3D(c, d, o, detections[k].box.class_id, detections[k].box.score)
-    errors = {}
-    for frame in np.flatnonzero(cut < len(ok)).tolist():
-        try:
-            lift_detection(detections[cut[frame]], bundles[frame], cameras[frame])
-        except Det3DError as exc:
-            # A traceback, its own or its context's, would hold this call's frames.
-            errors[frame] = exc.with_traceback(None)
-            exc.__context__ = None
+    for k, box in zip(index, built):
+        boxes[k] = box
     return boxes, errors
 
 

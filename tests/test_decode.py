@@ -1,5 +1,6 @@
 """Peak extraction, tag grouping, offset refinement, and box assembly."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -207,7 +208,10 @@ def corner_pairs(pairs):
 
 
 def items(table):
-    """Every `Keypoint`, or every pair, of a table, as `at` builds them."""
+    """Every `Keypoint` of `Keypoints`, as `at` builds them, or every
+    (top-left, bottom-right) pair of `CornerPairs`."""
+    if isinstance(table, CornerPairs):
+        return list(zip(table.top_lefts.at(table.tl_index), table.bottom_rights.at(table.br_index)))
     return table.at(range(len(table)))
 
 
@@ -742,18 +746,29 @@ class TestColumnsAndLists:
 
 
 def test_decode_frame_builds_keypoints_only_for_detections(monkeypatch):
+    """Decode builds a `Keypoint` only through `Keypoints.at`, which skips
+    the constructor's checks, and only for the three keypoints of each
+    detection it returns."""
     bundle = noisy_bundles(1, n_objects=4, image_size=(320, 240))[0]
-    built = []
-    post_init = Keypoint.__post_init__
+    built, checked = [], []
+    at, post_init = Keypoints.at, Keypoint.__post_init__
 
-    def counting(self):
-        built.append(self)
+    def counting_at(self, indices):
+        points = at(self, indices)
+        built.extend(points)
+        return points
+
+    def counting_post_init(self):
+        checked.append(self)
         post_init(self)
 
-    monkeypatch.setattr(Keypoint, "__post_init__", counting)
+    monkeypatch.setattr(Keypoints, "at", counting_at)
+    monkeypatch.setattr(Keypoint, "__post_init__", counting_post_init)
     detections = decode_frame(bundle)
-    assert detections
-    assert len(built) <= 3 * len(detections)
+    assert detections and not checked
+    assert len(built) == 3 * len(detections)
+    returned = [point for det in detections for point in (det.top_left, det.bottom_right, det.center)]
+    assert sorted(map(id, built)) == sorted(map(id, returned))
 
 
 def test_decode_frame_calls_each_stage_through_the_module(monkeypatch):
@@ -771,7 +786,7 @@ def test_decode_frame_calls_each_stage_through_the_module(monkeypatch):
     for name in ("extract_peaks", "attach_tags", "group_corners", "assemble_boxes"):
         monkeypatch.setattr(decode, name, counting(name))
     decode_frame(noisy_bundles(1)[0])
-    assert calls == {"extract_peaks": 3, "attach_tags": 2, "group_corners": 1, "assemble_boxes": 1}
+    assert calls == {"extract_peaks": 1, "attach_tags": 2, "group_corners": 1, "assemble_boxes": 1}
 
 
 def test_decode_frame_3d_calls_decode_frame_once(monkeypatch):
@@ -892,7 +907,8 @@ class TestDecodeFrames:
     def test_no_frame_is_decoded_twice(self, monkeypatch):
         """Each group of frames that share whether they lift and the
         shapes of their maps is decoded once, whether a frame's lift fails
-        or not: the `frames()` mix is four groups, the frame without a
+        or not, with one peak extraction on all three kinds' heatmaps of
+        its frames: the `frames()` mix is four groups, the frame without a
         camera apart from the full-size frames that lift, with one failing
         lift at threshold 0.3 and five at 0, and 44 ground frames, each
         failing its lift at threshold 0, are one."""
@@ -900,16 +916,17 @@ class TestDecodeFrames:
         extract_peaks = decode.extract_peaks
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(len(args[0]))
             return extract_peaks(*args)
 
         monkeypatch.setattr(decode, "extract_peaks", counting)
         mix = self.frames()
-        for frames, threshold, n_calls in ((mix, 0.3, 12), (mix, 0.0, 12), (ground_frames(44), 0.0, 3)):
+        for frames, threshold, n_maps in ((mix, 0.3, [12, 3, 3, 3]), (mix, 0.0, [12, 3, 3, 3]),
+                                          (ground_frames(44), 0.0, [132])):
             peak_cfg = PeakExtractionConfig(score_threshold=threshold)
             calls.clear()
             outcomes = [frame_outcome(result) for result in decode_frames(*zip(*frames), peak_cfg)]
-            assert len(calls) == n_calls
+            assert calls == n_maps
             assert outcomes == [decoded_alone(bundle, camera, peak_cfg) for bundle, camera in frames]
         assert all(isinstance(outcome, tuple) for outcome in outcomes)
 
@@ -949,7 +966,8 @@ class TestDecodeFrames:
         """Frames of one map shape that all lift, or all do not, go
         through each stage once, and each stage returns a sequence as long
         as the batch's peaks, pairs or detections: of four full-size
-        frames, the one without a camera is a group of its own."""
+        frames, the one without a camera is a group of its own. Peak
+        extraction runs once a group, on all three kinds' heatmaps."""
         frames = [self.frames()[k] for k in (0, 1, 5, 6)]  # full-size frames that decode
         lengths = {}
 
@@ -966,7 +984,7 @@ class TestDecodeFrames:
         for name in ("extract_peaks", "attach_tags", "group_corners", "assemble_boxes"):
             monkeypatch.setattr(decode, name, counting(name))
         results = decode_frames(*zip(*frames))
-        assert [len(lengths[name]) for name in sorted(lengths)] == [2, 4, 6, 2]
+        assert [len(lengths[name]) for name in sorted(lengths)] == [2, 4, 2, 2]
         assert sum(lengths["assemble_boxes"]) == sum(len(result) for result in results) > 0
         assert all(n > 0 for n in lengths["extract_peaks"] + lengths["group_corners"])
 
@@ -996,7 +1014,9 @@ class TestDecodeFrames:
         in one map's H * W * C entries, but the batch's joined table does
         not: the cell kernel tests the batch in blocks of at most that
         many entries. A 48-object air frame's own table does not fit, so it
-        is scanned densely, in the batch as alone."""
+        is scanned densely, in the batch as alone. One extraction takes all
+        three kinds' heatmaps, kind k's frame f as batch frame 45k + f, so
+        the air frame goes dense as 44, 89 and 134, and alone as 0, 1, 2."""
         cfg = PeakExtractionConfig(nms_window=31)
         samples = [
             generate_scene(point, 0)
@@ -1018,7 +1038,7 @@ class TestDecodeFrames:
             return peaks, dense
 
         def logged_window_peaks(cells, values, shape, window, cand_cells, *rest):
-            blocks.append(cand_cells.size * (window * window - 1))
+            blocks.append(cand_cells // (shape[0] * shape[1]))  # each candidate's batch frame
             return window_peaks(cells, values, shape, window, cand_cells, *rest)
 
         def logged_dense_peaks(*args):
@@ -1030,15 +1050,17 @@ class TestDecodeFrames:
         monkeypatch.setattr(decode, "_dense_peaks", logged_dense_peaks)
 
         outcomes = [frame_outcome(result) for result in decode_frames(bundles, cameras, cfg)]
-        assert went_dense == [[44]] * 3 and len(dense_scans) == 3
-        assert len(blocks) > 3 and max(blocks) <= height * width * channels
-        # One kind's blocks (a third of them) together pass one map.
-        assert sum(blocks[:len(blocks) // 3]) > height * width * channels
+        assert went_dense == [[44, 89, 134]] and len(dense_scans) == 3
+        neighbours = cfg.nms_window**2 - 1
+        assert len(blocks) > 3 and max(block.size * neighbours for block in blocks) <= height * width * channels
+        # Each kind's candidates together pass one map.
+        kinds = np.concatenate(blocks) // len(frames)
+        assert all(np.sum(kinds == k) * neighbours > height * width * channels for k in range(3))
         for f, (bundle, camera) in enumerate(frames):
             went_dense.clear()
             dense_scans.clear()
             assert outcomes[f] == decoded_alone(bundle, camera, cfg)
-            assert went_dense == [[0] if f == 44 else []] * 3
+            assert went_dense == [[0, 1, 2] if f == 44 else []]
             assert len(dense_scans) == (3 if f == 44 else 0)
 
         monkeypatch.undo()
@@ -1052,6 +1074,60 @@ class TestDecodeFrames:
         assert peak < 5_000_000
         dense = [FeatureMap(fmap.data, role=fmap.role) for fmap in heatmaps]
         assert table_rows(got) == table_rows(extract_peaks(dense, cfg, CENTER))
+
+
+def assert_rebuilt(results):
+    """Assert that each `Detection`, `Box2D`, `Keypoint` and `Box3D` of
+    (detection, box3d-or-None) results equals, and has the `repr` of,
+    itself built again through its validating constructor; return how
+    many 3D boxes there are."""
+    boxes3d = [box3d for _, box3d in results if box3d is not None]
+    objects = [obj for det, _ in results for obj in (det, det.box, det.top_left, det.bottom_right, det.center)]
+    objects += boxes3d
+    again = [dataclasses.replace(obj) for obj in objects]
+    assert again == objects
+    assert [repr(obj) for obj in again] == [repr(obj) for obj in objects]
+    return len(boxes3d)
+
+
+class TestReturnedObjectsPassTheirConstructors:
+    """Decode builds its result objects without running their checks
+    again; each must be one its validating constructor would build."""
+
+    def test_crowded_air_frames(self):
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.AIR, seed=0))
+        for k in (0, 30):
+            sample = generate_scene(points[k], 0, n_objects=48)
+            results = decode_frame_3d(render_ideal_maps(sample), sample.camera)
+            assert assert_rebuilt(results) == len(results) > 40
+
+    def test_noisy_bundles(self):
+        for bundle in noisy_bundles(2, n_objects=4, image_size=(320, 240)):
+            detections = decode_frame(bundle)
+            assert detections and assert_rebuilt([(det, None) for det in detections]) == 0
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.0])
+    def test_ground_frames_in_a_mixed_batch(self, threshold):
+        frames = ground_frames(6) + TestDecodeFrames().frames()
+        outcomes = decode_frames(*zip(*frames), PeakExtractionConfig(score_threshold=threshold))
+        decoded = [result for result in outcomes if not isinstance(result, Det3DError)]
+        assert len(decoded) == (12 if threshold else 2)
+        n_boxes3d = assert_rebuilt([pair for result in decoded for pair in result])
+        assert n_boxes3d > 0 if threshold else n_boxes3d == 0
+
+    def test_a_huge_stride(self):
+        """At stride 10**305 a ground frame's corners are finite, and its
+        lift fails with the DomainError of a non-finite box. At 10**306 a corner overflows to inf, which leaves no center
+        inside its box, so no detection is built."""
+        (bundle, camera), = ground_frames(1)
+        detections = decode_frame(bundle, stride=10**305)
+        assert detections and assert_rebuilt([(det, None) for det in detections]) == 0
+        with pytest.raises(DomainError, match="^box parameters must be finite$"):
+            decode_frame_3d(bundle, camera, stride=10**305)
+        outcome, = decode_frames([bundle], [camera], stride=10**305)
+        assert frame_outcome(outcome) == (DomainError, "box parameters must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert decode_frame(bundle, stride=10**306) == []
 
 
 def test_empty_batch_is_a_shape_error():

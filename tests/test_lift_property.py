@@ -17,7 +17,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from det3d.core import CameraIntrinsics, SuperCategory, normalize_angle
 from det3d.geometry3d import lift_detection, lift_detections
@@ -90,8 +90,23 @@ def test_lift_matches_oracle_wherever_heads_fail(frame):
         assert [outcome(lift_alone, [det], bundle, camera) for det in detections] == alone
 
 
+# Angles within 1e-12 of an odd multiple of 180, where the remainder in
+# `normalize_angle` can round up to 360.
+_NEAR_WRAP = st.sampled_from([-540.0, -180.0, 180.0, 540.0]).flatmap(
+    lambda edge: st.floats(edge - 1e-12, edge + 1e-12)
+)
+
+
 @settings(max_examples=2000, deadline=None)
-@given(x=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1080.0, 1080.0))
+@given(x=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1080.0, 1080.0) | _NEAR_WRAP)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=math.nextafter(-180.0, -math.inf))  # its remainder rounds up to 360
+@example(x=math.nextafter(180.0, 0.0))
 def test_normalize_angle_is_bitwise_idempotent(x):
+    """The lift builds each Box3D without wrapping its angles a second
+    time, so a wrapped angle must keep its bits when wrapped again."""
     once = normalize_angle(x)
+    assert -180.0 <= once < 180.0
     assert struct.pack("<d", normalize_angle(once)) == struct.pack("<d", once)
