@@ -31,7 +31,7 @@ from .fmap import load_bundle
 from .ioutil import atomic_write_text, atomic_writer, stable_json_chunks, stable_json_dumps
 from .kitti import scene_to_kitti
 from .metrics import EvalItem, Interpolation, MatchPolicy, evaluate, mean_average_precision
-from .synthgen import Category, SceneKind, SweepSpec, scene_from_dict, write_dataset
+from .synthgen import DEFAULT_IMAGE_SIZE, Category, SceneKind, SweepSpec, scene_from_dict, write_dataset
 
 __all__ = ["main", "build_parser"]
 
@@ -61,6 +61,8 @@ _unit_interval = _bounded(float, (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"))
 _iou_threshold = _bounded(float, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"))
 _positive_int = _bounded(int, _AT_LEAST_ONE)
 _seed = _bounded(int, (lambda v: v >= 0, "be >= 0"))
+_MAX_STRIDE = max(DEFAULT_IMAGE_SIZE)  # the larger image side: every map is 1x1 at this stride
+_synth_stride = _bounded(int, _AT_LEAST_ONE, (lambda v: v <= _MAX_STRIDE, f"be <= {_MAX_STRIDE}"))
 _odd_int = _bounded(int, _AT_LEAST_ONE, (lambda v: v % 2 == 1, "be odd"))
 _positive_float = _bounded(float, (lambda v: v > 0.0, "be > 0"), (math.isfinite, "be finite"))
 
@@ -90,7 +92,9 @@ def build_parser():
     synth.add_argument("--seed", type=_seed, default=None, help="falls back to $DET3D_SEED, then 0")
     synth.add_argument("--repeats", type=_positive_int, default=1, help="object layouts per grid point")
     synth.add_argument("--objects", type=_positive_int, default=1, help="objects per scene")
-    synth.add_argument("--stride", type=_positive_int, default=1)
+    synth.add_argument(
+        "--stride", type=_synth_stride, default=1, help=f"at most {_MAX_STRIDE}, where every map is 1x1"
+    )
     synth.add_argument("--sigma", type=_positive_float, default=1.5, help="heatmap bump width, cells")
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=_cmd_synth)

@@ -161,10 +161,7 @@ def _indices(name, idx, size):
         if idx.size:
             raise DomainError(f"{name} indices must be integers, got {idx.dtype} values")
     elif idx.size:
-        # Python's min and max beat two numpy reductions on a few values.
-        few = idx.ravel().tolist() if idx.size <= 32 else None
-        lo, hi = (min(few), max(few)) if few else (idx.min(), idx.max())
-        if lo < 0 or hi >= size:
+        if idx.min() < 0 or idx.max() >= size:
             outside = idx[(idx < 0) | (idx >= size)]
             raise BoundsError(f"{name} index {int(outside[0])} out of range [0, {size})")
     return idx.astype(np.intp, copy=False)
@@ -532,10 +529,8 @@ class Keypoint:
     def __post_init__(self):
         if not isinstance(self.kind, KeypointKind):
             raise DomainError(f"kind must be a KeypointKind, got {self.kind!r}")
-        # Plain ints, as decode builds them, skip the slower ABC check.
-        if not (type(self.class_id) is type(self.row) is type(self.col) is int):
-            for name in ("class_id", "row", "col"):
-                check_number(self, name, numbers.Integral, "an integer")
+        for name in ("class_id", "row", "col"):
+            check_number(self, name, numbers.Integral, "an integer")
         if self.class_id < 0:
             raise DomainError(f"class_id must be >= 0, got {self.class_id}")
         if self.row < 0 or self.col < 0:

@@ -17,6 +17,7 @@ the detections returned, from checked values, without checking them again.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,14 +411,16 @@ def _refined(rows, cols, offsets, stride, frames):
 
 
 def _check_stride(stride):
+    """Raise DomainError unless `stride` is a positive integral real that a float holds."""
     if (
         isinstance(stride, bool)
         or not isinstance(stride, numbers.Real)
-        or not math.isfinite(stride)
+        or not 1 <= stride <= sys.float_info.max  # exact for an int of any size
         or int(stride) != stride
-        or stride < 1
     ):
-        raise DomainError(f"stride must be a positive integer, got {stride!r}")
+        huge = isinstance(stride, numbers.Integral) and abs(stride) > sys.float_info.max
+        got = "an integer outside the float range" if huge else repr(stride)  # a huge int's repr may fail
+        raise DomainError(f"stride must be a positive integer, got {got}")
 
 
 def assemble_boxes(pairs, centers, offsets, stride):
@@ -548,7 +551,10 @@ def decode_frame_3d(bundle, camera, peak_cfg=None, group_cfg=None, stride=1, tax
     detections = decode_frame(bundle, peak_cfg, group_cfg, stride, taxonomy)
     if camera is None or not bundle.has_aux:
         return [(det, None) for det in detections]
-    return list(zip(detections, geometry3d.lift_detections(detections, bundle, camera)))
+    boxes, errors = geometry3d.lift_frames(detections, np.zeros(len(detections), np.intp), [bundle], [camera])
+    if errors:
+        raise errors.pop(0)  # popped, or the traceback's frame would hold the error: a cycle
+    return list(zip(detections, boxes))
 
 
 def decode_frames(bundles, cameras, peak_cfg=None, group_cfg=None, stride=1, taxonomy=None):

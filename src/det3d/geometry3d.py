@@ -36,7 +36,6 @@ __all__ = [
     "project_box3d",
     "fit_center_from_2d",
     "lift_detection",
-    "lift_detections",
     "lift_frames",
 ]
 
@@ -295,15 +294,6 @@ def fit_center_from_2d(camera, box2d, dims, orientation, depth):
     return Box3D(fitted[0], box.dims, box.orientation, box.class_id, box.score)
 
 
-def lift_detections(detections, bundle, camera):
-    """Lift one frame's decoded 2D detections to 3D with `lift_frames`, as
-    frame 0: one Box3D per detection, in order, or the frame's error raised."""
-    boxes, errors = lift_frames(detections, np.zeros(len(detections), np.intp), [bundle], [camera])
-    if errors:
-        raise errors.pop(0)
-    return boxes
-
-
 def lift_frames(detections, frames, bundles, cameras):
     """Lift the decoded 2D detections of a batch of frames to 3D.
 
@@ -393,7 +383,7 @@ def lift_frames(detections, frames, bundles, cameras):
 
 
 def lift_detection(detection, bundle, camera):
-    """Lift one decoded 2D detection to 3D, as `lift_detections` lifts it.
+    """Lift one decoded 2D detection to 3D, as `lift_frames` lifts it alone.
 
     Raises the detection's first error in the order of its steps: the
     bundle's head maps, the head reads at its center cell, `decode_depth`,

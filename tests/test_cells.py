@@ -11,7 +11,6 @@ from det3d.core import (
     ALL_KINDS,
     BoundsError,
     Box2D,
-    Det3DError,
     DomainError,
     FeatureMap,
     MapRole,
@@ -24,7 +23,6 @@ from det3d.core import (
 )
 from det3d.decode import decode_frame
 from det3d.fmap import dump_fmap, load_bundle, parse_fmap, save_bundle
-from det3d.geometry3d import lift_detections
 from det3d.synthgen import (
     Category,
     SweepSpec,
@@ -33,7 +31,8 @@ from det3d.synthgen import (
     generate_scene,
     render_ideal_maps,
 )
-from oracles import lift_oracle, render_oracle
+from oracles import render_oracle
+from test_geometry3d import check_batch
 
 
 def scene(super_category, index, n_objects, seed=0):
@@ -329,15 +328,10 @@ class TestLiftOnCells:
         sample = scene(SuperCategory.GROUND, 2, 4)
         bundle = corrupt_maps(render_ideal_maps(sample), 0.2, rng_seed=[0, 1])
         assert bundle.aux_dims.cell_table is not None
+        # Each detection is a frame of its own, lifted in batches of four.
+        frames = [([det], bundle, sample.camera) for det in decode_frame(bundle, taxonomy=sample.taxonomy)]
         outcomes = []
-        for det in decode_frame(bundle, taxonomy=sample.taxonomy):
-            got = []
-            for lift in (lift_detections, lift_oracle):
-                try:
-                    got.append(repr(lift([det], bundle, sample.camera)))
-                except Det3DError as exc:
-                    got.append((type(exc), str(exc)))
-            assert got[0] == got[1]
-            outcomes.append(got[0])
+        for start in range(0, len(frames), 4):
+            outcomes += check_batch(frames[start : start + 4])
         zero = (DomainError, "box dims must be positive, got (0.0, 0.0, 0.0)")
         assert zero in outcomes and any(isinstance(o, str) for o in outcomes)

@@ -286,6 +286,20 @@ class TestDecode:
         payload = json.loads(read(out))
         assert list(payload["frames"]) == ["000000"]
 
+    @pytest.mark.parametrize("scene", [True, False])
+    def test_bundle_decode_of_a_huge_stride_exits_3(self, dataset, tmp_path, capsys, scene):
+        """A stride no float holds is the decode's own DomainError."""
+        out = tmp_path / "x.json"
+        argv = ["decode", "--bundle", str(dataset / "frames" / "000000"), "--stride", str(10**400),
+                "--out", str(out)]
+        if scene:
+            argv += ["--scene", str(dataset / "scenes" / "000000.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: stride must be a positive integer, got an integer outside the float range\n"
+        )
+        assert not out.exists()
+
     def test_bundle_decode_rejects_classes_a_scene_names(self, dataset, tmp_path, capsys):
         """A synth scene file names its classes, so --classes could only
         contradict it."""
@@ -586,6 +600,10 @@ class TestFlagBounds:
             (_SYNTH, "--seed", "-1", "must be >= 0, got -1"),
             (_DECODE, "--classes", ",", "taxonomy needs at least one class"),
             (_DECODE, "--classes", "a,a", "class names must be unique, got ('a', 'a')"),
+            (_SYNTH, "--stride", "321", "must be <= 320, got 321"),
+            pytest.param(
+                _SYNTH, "--stride", str(10**400), f"must be <= 320, got {10**400}", id="synth-stride-10**400"
+            ),
         ],
     )
     def test_bound_message(self, capsys, tmp_path, monkeypatch, argv, flag, value, message):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -810,6 +811,61 @@ def test_decode_frame_3d_calls_decode_frame_once(monkeypatch):
         assert len(calls) == 1 and calls[0] is frame[0]
 
 
+class TestDecodeFrame3dIsABatchOfOne:
+    """`decode_frame_3d` gives what `decode_frames` gives its frame as a
+    batch of one: equal pairs with equal reprs, or an error of the same
+    type and message."""
+
+    @staticmethod
+    def failed(frames, *args):
+        """Check each (bundle, camera) frame; return whether each one failed."""
+        failed = []
+        for bundle, camera in frames:
+            batch, = decode_frames([bundle], [camera], *args)
+            try:
+                alone = decode_frame_3d(bundle, camera, *args)
+            except Det3DError as exc:
+                alone = exc
+            assert type(alone) is type(batch)
+            if isinstance(alone, Det3DError):
+                assert str(alone) == str(batch)
+            else:
+                assert alone == batch and repr(alone) == repr(batch)
+            failed.append(isinstance(alone, Det3DError))
+        return failed
+
+    def test_crowded_air_frames(self):
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.AIR, seed=0))
+        samples = [generate_scene(points[k], 0, n_objects=48) for k in (0, 30)]
+        frames = [(render_ideal_maps(sample), sample.camera) for sample in samples]
+        assert self.failed(frames) == [False, False]
+
+    def test_noisy_frames(self):
+        """Bundles corrupted at noise 0.2 from both camera sweeps, 4
+        objects a scene: each fails its lift."""
+        frames = []
+        for super_category in (SuperCategory.AIR, SuperCategory.GROUND):
+            points = enumerate_sweep(SweepSpec(Category.CAMERA, super_category, seed=0))
+            for k in range(4):
+                sample = generate_scene(points[k], 0, n_objects=4)
+                frames.append((corrupt_maps(render_ideal_maps(sample), 0.2, rng_seed=[0, k]), sample.camera))
+        assert all(self.failed(frames))
+
+    def test_frames_that_do_not_lift(self):
+        (bundle, camera), = ground_frames(1)
+        points = enumerate_sweep(SweepSpec(Category.CAMERA, SuperCategory.GROUND, seed=0))
+        no_heads = render_ideal_maps(generate_scene(points[0], 0), include_aux=False)
+        assert self.failed([(bundle, None), (no_heads, camera)]) == [False, False]
+        assert [box3d for _, box3d in decode_frame_3d(no_heads, camera)] == [None]
+
+    def test_taxonomy_mismatch(self):
+        frames = [(empty_bundle(), None), ground_frames(1)[0]]
+        assert self.failed(frames, None, None, 1, ClassTaxonomy.default()) == [True, False]
+
+    def test_ground_frames_at_threshold_zero(self):
+        assert self.failed(ground_frames(2), PeakExtractionConfig(score_threshold=0.0)) == [True, True]
+
+
 def empty_bundle():
     """A 4x5 bundle whose heatmaps hold no peak."""
     maps = [FeatureMap(np.zeros((4, 5, entry.channels or 1)), role=entry.role) for entry in BUNDLE_MAPS[:8]]
@@ -820,7 +876,13 @@ class TestDecodeEntryChecks:
     """The stride and the cameras are checked when a decode starts, so a
     bad one fails whatever the frames hold."""
 
-    @pytest.mark.parametrize("stride", [-3, 0, True, 1.5, float("nan"), float("inf"), "2", None])
+    @pytest.mark.parametrize(
+        "stride",
+        [-3, 0, True, 1.5, float("nan"), float("inf"), "2", None,
+         pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+         pytest.param(Fraction(10**400), id="Fraction(10**400)"),
+         pytest.param(10**5000, id="10**5000")],  # too long to print as a decimal
+    )
     def test_stride(self, stride):
         bundle = empty_bundle()
         calls = (

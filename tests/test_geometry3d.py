@@ -27,7 +27,7 @@ from det3d.core import (
     normalize_angle,
 )
 from det3d import geometry3d
-from det3d.decode import decode_frame, decode_frames
+from det3d.decode import decode_frame, decode_frame_3d, decode_frames
 from det3d.geometry3d import (
     MultiBinOutput,
     back_project_point,
@@ -36,7 +36,7 @@ from det3d.geometry3d import (
     encode_multibin,
     fit_center_from_2d,
     lift_detection,
-    lift_detections,
+    lift_frames,
     project_box3d,
     project_point,
     uniform_bin_centers,
@@ -335,6 +335,39 @@ def outcome(lift, detections, bundle, camera):
         return type(exc), str(exc)
 
 
+def lift_batch(frames):
+    """`lift_frames` on a batch of (detections, bundle, camera) frames: for
+    each frame, what `outcome` gives, its boxes' repr or its error's type
+    and message. A failed frame's detections get None boxes."""
+    detections, bundles, cameras = zip(*frames)
+    counts = [len(dets) for dets in detections]
+    index = np.repeat(np.arange(len(frames)), counts)
+    boxes, errors = lift_frames([det for dets in detections for det in dets], index, bundles, cameras)
+    assert set(errors) <= set(range(len(frames)))
+    outcomes, start = [], 0
+    for f, count in enumerate(counts):
+        own, start = boxes[start : start + count], start + count
+        if f in errors:
+            assert own == [None] * count
+            outcomes.append((type(errors[f]), str(errors[f])))
+        else:
+            outcomes.append(repr(own))
+    return outcomes
+
+
+def check_batch(frames):
+    """Assert that each frame of a `lift_frames` batch gets what
+    `lift_oracle` gives that frame alone; return the outcomes."""
+    got = lift_batch(frames)
+    assert got == [outcome(lift_oracle, *frame) for frame in frames]
+    return got
+
+
+def failures(outcomes):
+    """The error type of each outcome, None for boxes."""
+    return [got[0] if isinstance(got, tuple) else None for got in outcomes]
+
+
 def with_heads(bundle, detections, depth=None, dims=None):
     """A copy of the bundle whose head maps hold the given raw depth and
     dims at each detection's center cell (None keeps the stored value)."""
@@ -357,24 +390,29 @@ def ground_frame():
 
 
 class TestLiftMatchesOracle:
+    """Each frame of a `lift_frames` batch that mixes frames that lift with
+    frames that fail gets what `lift_oracle` gives that frame alone."""
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_crowded_air_frames(self, seed):
-        for detections, bundle, camera in decoded_frames(SuperCategory.AIR, seed, 3, 48):
-            boxes = lift_detections(detections, bundle, camera)
-            expected = lift_oracle(detections, bundle, camera)
-            assert len(boxes) == len(detections) > 0
-            assert boxes == expected and repr(boxes) == repr(expected)
+        frames = decoded_frames(SuperCategory.AIR, seed, 3, 48)
+        detections, bundle, camera = frames[0]
+        overflow = with_heads(bundle, detections[5:6], depth=[1000.0], dims=[None])
+        frames.insert(1, (detections, overflow, camera))
+        assert all(len(detections) > 40 for detections, _, _ in frames)
+        assert failures(check_batch(frames)) == [None, RangeError, None, None]
 
     def test_ground_frames(self):
-        for detections, bundle, camera in decoded_frames(SuperCategory.GROUND, 2, 4, 8):
-            assert repr(lift_detections(detections, bundle, camera)) == repr(
-                lift_oracle(detections, bundle, camera)
-            )
+        frames = decoded_frames(SuperCategory.GROUND, 2, 4, 8)
+        detections, bundle, camera = frames[2]
+        behind = with_heads(bundle, detections[3:4], depth=[math.log(0.5)], dims=[(4.0, 4.0, 4.0)])
+        frames[2] = (detections, behind, camera)
+        assert failures(check_batch(frames)) == [None, None, BehindCameraError, None]
 
     def test_random_heads(self, ground_frame):
         detections, bundle, camera = ground_frame
         rng = np.random.default_rng(5)
-        failures = set()
+        errors = set()
         for _ in range(60):
             orientation = bundle.aux_orientation.data.copy()
             for det in detections:
@@ -387,11 +425,9 @@ class TestLiftMatchesOracle:
                 depth=rng.choice([-800.0, 0.0, 1.0, 3.0, 800.0], size=4) + rng.normal(size=4),
                 dims=rng.uniform(-0.5, 5.0, size=(4, 3)),
             )
-            got = outcome(lift_detections, detections, noisy, camera)
-            assert got == outcome(lift_oracle, detections, noisy, camera)
-            if isinstance(got, tuple):
-                failures.add(got[0])
-        assert failures >= {RangeError, DomainError, BehindCameraError}
+            got = check_batch([ground_frame, (detections, noisy, camera), ground_frame])
+            errors.add(failures(got)[1])
+        assert errors >= {RangeError, DomainError, BehindCameraError}
 
     def test_single_detection(self, ground_frame):
         detections, bundle, camera = ground_frame
@@ -402,39 +438,43 @@ class TestLiftMatchesOracle:
 
     def test_no_detections(self, ground_frame):
         _, bundle, camera = ground_frame
-        assert lift_detections([], bundle, camera) == []
         no_heads = replace(bundle, aux_depth=None, aux_dims=None, aux_orientation=None)
-        assert lift_detections([], no_heads, camera) == []
+        for bundles in ([bundle], [no_heads], [bundle, no_heads]):
+            assert lift_frames([], np.zeros(0, np.intp), bundles, [camera] * len(bundles)) == ([], {})
+        empty = ([], bundle, camera)
+        assert check_batch([empty, ground_frame, empty])[::2] == ["[]", "[]"]
 
     def test_detections_of_a_bundle_without_heads(self, ground_frame):
         detections, bundle, camera = ground_frame
         no_heads = replace(bundle, aux_depth=None, aux_dims=None, aux_orientation=None)
         with pytest.raises(ConfigurationError, match="^bundle carries no 3D head maps$"):
-            lift_detections(detections, no_heads, camera)
+            lift_batch([ground_frame, (detections, no_heads, camera)])
         with pytest.raises(ConfigurationError, match="^bundle carries no 3D head maps$"):
             lift_detection(detections[0], no_heads, camera)
 
 
 class TestLiftErrorParity:
-    """lift_detections raises what lifting one detection at a time raises first."""
+    """Each failing frame of a `lift_frames` batch gets the error that
+    lifting its detections one at a time raises first, and the frames
+    around it lift as they do alone."""
 
     @staticmethod
-    def check(detections, bundle, camera, error):
-        got = outcome(lift_detections, detections, bundle, camera)
-        assert got == outcome(lift_oracle, detections, bundle, camera)
-        assert got[0] is error
+    def check(ground_frame, detections, bundle, camera, error):
+        frame = (detections, bundle, camera)
+        got = check_batch([ground_frame, frame, ground_frame, frame])
+        assert failures(got) == [None, error, None, error]
 
     def test_depth_overflow(self, ground_frame):
         detections, bundle, camera = ground_frame
         broken = with_heads(bundle, detections, depth=[None, 1000.0, None, None], dims=[None] * 4)
-        self.check(detections, broken, camera, RangeError)
+        self.check(ground_frame, detections, broken, camera, RangeError)
 
     def test_nonpositive_dims(self, ground_frame):
         detections, bundle, camera = ground_frame
         broken = with_heads(
             bundle, detections, depth=[None] * 4, dims=[None, None, (0.0, 1.0, 1.0), None]
         )
-        self.check(detections, broken, camera, DomainError)
+        self.check(ground_frame, detections, broken, camera, DomainError)
 
     def test_near_box_behind_camera(self, ground_frame):
         detections, bundle, camera = ground_frame
@@ -444,12 +484,12 @@ class TestLiftErrorParity:
             depth=[None, None, math.log(0.5), None],
             dims=[None, None, (4.0, 4.0, 4.0), None],
         )
-        self.check(detections, broken, camera, BehindCameraError)
+        self.check(ground_frame, detections, broken, camera, BehindCameraError)
 
     def test_center_outside_the_map(self, ground_frame):
         detections, bundle, camera = ground_frame
         outside = replace(detections[1], center=replace(detections[1].center, row=bundle.height + 3))
-        self.check([detections[0], outside, *detections[2:]], bundle, camera, BoundsError)
+        self.check(ground_frame, [detections[0], outside, *detections[2:]], bundle, camera, BoundsError)
 
     @pytest.mark.parametrize(
         "order", [(RangeError, BehindCameraError), (BehindCameraError, RangeError)]
@@ -467,7 +507,7 @@ class TestLiftErrorParity:
             depth=[None, heads[0][0], heads[1][0], None],
             dims=[None, heads[0][1], heads[1][1], None],
         )
-        self.check(detections, broken, camera, order[0])
+        self.check(ground_frame, detections, broken, camera, order[0])
 
     def test_failed_lift_leaves_no_reference_cycle(self, ground_frame):
         detections, bundle, camera = ground_frame
@@ -476,7 +516,7 @@ class TestLiftErrorParity:
         gc.disable()
         try:
             with pytest.raises(RangeError):
-                lift_detections(detections, broken, camera)
+                decode_frame_3d(broken, camera)
             del broken
             assert alive() is None
         finally:
@@ -509,8 +549,9 @@ class TestLiftErrorParity:
             expected = outcome(lift_oracle, detections, broken, camera)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = outcome(lift_detections, detections, broken, camera)
-        assert got == expected == (DomainError, "box parameters must be finite")
+            got = lift_batch([(detections, broken, camera), ground_frame])
+        assert got == [expected, outcome(lift_oracle, *ground_frame)]
+        assert expected == (DomainError, "box parameters must be finite")
 
     def test_rank_deficient_camera(self, ground_frame):
         """The back-projection's 2x2 determinant is exactly 0 at the third
@@ -519,7 +560,7 @@ class TestLiftErrorParity:
         u = detections[2].box.center[0]
         p = camera.p.copy()
         p[0, 0], p[2, 0] = u / 1024.0, 1.0 / 1024.0
-        self.check(detections, bundle, CameraIntrinsics(p), DegenerateProjectionError)
+        self.check(ground_frame, detections, bundle, CameraIntrinsics(p), DegenerateProjectionError)
 
     def test_corner_at_zero_scale(self, ground_frame):
         """A zero third camera row gives every corner w == 0; the first
@@ -530,21 +571,23 @@ class TestLiftErrorParity:
         broken = with_heads(
             bundle, detections, depth=[None] * 4, dims=[None, (0.0, 1.0, 1.0), None, None]
         )
-        self.check(detections, broken, CameraIntrinsics(p), DegenerateProjectionError)
+        self.check(ground_frame, detections, broken, CameraIntrinsics(p), DegenerateProjectionError)
 
     @pytest.mark.parametrize("super_category", [SuperCategory.AIR, SuperCategory.GROUND])
     def test_noisy_frames(self, super_category):
         """Whole decoded frames of bundles corrupted at noise 0.2, whose
-        false centers read zero heads."""
+        false centers read zero heads, among the ideal frames."""
         points = enumerate_sweep(
             SweepSpec(category=Category.CAMERA, super_category=super_category, seed=0)
         )
-        errors = 0
+        frames = []
         for k in range(8):
             sample = generate_scene(points[k], 0, n_objects=4, sample_id=f"{k:06d}")
-            bundle = corrupt_maps(render_ideal_maps(sample), 0.2, rng_seed=[0, k])
-            detections = decode_frame(bundle, taxonomy=sample.taxonomy)
-            got = outcome(lift_detections, detections, bundle, sample.camera)
-            assert got == outcome(lift_oracle, detections, bundle, sample.camera)
-            errors += isinstance(got, tuple)
-        assert errors > 0
+            ideal = render_ideal_maps(sample)
+            for bundle in (ideal, corrupt_maps(ideal, 0.2, rng_seed=[0, k])):
+                frames.append((decode_frame(bundle, taxonomy=sample.taxonomy), bundle, sample.camera))
+        # Each batch is two ideal frames, which lift, each with its noisy copy.
+        errors = []
+        for start in range(0, 16, 4):
+            errors += failures(check_batch(frames[start : start + 4]))
+        assert errors[::2] == [None] * 8 and any(errors[1::2])

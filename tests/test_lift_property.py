@@ -1,8 +1,9 @@
 """Property tests of the 3D lift: wherever passing and failing heads sit
 in a frame, and with or without a camera that is rank-deficient at one
-detection, it gives the boxes or the error of the one-detection-at-a-time
-`lift_oracle`, as does `lift_detection` on each detection alone. The angle
-wrap it relies on is idempotent bit for bit.
+detection, each frame of a `lift_frames` batch gets the boxes or the error
+that the one-detection-at-a-time `lift_oracle` gives that frame alone, and
+`lift_detection` gives each detection its own. The angle wrap the lift
+relies on is idempotent bit for bit.
 
 Kept apart from test_geometry3d.py so that the other lift tests still run
 where the optional `hypothesis` package is not installed.
@@ -20,9 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from det3d.core import CameraIntrinsics, SuperCategory, normalize_angle
-from det3d.geometry3d import lift_detection, lift_detections
+from det3d.geometry3d import lift_detection
 from oracles import lift_oracle
-from test_geometry3d import decoded_frames, outcome, with_heads
+from test_geometry3d import decoded_frames, lift_batch, outcome, with_heads
 
 # Raw depth and dims written at a detection's center cell: None keeps the
 # rendered value, which lifts, as does a kept head's random raw depth in [2, 6].
@@ -69,25 +70,34 @@ def frames(draw):
     return detections, bundle, camera
 
 
+@st.composite
+def batches(draw):
+    """One to three drawn frames, with the rendered frame, which lifts, at
+    a drawn place among them."""
+    batch = draw(st.lists(frames(), min_size=1, max_size=3))
+    batch.insert(draw(st.integers(0, len(batch))), _FRAME)
+    return batch
+
+
 def lift_alone(detections, bundle, camera):
     (detection,) = detections
     return [lift_detection(detection, bundle, camera)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(frame=frames())
-def test_lift_matches_oracle_wherever_heads_fail(frame):
-    detections, bundle, camera = frame
+@given(batch=batches())
+def test_lift_matches_oracle_wherever_heads_fail(batch):
+    singles = [([det], bundle, camera) for detections, bundle, camera in batch for det in detections]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        expected = outcome(lift_oracle, *frame)
-        alone = [outcome(lift_oracle, [det], bundle, camera) for det in detections]
+        expected = [outcome(lift_oracle, *frame) for frame in batch]
+        alone = [outcome(lift_oracle, *single) for single in singles]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert outcome(lift_detections, *frame) == expected
+        assert lift_batch(batch) == expected
         # lift_detection raises a failing frame's error, so it must give
         # each detection's own outcome.
-        assert [outcome(lift_alone, [det], bundle, camera) for det in detections] == alone
+        assert [outcome(lift_alone, *single) for single in singles] == alone
 
 
 # Angles within 1e-12 of an odd multiple of 180, where the remainder in
